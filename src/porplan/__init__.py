@@ -49,8 +49,8 @@ from .strategies import (
     sac_expansion,
     sp_filter,
 )
-from .heuristics import h_add, h_blind, h_goal_count, h_max, make_heuristic
-from .search import Limits, SearchResult, astar, bfs, gbfs
+from .heuristics import make_heuristic
+from .search import Limits, SearchResult, SearchSpec, astar, bfs, gbfs, solve
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,7 @@ __all__ = [
     "PartialAssignment",
     "Plan",
     "SearchResult",
+    "SearchSpec",
     "State",
     "Stratification",
     "StrategyConfig",
@@ -89,10 +90,6 @@ __all__ = [
     "emit_sas",
     "full_expansion",
     "gbfs",
-    "h_add",
-    "h_blind",
-    "h_goal_count",
-    "h_max",
     "is_goal",
     "is_left_commutative",
     "landmark_action_set",
@@ -100,6 +97,7 @@ __all__ = [
     "make_strategy",
     "parse_sas",
     "sac_expansion",
+    "solve",
     "sp_filter",
     "stratify",
     "validate_plan",

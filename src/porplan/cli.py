@@ -6,7 +6,8 @@ verification suites with a JSON report), bench (run a directory of
 instances under several strategies, CSV and JSON output).
 
 Exit codes: 0 solved or clean, 1 proven unsolvable, 2 resource limit,
-3 input error, 4 verification violations.
+3 input error (a bad file, state, inspect target or command line),
+4 verification violations.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .graphs import (
     pdg_to_dot,
     stratify,
 )
-from .heuristics import HEURISTICS, make_heuristic
+from .heuristics import HEURISTICS
 from .model import State, Task, validate_plan
 from .sas_io import SasError, parse_sas
-from .search import SOLVED, UNSOLVABLE, Limits, astar, bfs, gbfs
+from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchSpec, solve
 from .strategies import KINDS, ExpansionContext, StrategyConfig, make_strategy
 
 EXIT_SOLVED = 0
@@ -58,23 +59,14 @@ def _load_task(path: str) -> Task:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _strategy_config(args) -> StrategyConfig:
-    return StrategyConfig(
-        sp_closed=args.sp_closed, strat_tie_break=args.strat_tiebreak
+def _search_spec(args, por: str) -> SearchSpec:
+    return SearchSpec(
+        search=args.search,
+        heuristic=args.heuristic,
+        por=por,
+        config=StrategyConfig(sp_closed=args.sp_closed, strat_tie_break=args.strat_tiebreak),
+        limits=Limits(max_expanded=args.max_nodes, max_time=args.max_time),
     )
-
-
-def _limits(args) -> Limits:
-    return Limits(max_expanded=args.max_nodes, max_time=args.max_time)
-
-
-def _run_search(task: Task, args):
-    strategy = make_strategy(task, args.por, _strategy_config(args))
-    if args.search == "bfs":
-        return bfs(task, strategy, _limits(args))
-    heuristic = make_heuristic(task, args.heuristic)
-    engine = astar if args.search == "astar" else gbfs
-    return engine(task, heuristic, strategy, _limits(args))
 
 
 def _stats_json(task: Task, args, result) -> dict:
@@ -102,11 +94,8 @@ def _plan_text(task: Task, plan) -> str:
 def cmd_plan(args) -> int:
     try:
         task = _load_task(args.file)
-        result = _run_search(task, args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:  # e.g. bfs on a non-unit-cost task
+        result = solve(task, _search_spec(args, args.por))
+    except (_InputError, ValueError) as exc:  # ValueError: e.g. bfs on metric costs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     stats = _stats_json(task, args, result)
@@ -132,6 +121,9 @@ def _parse_state(task: Task, text: str) -> State:
         raise _InputError(f"bad state {text!r}; use 'initial' or comma-separated values")
     if len(values) != task.num_variables:
         raise _InputError(f"state needs {task.num_variables} values")
+    for var, value in zip(task.variables, values):
+        if not 0 <= value < var.domain_size:
+            raise _InputError(f"value {value} is outside the domain of {var.name!r}")
     return State(values)
 
 
@@ -142,7 +134,10 @@ def _graph_json(nodes, edges) -> dict:
 def _inspect_one(task: Task, token: str, as_json: bool) -> str:
     dtgs = build_all_dtgs(task)
     if token.startswith("dtg:"):
-        var = int(token.split(":", 1)[1])
+        try:
+            var = int(token.split(":", 1)[1])
+        except ValueError:
+            raise _InputError(f"bad variable index in {token!r}") from None
         if not 0 <= var < task.num_variables:
             raise _InputError(f"no variable {var}")
         dtg = dtgs[var]
@@ -209,6 +204,8 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         )
     if token.startswith("expansion@"):
         state = _parse_state(task, token[10:])
+        if task.goal.holds_in(state):
+            raise _InputError("the state satisfies the goal; no expansion set is defined")
         ctx = ExpansionContext(state, None)
         sets = {}
         for kind in KINDS:
@@ -233,40 +230,11 @@ def cmd_inspect(args) -> int:
     return EXIT_SOLVED
 
 
-class _DropOneSac:
-    """Test hook: a deliberately faulty SAC dropping one action per set."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.kind = inner.kind
-        self.task = inner.task
-
-    def expansion(self, ctx):
-        ids = self.inner.expansion(ctx)
-        return ids[:-1]
-
-    def node_key(self, state, generating_action):
-        return self.inner.node_key(state, generating_action)
-
-
-def _fault_factory(fault: str):
-    if fault == "none":
-        return None
-
-    def factory(task, kind, config=None):
-        strategy = make_strategy(task, kind, config)
-        if kind == "sac":
-            return _DropOneSac(strategy)
-        return strategy
-
-    return factory
-
-
 def cmd_verify(args) -> int:
     tasks = oracle.default_task_stream(
         args.seeds, start=args.seed_start, max_states=args.max_states
     )
-    factory = _fault_factory(args.inject_fault)
+    factory = oracle.drop_one_sac if args.inject_fault == "sac-drop" else make_strategy
     reports = []
     suites = set(args.suites or ["all"])
 
@@ -302,10 +270,11 @@ def cmd_verify(args) -> int:
     return EXIT_SOLVED if payload["ok"] else EXIT_VIOLATIONS
 
 
-def _bench_one(job: dict) -> dict:
+def _bench_one(job: tuple[str, SearchSpec]) -> dict:
+    path, spec = job
     row = {
-        "instance": job["instance"],
-        "strategy": job["por"],
+        "instance": Path(path).stem,
+        "strategy": spec.por,
         "outcome": None,
         "cost": None,
         "expanded": None,
@@ -314,21 +283,7 @@ def _bench_one(job: dict) -> dict:
         "error": None,
     }
     try:
-        task = parse_sas(Path(job["path"]).read_text())
-        strategy = make_strategy(
-            task,
-            job["por"],
-            StrategyConfig(
-                sp_closed=job["sp_closed"], strat_tie_break=job["strat_tiebreak"]
-            ),
-        )
-        limits = Limits(max_expanded=job["max_nodes"], max_time=job["max_time"])
-        if job["search"] == "bfs":
-            result = bfs(task, strategy, limits)
-        else:
-            heuristic = make_heuristic(task, job["heuristic"])
-            engine = astar if job["search"] == "astar" else gbfs
-            result = engine(task, heuristic, strategy, limits)
+        result = solve(parse_sas(Path(path).read_text()), spec)
         row.update(
             outcome=result.outcome,
             cost=result.plan.cost if result.plan else None,
@@ -353,17 +308,7 @@ def cmd_bench(args) -> int:
             return EXIT_INPUT
     files = sorted(directory.glob("*.sas"))
     jobs = [
-        {
-            "path": str(path),
-            "instance": path.stem,
-            "por": strategy,
-            "search": args.search,
-            "heuristic": args.heuristic,
-            "max_time": args.max_time,
-            "max_nodes": args.max_nodes,
-            "sp_closed": args.sp_closed,
-            "strat_tiebreak": args.strat_tiebreak,
-        }
+        (str(path), _search_spec(args, strategy))
         for path in files
         for strategy in strategies
     ]
@@ -391,12 +336,36 @@ def cmd_bench(args) -> int:
     return EXIT_SOLVED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the input-error exit code; exit code 2
+    means a resource limit."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(convert, low):
+    """argparse type: convert the text, then require a value >= low."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--search", choices=("astar", "gbfs", "bfs"), default="astar")
+    parser.add_argument("--search", choices=SEARCHES, default="astar")
     parser.add_argument("--heuristic", choices=HEURISTICS, default="hmax")
     parser.add_argument("--por", choices=KINDS, default="none")
-    parser.add_argument("--max-time", type=float, default=None, help="seconds")
-    parser.add_argument("--max-nodes", type=int, default=None, help="expansion limit")
+    parser.add_argument("--max-time", type=_at_least(float, 0), default=None, help="seconds")
+    parser.add_argument(
+        "--max-nodes", type=_at_least(int, 0), default=None, help="expansion limit"
+    )
     parser.add_argument("--sp-closed", choices=("state", "state-level"), default="state")
     parser.add_argument(
         "--strat-tiebreak", choices=("canonical", "distinct"), default="canonical"
@@ -404,7 +373,7 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="porplan",
         description="SAS+ planner with partial-order-reduction expansion strategies",
     )
@@ -456,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_options(p)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--json-out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(int, 1), default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 

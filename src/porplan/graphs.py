@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import State, Task, applicable
 
@@ -146,54 +146,6 @@ def build_asg(task: Task, state: State) -> ASG:
     return ASG(state, len(task.actions), frozenset(edges))
 
 
-def action_core(task: Task, state: State, action_ids: Iterable[int]) -> frozenset[int]:
-    """Reflexive-transitive closure of the set under ASG edges.
-
-    The seed set is included: the expansion machinery needs applicable
-    landmark actions to remain expandable.
-    """
-    succ: dict[int, list[int]] = defaultdict(list)
-    for a, b in build_asg(task, state).edges:
-        succ[a].append(b)
-    core = set(action_ids)
-    queue = sorted(core)
-    while queue:
-        a = queue.pop()
-        for b in succ[a]:
-            if b not in core:
-                core.add(b)
-                queue.append(b)
-    return frozenset(core)
-
-
-def action_closure(task: Task, state: State, action_ids: Iterable[int]) -> frozenset[int]:
-    """Least fixpoint of the conflict-closure rules.
-
-    For each applicable member a and outside action b, b joins when
-    either some precondition entry of b holds in the state and pre(b)
-    conflicts with eff(a), or eff(b) conflicts with eff(a).
-    """
-    members = set(action_ids)
-    changed = True
-    while changed:
-        changed = False
-        applicable_members = [
-            task.actions[a] for a in sorted(members) if applicable(state, task.actions[a])
-        ]
-        for a in applicable_members:
-            for b in task.actions:
-                if b.id in members:
-                    continue
-                pulls = (
-                    b.precondition.satisfied_in(state)
-                    and b.precondition.conflicts_with(a.effect)
-                ) or b.effect.conflicts_with(a.effect)
-                if pulls:
-                    members.add(b.id)
-                    changed = True
-    return frozenset(members)
-
-
 def _forward_reachable(dtg: DTG, start: int) -> set[int]:
     """Vertices reachable from start; V0 is reachable from everywhere."""
     succ: dict[int, list[int]] = defaultdict(list)
@@ -278,13 +230,11 @@ def _descendants(
 def build_pdg(
     task: Task,
     state: State,
-    dtgs: Sequence[DTG] | None = None,
+    dtgs: Sequence[DTG],
     cache: dict | None = None,
 ) -> PDG:
     """Edge (i, j): the current value of variable i is a potential
     precondition or potential dependent of DTG j."""
-    if dtgs is None:
-        dtgs = build_all_dtgs(task)
     n = task.num_variables
     goal_values = [task.goal.value_of(v) for v in range(n)]
     edges: set[tuple[int, int]] = set()

@@ -142,18 +142,3 @@ def make_heuristic(task: Task, name: str) -> Callable[[State], float]:
         return Zero(task)
     raise ValueError(f"unknown heuristic {name!r}")
 
-
-def h_blind(task: Task, state: State) -> float:
-    return Blind(task)(state)
-
-
-def h_goal_count(task: Task, state: State) -> float:
-    return GoalCount(task)(state)
-
-
-def h_max(task: Task, state: State) -> float:
-    return DeleteRelaxationHeuristic(task, "max")(state)
-
-
-def h_add(task: Task, state: State) -> float:
-    return DeleteRelaxationHeuristic(task, "add")(state)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .heuristics import INFINITY
+from .heuristics import INFINITY, make_heuristic
 from .model import Plan, State, Task, apply_action, is_goal, plan_cost
-from .strategies import ExpansionContext, ExpansionStrategy
+from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
 
+SEARCHES = ("astar", "gbfs", "bfs")
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
 RESOURCE_LIMIT = "resource_limit"
@@ -219,3 +220,31 @@ def bfs(
             queue.append(succ_key)
             run.note_open(len(queue) - head)
     return run.result(UNSOLVABLE, None)
+
+
+@dataclass(frozen=True)
+class SearchSpec:
+    """Everything that selects one search run besides the task.
+
+    heuristic is ignored by bfs. Frozen and picklable, so it can be
+    shipped to worker processes.
+    """
+
+    search: str = "astar"  # one of SEARCHES
+    heuristic: str = "hmax"
+    por: str = "none"
+    config: StrategyConfig = field(default_factory=StrategyConfig)
+    limits: Limits = field(default_factory=Limits)
+
+    def __post_init__(self) -> None:
+        if self.search not in SEARCHES:
+            raise ValueError(f"unknown search {self.search!r}")
+
+
+def solve(task: Task, spec: SearchSpec) -> SearchResult:
+    """Build the strategy (and heuristic) the spec names and run its engine."""
+    strategy = make_strategy(task, spec.por, spec.config)
+    if spec.search == "bfs":
+        return bfs(task, strategy, spec.limits)
+    engine = astar if spec.search == "astar" else gbfs
+    return engine(task, make_heuristic(task, spec.heuristic), strategy, spec.limits)

@@ -7,16 +7,19 @@ closes a landmark action set under ASG support and conflict rules and
 keeps the applicable members. SP is a filter over the full set driven by
 causal-graph levels and the action that generated the node.
 
-Strategy objects are immutable after construction (they hold precomputed
-DTGs or the stratification); per-call state is caller-owned, so one
-strategy may serve concurrent searches over the same task.
+Each kind is one class behind the ExpansionStrategy protocol; build them
+with make_strategy. The none, SP and SAC objects hold only per-task
+precomputation (DTGs, ActionRelations, the stratification) and never
+change after construction. EC fills a (variable, value) descendants
+cache during search, so an EC object is mutated by every search that
+uses it: give each thread its own.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
     DTG,
@@ -26,9 +29,7 @@ from .graphs import (
     closure_prefix_order,
     stratify,
 )
-from .model import State, Task, applicable, apply_action, conflict_free, is_goal
-
-KINDS = ("none", "ec", "sp", "sac")
+from .model import State, Task, applicable, apply_action, conflict_free
 
 
 class NoUnachievedGoal(Exception):
@@ -41,13 +42,12 @@ class InvalidPath(Exception):
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    landmark_choice: str = "fewest-actions"
+    """Settings of the SP strategy; the other kinds have none."""
+
     sp_closed: str = "state"  # or "state-level"
     strat_tie_break: str = "canonical"  # or "distinct"
 
     def __post_init__(self) -> None:
-        if self.landmark_choice != "fewest-actions":
-            raise ValueError(f"unknown landmark choice {self.landmark_choice!r}")
         if self.sp_closed not in ("state", "state-level"):
             raise ValueError(f"unknown closed-list mode {self.sp_closed!r}")
         if self.strat_tie_break not in ("canonical", "distinct"):
@@ -77,8 +77,7 @@ def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
 def landmark_action_set(
     task: Task,
     state: State,
-    dtgs: Sequence[DTG] | None = None,
-    choice: str = "fewest-actions",
+    dtgs: Sequence[DTG],
 ) -> frozenset[int]:
     """Actions of which every solution from the state must use at least one.
 
@@ -88,13 +87,9 @@ def landmark_action_set(
     mover). The DTG with the fewest such actions wins, ties to the lowest
     variable id.
     """
-    if choice != "fewest-actions":
-        raise ValueError(f"unknown landmark choice {choice!r}")
     unachieved = _unachieved_goal_variables(task, state)
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
-    if dtgs is None:
-        dtgs = build_all_dtgs(task)
     best: frozenset[int] | None = None
     best_key: tuple[int, int] | None = None
     for var in unachieved:
@@ -108,14 +103,6 @@ def landmark_action_set(
     return best
 
 
-def _achiever_index(task: Task) -> dict[tuple[int, int], list[int]]:
-    index: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for action in task.actions:
-        for fact in action.effect:
-            index[fact].append(action.id)
-    return index
-
-
 class ActionRelations:
     """State-independent pairwise action analysis, built once per task.
 
@@ -127,7 +114,10 @@ class ActionRelations:
     """
 
     def __init__(self, task: Task) -> None:
-        self.supporters = _achiever_index(task)
+        self.supporters: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for action in task.actions:
+            for fact in action.effect:
+                self.supporters[fact].append(action.id)
         n = len(task.actions)
         self.pre_conflicts: list[list[int]] = [[] for _ in range(n)]
         self.eff_conflicts: list[list[int]] = [[] for _ in range(n)]
@@ -149,44 +139,44 @@ def sac_fixpoint(
 ) -> frozenset[int]:
     """Joint support/conflict closure of a seed action set.
 
-    Interleaves two rules until stable: an inapplicable member pulls in
-    every action supplying one of its precondition entries (ASG support
-    closure), and an applicable member a pulls in every outside b whose
-    effect conflicts with eff(a), or whose precondition both conflicts
-    with eff(a) and has an entry holding in the state (conflict closure).
+    Two rules, each processed once per member when it enters the set: an
+    inapplicable member pulls in every action supplying one of its
+    precondition entries (ASG support closure), and an applicable member
+    a pulls in every outside b whose effect conflicts with eff(a), or
+    whose precondition both conflicts with eff(a) and has an entry
+    holding in the state (conflict closure). Both rules depend only on
+    the member and the state, so the worklist reaches the unique least
+    fixpoint whatever order it visits members in.
     """
     if relations is None:
         relations = ActionRelations(task)
+    actions = task.actions
     members = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for a_id in sorted(members):
-            a = task.actions[a_id]
-            if applicable(state, a):
-                for b_id in relations.eff_conflicts[a_id]:
-                    if b_id not in members:
-                        members.add(b_id)
-                        changed = True
-                for b_id in relations.pre_conflicts[a_id]:
-                    if b_id not in members and task.actions[
-                        b_id
-                    ].precondition.satisfied_in(state):
-                        members.add(b_id)
-                        changed = True
-            else:
-                for fact in a.precondition:
-                    for b_id in relations.supporters.get(fact, ()):
-                        if b_id not in members:
-                            members.add(b_id)
-                            changed = True
+    work = list(members)
+    while work:
+        a_id = work.pop()
+        a = actions[a_id]
+        if applicable(state, a):
+            pulled = relations.eff_conflicts[a_id] + [
+                b_id
+                for b_id in relations.pre_conflicts[a_id]
+                if b_id not in members and actions[b_id].precondition.satisfied_in(state)
+            ]
+        else:
+            pulled = [
+                b_id for fact in a.precondition for b_id in relations.supporters.get(fact, ())
+            ]
+        for b_id in pulled:
+            if b_id not in members:
+                members.add(b_id)
+                work.append(b_id)
     return frozenset(members)
 
 
 def sac_expansion(
     task: Task,
     state: State,
-    dtgs: Sequence[DTG] | None = None,
+    dtgs: Sequence[DTG],
     relations: ActionRelations | None = None,
 ) -> frozenset[int]:
     """Applicable members of the joint closure of a landmark action set."""
@@ -202,7 +192,7 @@ def sac_expansion(
 def ec_expansion(
     task: Task,
     state: State,
-    dtgs: Sequence[DTG] | None = None,
+    dtgs: Sequence[DTG],
     cache: dict | None = None,
 ) -> frozenset[int]:
     """Applicable actions of a minimal dependency-closed DTG prefix.
@@ -214,8 +204,6 @@ def ec_expansion(
     unachieved = set(_unachieved_goal_variables(task, state))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
-    if dtgs is None:
-        dtgs = build_all_dtgs(task)
     pdg = build_pdg(task, state, dtgs, cache)
     prefix: set[int] = set()
     for component in closure_prefix_order(task.num_variables, pdg.edges):
@@ -279,65 +267,97 @@ def is_left_commutative(task: Task, state: State, first: int, second: int) -> bo
     )
 
 
-class ExpansionStrategy:
+class ExpansionStrategy(Protocol):
     """A per-state expansion-set generator bound to one task.
 
-    kind is one of "none", "ec", "sp", "sac". Use make_strategy.
+    expansion(ctx) returns the action ids to apply at the node, ascending;
+    it is not defined on goal states, which the search tests before
+    expanding. node_key(state, generating_action) is the duplicate-
+    detection key, by default the state's values. The classes below
+    inherit that default; any object with these members can stand in
+    for them.
     """
 
-    def __init__(self, task: Task, kind: str, config: StrategyConfig | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown strategy kind {kind!r}")
+    task: Task
+
+    def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]: ...
+
+    def node_key(self, state: State, generating_action: int | None) -> Hashable:
+        return state.values
+
+
+class FullStrategy(ExpansionStrategy):
+    """"none": every applicable action."""
+
+    def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.kind = kind
-        self.config = config or StrategyConfig()
-        self.dtgs: tuple[DTG, ...] | None = None
-        self.stratification: Stratification | None = None
-        self._relations: ActionRelations | None = None
-        self._desc_cache: dict | None = None
-        if kind in ("ec", "sac"):
-            self.dtgs = build_all_dtgs(task)
-        if kind == "sac":
-            self._relations = ActionRelations(task)
-        if kind == "ec":
-            self._desc_cache = {}
-        if kind == "sp":
-            self.stratification = stratify(task, tie_break=self.config.strat_tie_break)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        """Action ids to apply at the node, ascending. Not defined on
-        goal states; the search tests the goal before expanding."""
-        state = ctx.state
-        if self.kind == "none":
-            return full_expansion(self.task, state)
-        if self.kind == "sp":
-            assert self.stratification is not None
-            return sp_filter(
-                self.task, self.stratification, ctx, full_expansion(self.task, state)
-            )
-        if is_goal(self.task, state):
-            raise NoUnachievedGoal("state satisfies the goal")
-        if self.kind == "ec":
-            chosen = ec_expansion(self.task, state, self.dtgs, self._desc_cache)
-        else:
-            chosen = sac_expansion(self.task, state, self.dtgs, self._relations)
-        return tuple(sorted(chosen))
+        return full_expansion(self.task, ctx.state)
 
-    def node_key(self, state: State, generating_action: int | None):
-        """Duplicate-detection key; SP optionally folds in the level of
-        the generating action."""
-        if self.kind == "sp" and self.config.sp_closed == "state-level":
-            assert self.stratification is not None
-            level = (
-                0
-                if generating_action is None
-                else self.stratification.action_level[generating_action]
-            )
-            return (state.values, level)
-        return state.values
+
+class EcStrategy(ExpansionStrategy):
+    """"ec": a dependency-closed DTG prefix.
+
+    The descendants cache fills lazily, one entry per (variable, value)
+    the search meets; building it eagerly would move that work into
+    set-up for values a search may never reach.
+    """
+
+    def __init__(self, task: Task, config: StrategyConfig) -> None:
+        self.task = task
+        self.dtgs = build_all_dtgs(task)
+        self._desc_cache: dict = {}
+
+    def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
+        return tuple(sorted(ec_expansion(self.task, ctx.state, self.dtgs, self._desc_cache)))
+
+
+class SpStrategy(ExpansionStrategy):
+    """"sp": the level filter after the generating action."""
+
+    def __init__(self, task: Task, config: StrategyConfig) -> None:
+        self.task = task
+        self.config = config
+        self.stratification = stratify(task, tie_break=config.strat_tie_break)
+
+    def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
+        return sp_filter(
+            self.task, self.stratification, ctx, full_expansion(self.task, ctx.state)
+        )
+
+    def node_key(self, state: State, generating_action: int | None) -> Hashable:
+        """In "state-level" mode the key folds in the generating action's
+        level (0 at the root)."""
+        if self.config.sp_closed == "state":
+            return state.values
+        if generating_action is None:
+            return (state.values, 0)
+        return (state.values, self.stratification.action_level[generating_action])
+
+
+class SacStrategy(ExpansionStrategy):
+    """"sac": applicable members of a landmark set's joint closure."""
+
+    def __init__(self, task: Task, config: StrategyConfig) -> None:
+        self.task = task
+        self.dtgs = build_all_dtgs(task)
+        self._relations = ActionRelations(task)
+
+    def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
+        return tuple(sorted(sac_expansion(self.task, ctx.state, self.dtgs, self._relations)))
+
+
+_STRATEGIES = {"none": FullStrategy, "ec": EcStrategy, "sp": SpStrategy, "sac": SacStrategy}
+KINDS = tuple(_STRATEGIES)
 
 
 def make_strategy(
     task: Task, kind: str, config: StrategyConfig | None = None
 ) -> ExpansionStrategy:
-    return ExpansionStrategy(task, kind, config)
+    """The strategy of the given kind, one of KINDS, bound to the task."""
+    try:
+        cls = _STRATEGIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown strategy kind {kind!r}") from None
+    return cls(task, config or StrategyConfig())

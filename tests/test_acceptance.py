@@ -17,7 +17,7 @@ from porplan import (
     build_all_dtgs,
     ec_expansion,
     emit_sas,
-    h_max,
+    make_heuristic,
     make_strategy,
     parse_sas,
     sac_expansion,
@@ -156,7 +156,7 @@ def test_criterion_08_heuristic_properties():
     for _, task, _ in ALL_TASKS:
         optimum = brute_force_optimal_cost(task)
         assert optimum is not None  # walk goals are solvable
-        assert h_max(task, task.initial) <= optimum
+        assert make_heuristic(task, "hmax")(task.initial) <= optimum
 
     rng = random.Random(0)
     sampled = 0

@@ -123,6 +123,34 @@ def test_inspect_bad_target(two_switches_file, capsys):
     assert main(["inspect", str(two_switches_file), "nonsense"]) == 3
 
 
+@pytest.mark.parametrize(
+    "target", ["dtg:abc", "expansion@1,1", "pdg@9,9", "asg@9,9", "asg@-1,0"]
+)
+def test_inspect_rejects_bad_index_state_or_goal(two_switches_file, capsys, target):
+    assert main(["inspect", str(two_switches_file), target]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "F", "--bogus"],
+        ["plan", "F", "--max-nodes", "-1"],
+        ["plan", "F", "--max-time", "-0.5"],
+        ["plan", "F", "--max-time", "nan"],
+        ["bench", "D", "--workers", "0"],
+        ["bench", "D", "--max-nodes", "-3"],
+    ],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_clean(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = main(["verify", "--seeds", "12", "--json-out", str(out_file)])
@@ -143,6 +171,15 @@ def test_verify_injected_fault(capsys):
         v["kind"] for r in payload["reports"] for v in r["violations"]
     }
     assert "A2" in kinds
+
+
+def test_verify_injected_fault_optimality(capsys):
+    code = main(["verify", "--seeds", "12", "--suites", "optimality",
+                 "--inject-fault", "sac-drop"])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out)
+    violations = [v for r in payload["reports"] for v in r["violations"]]
+    assert violations and {v["strategy"] for v in violations} == {"sac"}
 
 
 def test_verify_zero_seeds(capsys):

@@ -17,8 +17,6 @@ from porplan.graphs import (
     DTG,
     DtgEdge,
     MixedEffectLevels,
-    action_closure,
-    action_core,
     causal_graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
@@ -26,7 +24,8 @@ from porplan.graphs import (
     potential_descendant_vertices,
     strongly_connected_components,
 )
-from porplan.oracle import RandomTaskSpec, generate_random_task
+from porplan.oracle import RandomTaskSpec, brute_force_core, generate_random_task
+from porplan.strategies import sac_fixpoint
 
 
 
@@ -155,7 +154,8 @@ def test_closure_prefix_order_is_closed():
 
 
 # ---------------------------------------------------------------------------
-# ASG, core, closure
+# ASG, core, closure: the oracle's brute-force core and the joint
+# support/conflict closure of strategies.sac_fixpoint
 
 
 def test_asg(two_switches, enable_chain):
@@ -164,9 +164,7 @@ def test_asg(two_switches, enable_chain):
     assert asg.edges == frozenset({(1, 0)})  # b unsupported, a supplies x2=1
 
 
-def test_action_core(two_switches, enable_chain, build):
-    assert action_core(two_switches, two_switches.initial, {0}) == frozenset({0})
-    assert action_core(enable_chain, State((0, 0, 2)), {1}) == frozenset({0, 1})
+def test_action_core(two_switches, enable_chain, support_chain, build):
     chain = build(
         domains=[2, 2, 2],
         actions=[
@@ -177,45 +175,56 @@ def test_action_core(two_switches, enable_chain, build):
         initial=[0, 0, 0],
         goal=[(2, 1)],
     )
-    assert action_core(chain, chain.initial, {2}) == frozenset({0, 1, 2})
+    # no conflict rule fires on these cases: the joint closure is the core
+    cases = [
+        (two_switches, two_switches.initial, {0}, {0}),
+        (enable_chain, State((0, 0, 2)), {1}, {0, 1}),
+        (chain, chain.initial, {2}, {0, 1, 2}),
+        # only the second precondition entry of a has an achiever
+        (support_chain, support_chain.initial, {0}, {0, 1}),
+    ]
+    for task, state, seed, expected in cases:
+        assert brute_force_core(task, state.values, seed) == frozenset(expected)
+        assert sac_fixpoint(task, state, seed) == frozenset(expected)
 
 
 def test_action_core_monotone_idempotent():
     for task in random_tasks(15):
-        state = task.initial
+        values = task.initial.values
         ids = [a.id for a in task.actions]
-        small = action_core(task, state, ids[:1])
-        large = action_core(task, state, ids[:3] or ids[:1])
+        small = brute_force_core(task, values, ids[:1])
+        large = brute_force_core(task, values, ids[:3] or ids[:1])
         assert small <= large
-        assert action_core(task, state, small) == small
+        assert brute_force_core(task, values, small) == small
 
 
 def test_action_closure(two_switches, build):
-    assert action_closure(two_switches, two_switches.initial, {0}) == frozenset({0})
+    assert sac_fixpoint(two_switches, two_switches.initial, {0}) == frozenset({0})
     clash = build(
         domains=[2, 3],
         actions=[("one", [], [(1, 1)]), ("two", [], [(1, 2)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert action_closure(clash, clash.initial, {0}) == frozenset({0, 1})
-    # inapplicable seeds never iterate
+    assert sac_fixpoint(clash, clash.initial, {0}) == frozenset({0, 1})
+    # an inapplicable seed without supporters pulls in nothing
     blocked = build(
         domains=[2, 2],
         actions=[("x", [(0, 1)], [(1, 1)]), ("y", [], [(1, 0)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert action_closure(blocked, blocked.initial, {0}) == frozenset({0})
+    assert sac_fixpoint(blocked, blocked.initial, {0}) == frozenset({0})
 
 
 def test_action_closure_superset_idempotent():
     for task in random_tasks(15):
         state = task.initial
-        seed = frozenset({0})
-        closed = action_closure(task, state, seed)
-        assert seed <= closed
-        assert action_closure(task, state, closed) == closed
+        ids = [a.id for a in task.actions]
+        small = sac_fixpoint(task, state, ids[:1])
+        large = sac_fixpoint(task, state, ids[:3])
+        assert frozenset(ids[:1]) <= small <= large
+        assert sac_fixpoint(task, state, small) == small
 
 
 # ---------------------------------------------------------------------------

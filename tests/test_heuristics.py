@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from porplan import State, h_add, h_blind, h_goal_count, h_max, is_goal, make_heuristic
+from porplan import State, is_goal, make_heuristic
 from porplan.heuristics import INFINITY, DeleteRelaxationHeuristic
 from porplan.oracle import (
     RandomTaskSpec,
@@ -54,8 +54,8 @@ def small_tasks(count, cost_mode="unit"):
 
 
 def test_h_blind(two_switches, build):
-    assert h_blind(two_switches, State((1, 1))) == 0
-    assert h_blind(two_switches, two_switches.initial) == 1
+    assert make_heuristic(two_switches, "blind")(State((1, 1))) == 0
+    assert make_heuristic(two_switches, "blind")(two_switches.initial) == 1
     pricey = build(
         domains=[2],
         actions=[("o", [(0, 0)], [(0, 1)], 5)],
@@ -63,7 +63,7 @@ def test_h_blind(two_switches, build):
         goal=[(0, 1)],
         uses_metric=True,
     )
-    assert h_blind(pricey, pricey.initial) == 5
+    assert make_heuristic(pricey, "blind")(pricey.initial) == 5
     free = build(
         domains=[2],
         actions=[("o", [(0, 0)], [(0, 1)], 0)],
@@ -71,30 +71,30 @@ def test_h_blind(two_switches, build):
         goal=[(0, 1)],
         uses_metric=True,
     )
-    assert h_blind(free, free.initial) == 0  # stays admissible at optimum 0
+    assert make_heuristic(free, "blind")(free.initial) == 0  # stays admissible at optimum 0
 
 
 def test_h_goal_count(two_switches):
-    assert h_goal_count(two_switches, two_switches.initial) == 2
-    assert h_goal_count(two_switches, State((1, 0))) == 1
-    assert h_goal_count(two_switches, State((1, 1))) == 0
+    assert make_heuristic(two_switches, "goalcount")(two_switches.initial) == 2
+    assert make_heuristic(two_switches, "goalcount")(State((1, 0))) == 1
+    assert make_heuristic(two_switches, "goalcount")(State((1, 1))) == 0
 
 
 def test_relaxation_two_switches(two_switches):
     # frozen from the naive fixpoint: each goal fact costs 1
     assert relaxed_costs_naive(two_switches, two_switches.initial, "max") == 1
     assert relaxed_costs_naive(two_switches, two_switches.initial, "add") == 2
-    assert h_max(two_switches, two_switches.initial) == 1
-    assert h_add(two_switches, two_switches.initial) == 2
-    assert h_max(two_switches, State((1, 1))) == 0
-    assert h_add(two_switches, State((1, 1))) == 0
+    assert make_heuristic(two_switches, "hmax")(two_switches.initial) == 1
+    assert make_heuristic(two_switches, "hadd")(two_switches.initial) == 2
+    assert make_heuristic(two_switches, "hmax")(State((1, 1))) == 0
+    assert make_heuristic(two_switches, "hadd")(State((1, 1))) == 0
 
 
 def test_relaxation_unreachable(build):
     task = build(domains=[2, 2], actions=[("o", [(0, 0)], [(0, 1)])],
                  initial=[0, 0], goal=[(1, 1)])
-    assert h_max(task, task.initial) == INFINITY
-    assert h_add(task, task.initial) == INFINITY
+    assert make_heuristic(task, "hmax")(task.initial) == INFINITY
+    assert make_heuristic(task, "hadd")(task.initial) == INFINITY
 
 
 def test_relaxation_matches_naive_oracle():
@@ -116,7 +116,7 @@ def test_admissibility_and_dominance():
         for task, graph in small_tasks(25, cost_mode):
             optimum = brute_force_optimal_cost(task)
             if optimum is not None:
-                assert h_max(task, task.initial) <= optimum
+                assert make_heuristic(task, "hmax")(task.initial) <= optimum
             hmax = DeleteRelaxationHeuristic(task, "max")
             hadd = DeleteRelaxationHeuristic(task, "add")
             for values in graph.states:

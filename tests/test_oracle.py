@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from porplan import State, make_strategy, sac_expansion
+from porplan import State, build_all_dtgs, make_strategy, sac_expansion
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -69,7 +69,10 @@ def test_brute_force_zero_cost(build):
 def test_stubborn_conditions_two_switches(two_switches):
     init = two_switches.initial
     ok = check_stubborn_conditions(
-        two_switches, init, sac_expansion(two_switches, init), horizon=4
+        two_switches,
+        init,
+        sac_expansion(two_switches, init, build_all_dtgs(two_switches)),
+        horizon=4,
     )
     assert ok.ok
     empty = check_stubborn_conditions(two_switches, init, [], horizon=4)

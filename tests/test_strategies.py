@@ -22,12 +22,15 @@ from porplan.oracle import (
     enumerate_state_space,
     generate_random_task,
 )
+from porplan import strategies
 from porplan.strategies import (
+    KINDS,
     ExpansionContext,
     InvalidPath,
     NoUnachievedGoal,
     StrategyConfig,
     is_follow_up,
+    sac_fixpoint,
 )
 
 
@@ -101,25 +104,61 @@ def test_sac_support_chain(support_chain):
 
 
 def test_sac_fixpoint_stable():
-    # one more round of either rule, via the separately implemented
-    # core/closure builders, adds nothing
-    from porplan.graphs import action_closure, action_core
-    from porplan.strategies import sac_fixpoint
+    # both closure rules hold on the fixpoint, checked straight from the
+    # action entries
+    def clash(entries, effect):
+        return any(effect.get(v, x) != x for v, x in entries)
 
-    for task, _ in solvable_tasks(20):
-        state = task.initial
-        if task.goal.holds_in(state):
-            continue
-        landmarks = landmark_action_set(task, state, build_all_dtgs(task))
-        if not landmarks:
-            continue
-        fixpoint = sac_fixpoint(task, state, landmarks)
-        assert action_core(task, state, fixpoint) == fixpoint
-        assert action_closure(task, state, fixpoint) == fixpoint
-        expansion = sac_expansion(task, state, build_all_dtgs(task))
-        assert expansion == {
-            a for a in fixpoint if applicable(state, task.actions[a])
-        }
+    for task, graph in solvable_tasks(20):
+        dtgs = build_all_dtgs(task)
+        for values in graph.states[:20]:
+            state = State(values)
+            if task.goal.holds_in(state):
+                continue
+            landmarks = landmark_action_set(task, state, dtgs)
+            fixpoint = sac_fixpoint(task, state, landmarks)
+            assert landmarks <= fixpoint
+            for a in (task.actions[i] for i in fixpoint):
+                pre_a = set(a.precondition.entries)
+                eff_a = dict(a.effect.entries)
+                for b in task.actions:
+                    pre_b = b.precondition.entries
+                    if any(values[v] != x for v, x in pre_a):
+                        # support: every achiever of a precondition entry
+                        pulled = not pre_a.isdisjoint(b.effect.entries)
+                    else:
+                        # conflict: a clashing effect, or a clashing
+                        # precondition with an entry holding in the state
+                        pulled = clash(b.effect.entries, eff_a) or (
+                            clash(pre_b, eff_a) and any(values[v] == x for v, x in pre_b)
+                        )
+                    assert b.id in fixpoint or not pulled
+            expansion = sac_expansion(task, state, dtgs)
+            assert expansion == {
+                a for a in fixpoint if applicable(state, task.actions[a])
+            }
+
+
+def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
+    # the benchmark times build_pdg and sac_fixpoint by swapping these
+    # module globals, so strategies must look them up at every call
+    sac = make_strategy(two_switches, "sac")
+    ec = make_strategy(two_switches, "ec")
+    calls = []
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("sac_fixpoint", "build_pdg"):
+        monkeypatch.setattr(strategies, name, counting(name, getattr(strategies, name)))
+    ctx = ExpansionContext(two_switches.initial, None)
+    sac.expansion(ctx)
+    ec.expansion(ctx)
+    assert calls == ["sac_fixpoint", "build_pdg"]
 
 
 def test_ec_two_switches(two_switches):
@@ -201,6 +240,9 @@ def test_stubborn_strategies_nonempty_on_solvable_states():
 
 
 def test_strategy_kind_validation(two_switches):
+    assert KINDS == ("none", "ec", "sp", "sac")
+    for kind in KINDS:
+        assert make_strategy(two_switches, kind).task is two_switches
     with pytest.raises(ValueError):
         make_strategy(two_switches, "bogus")
     with pytest.raises(ValueError):
