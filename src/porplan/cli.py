@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import oracle
 from .graphs import (
+    DTG,
     asg_to_dot,
     build_all_dtgs,
     build_asg,
@@ -69,7 +70,7 @@ def _search_spec(args, por: str) -> SearchSpec:
     )
 
 
-def _stats_json(task: Task, args, result) -> dict:
+def _stats_json(args, result) -> dict:
     return {
         "outcome": result.outcome,
         "cost": result.plan.cost if result.plan else None,
@@ -98,7 +99,7 @@ def cmd_plan(args) -> int:
     except (_InputError, ValueError) as exc:  # ValueError: e.g. bfs on metric costs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    stats = _stats_json(task, args, result)
+    stats = _stats_json(args, result)
     if args.stats_json:
         Path(args.stats_json).write_text(json.dumps(stats, indent=2) + "\n")
     print(json.dumps(stats, indent=2))
@@ -131,8 +132,7 @@ def _graph_json(nodes, edges) -> dict:
     return {"nodes": list(nodes), "edges": [list(e) for e in edges]}
 
 
-def _inspect_one(task: Task, token: str, as_json: bool) -> str:
-    dtgs = build_all_dtgs(task)
+def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -> str:
     if token.startswith("dtg:"):
         try:
             var = int(token.split(":", 1)[1])
@@ -218,7 +218,8 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
 def cmd_inspect(args) -> int:
     try:
         task = _load_task(args.file)
-        chunks = [_inspect_one(task, token, args.json) for token in args.show]
+        dtgs = build_all_dtgs(task)
+        chunks = [_inspect_one(task, dtgs, token, args.json) for token in args.show]
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -241,22 +242,28 @@ def cmd_verify(args) -> int:
     def wants(name: str) -> bool:
         return "all" in suites or name in suites
 
-    if wants("comm"):
-        reports.append(oracle.suite_commutativity(tasks, args.samples, seed=0))
-    if wants("stubborn"):
-        reports.append(
-            oracle.suite_stubborn(
-                tasks, horizon=args.horizon, strategy_factory=factory
+    try:
+        if wants("comm"):
+            reports.append(oracle.suite_commutativity(tasks, args.samples, seed=0))
+        if wants("stubborn"):
+            reports.append(
+                oracle.suite_stubborn(
+                    tasks, horizon=args.horizon, strategy_factory=factory
+                )
             )
-        )
-    if wants("optimality"):
-        reports.append(oracle.suite_optimality(tasks, strategy_factory=factory))
-    if wants("sp"):
-        reports.append(oracle.suite_sp(tasks, horizon=min(args.horizon, 5)))
-    if wants("lemma"):
-        reports.append(oracle.suite_lemma(tasks, horizon=min(args.horizon, 5)))
-    if wants("ap"):
-        reports.append(oracle.suite_action_preserving(tasks, horizon=4))
+        if wants("optimality"):
+            reports.append(oracle.suite_optimality(tasks, strategy_factory=factory))
+        if wants("sp"):
+            reports.append(oracle.suite_sp(tasks, horizon=min(args.horizon, 5)))
+        if wants("lemma"):
+            reports.append(oracle.suite_lemma(tasks, horizon=min(args.horizon, 5)))
+        if wants("ap"):
+            reports.append(
+                oracle.suite_action_preserving(tasks, horizon=4, strategy_factory=factory)
+            )
+    except oracle.TooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
     payload = {
         "seeds": args.seeds,
@@ -399,11 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("verify", help="run the seeded verification suites")
-    p.add_argument("--seeds", type=int, default=200)
+    p.add_argument("--seeds", type=_at_least(int, 0), default=200)
     p.add_argument("--seed-start", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=6)
-    p.add_argument("--samples", type=int, default=10, help="commutativity samples per task")
-    p.add_argument("--max-states", type=int, default=oracle.DEFAULT_MAX_STATES)
+    p.add_argument("--horizon", type=_at_least(int, 1), default=6)
+    p.add_argument(
+        "--samples", type=_at_least(int, 0), default=10, help="commutativity samples per task"
+    )
+    p.add_argument("--max-states", type=_at_least(int, 1), default=oracle.DEFAULT_MAX_STATES)
     p.add_argument(
         "--suites",
         nargs="*",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import State, Task, applicable
@@ -37,17 +37,25 @@ class DTG:
     variable: int
     domain_size: int
     edges: tuple[DtgEdge, ...]
+    _leaving: dict[int, tuple[DtgEdge, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        leaving = {
+            value: tuple(e for e in self.edges if e.source in (value, V0))
+            for value in self.vertices
+        }
+        object.__setattr__(self, "_leaving", leaving)
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return (V0,) + tuple(range(self.domain_size))
 
-    def edges_leaving(self, value: int, include_v0: bool = True) -> list[DtgEdge]:
-        """Edges traversable while the variable holds the given value."""
-        return [
-            e for e in self.edges
-            if e.source == value or (include_v0 and e.source == V0)
-        ]
+    def edges_leaving(self, value: int) -> tuple[DtgEdge, ...]:
+        """Edges traversable while the variable holds the given value,
+        V0-source edges included, in edge order."""
+        return self._leaving[value]
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,6 @@ class CausalGraph:
 
     num_variables: int
     edges: frozenset[tuple[int, int]]
-
-    def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {v: [] for v in range(self.num_variables)}
-        for u, w in sorted(self.edges):
-            succ[u].append(w)
-        return succ
 
 
 @dataclass(frozen=True)
@@ -146,85 +148,46 @@ def build_asg(task: Task, state: State) -> ASG:
     return ASG(state, len(task.actions), frozenset(edges))
 
 
-def _forward_reachable(dtg: DTG, start: int) -> set[int]:
-    """Vertices reachable from start; V0 is reachable from everywhere."""
-    succ: dict[int, list[int]] = defaultdict(list)
-    for e in dtg.edges:
-        succ[e.source].append(e.target)
-    reached = {start, V0}
-    queue = [start, V0]
+def potential_descendants(
+    dtg: DTG, v: int, goal_value: int | None = None
+) -> tuple[frozenset[DtgEdge], frozenset[int]]:
+    """Edges that may still be traversed and domain values that may still
+    be visited, starting from domain value v.
+
+    Goal-related case: edges and values lying on some walk from v to the
+    goal value. Non-goal case: everything reachable from v. V0 is
+    reachable from every vertex.
+    """
+    forward = {v, V0}
+    queue = [v]
     while queue:
-        v = queue.pop()
-        for w in succ[v]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    return reached
+        # edges_leaving includes the V0-source edges, so V0's successors
+        # are reached from the first vertex on
+        for e in dtg.edges_leaving(queue.pop()):
+            if e.target not in forward:
+                forward.add(e.target)
+                queue.append(e.target)
+    if goal_value is None:
+        edges = frozenset(e for e in dtg.edges if e.source in forward)
+        return edges, frozenset(forward - {V0})
 
-
-def _reaches(dtg: DTG, target: int) -> set[int]:
-    """Vertices from which target is reachable, under the V0 semantics."""
     pred: dict[int, list[int]] = defaultdict(list)
     for e in dtg.edges:
         pred[e.target].append(e.source)
-    reaching = {target}
-    queue = [target]
+    backward = {goal_value}
+    queue = [goal_value]
     while queue:
-        v = queue.pop()
-        for u in pred[v]:
-            if u not in reaching:
-                reaching.add(u)
+        for u in pred[queue.pop()]:
+            if u not in backward:
+                backward.add(u)
                 queue.append(u)
-    if V0 in reaching:
-        # any vertex can hop to V0, hence reach the target through it
-        reaching.update(dtg.vertices)
-    return reaching
-
-
-def potential_descendant_edges(
-    dtg: DTG, v: int, goal_value: int | None = None
-) -> frozenset[DtgEdge]:
-    """Edges that may still be traversed starting from vertex v.
-
-    Goal-related case: edges lying on some walk from v to the goal value.
-    Non-goal case: edges reachable from v.
-    """
-    forward = _forward_reachable(dtg, v)
-    if goal_value is None:
-        return frozenset(e for e in dtg.edges if e.source in forward)
-    backward = _reaches(dtg, goal_value)
-    return frozenset(
+    if V0 in backward:
+        # any vertex can hop to V0, hence reach the goal value through it
+        backward.update(dtg.vertices)
+    edges = frozenset(
         e for e in dtg.edges if e.source in forward and e.target in backward
     )
-
-
-def potential_descendant_vertices(
-    dtg: DTG, v: int, goal_value: int | None = None
-) -> frozenset[int]:
-    """Domain values that may still be visited starting from vertex v."""
-    forward = _forward_reachable(dtg, v) - {V0}
-    if goal_value is None:
-        return frozenset(forward)
-    return frozenset(forward & _reaches(dtg, goal_value))
-
-
-def _descendants(
-    dtgs: Sequence[DTG],
-    goal_values: Sequence[int | None],
-    var: int,
-    value: int,
-    cache: dict | None,
-) -> tuple[frozenset[DtgEdge], frozenset[int]]:
-    key = (var, value)
-    if cache is not None and key in cache:
-        return cache[key]
-    result = (
-        potential_descendant_edges(dtgs[var], value, goal_values[var]),
-        potential_descendant_vertices(dtgs[var], value, goal_values[var]),
-    )
-    if cache is not None:
-        cache[key] = result
-    return result
+    return edges, frozenset((forward & backward) - {V0})
 
 
 def build_pdg(
@@ -234,16 +197,26 @@ def build_pdg(
     cache: dict | None = None,
 ) -> PDG:
     """Edge (i, j): the current value of variable i is a potential
-    precondition or potential dependent of DTG j."""
+    precondition or potential dependent of DTG j.
+
+    cache maps (variable, value) to its potential descendants; it only
+    depends on the task, so a caller may keep it across states.
+    """
     n = task.num_variables
-    goal_values = [task.goal.value_of(v) for v in range(n)]
+    if cache is None:
+        cache = {}
+    descendants = []
+    for j in range(n):
+        key = (j, state[j])
+        if key not in cache:
+            cache[key] = potential_descendants(dtgs[j], state[j], task.goal.value_of(j))
+        descendants.append(cache[key])
     edges: set[tuple[int, int]] = set()
 
     for j in range(n):
-        desc_edges, _ = _descendants(dtgs, goal_values, j, state[j], cache)
         # potential precondition: an action driving a still-relevant
         # transition of G_j requires variable i at its current value
-        for e in desc_edges:
+        for e in descendants[j][0]:
             for o in e.actions:
                 for i, val in task.actions[o].precondition:
                     if i != j and state[i] == val:
@@ -255,10 +228,7 @@ def build_pdg(
         for e in dtgs[i].edges_leaving(state[i]):
             for o in e.actions:
                 for j, w in task.actions[o].precondition:
-                    if j == i:
-                        continue
-                    _, desc_verts = _descendants(dtgs, goal_values, j, state[j], cache)
-                    if w in desc_verts:
+                    if j != i and w in descendants[j][1]:
                         edges.add((i, j))
                 # co-movement: the same action also writes G_j, so a
                 # closure containing G_i may execute it and move G_j;
@@ -323,6 +293,33 @@ def strongly_connected_components(
     return components
 
 
+def _condensation(
+    num_nodes: int, edges: frozenset[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[set[int]], list[set[int]]]:
+    """Strongly connected components and the acyclic graph between them.
+
+    Returns the components (each sorted), the component index of every
+    node, and for every component its successor and predecessor
+    components.
+    """
+    succ: dict[int, list[int]] = defaultdict(list)
+    for u, w in edges:
+        succ[u].append(w)
+    sccs = strongly_connected_components(num_nodes, succ)
+    scc_of = [0] * num_nodes
+    for idx, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = idx
+    out: list[set[int]] = [set() for _ in sccs]
+    into: list[set[int]] = [set() for _ in sccs]
+    for u, w in edges:
+        su, sw = scc_of[u], scc_of[w]
+        if su != sw:
+            out[su].add(sw)
+            into[sw].add(su)
+    return sccs, scc_of, out, into
+
+
 def stratify(
     task: Task,
     causal_graph: CausalGraph | None = None,
@@ -340,27 +337,13 @@ def stratify(
     if causal_graph is None:
         causal_graph = build_causal_graph(task)
     n = task.num_variables
-    sccs = strongly_connected_components(n, causal_graph.successors())
-    scc_of = {}
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = idx
-
-    succ: dict[int, set[int]] = defaultdict(set)
-    pred_count: dict[int, int] = defaultdict(int)
-    for u, w in causal_graph.edges:
-        su, sw = scc_of[u], scc_of[w]
-        if su != sw and sw not in succ[su]:
-            succ[su].add(sw)
-            pred_count[sw] += 1
+    sccs, scc_of, succ, pred = _condensation(n, causal_graph.edges)
 
     level = [1] * len(sccs)
-    ready = [i for i in range(len(sccs)) if pred_count[i] == 0]
-    remaining = dict(pred_count)
-    order = []
+    remaining = [len(p) for p in pred]
+    ready = [i for i, count in enumerate(remaining) if count == 0]
     while ready:
         i = ready.pop()
-        order.append(i)
         for j in succ[i]:
             level[j] = max(level[j], level[i] + 1)
             remaining[j] -= 1
@@ -391,34 +374,18 @@ def closure_prefix_order(
     Deterministic: among ready components the one containing the smallest
     node is emitted first.
     """
-    succ: dict[int, list[int]] = defaultdict(list)
-    for u, w in edges:
-        succ[u].append(w)
-    sccs = strongly_connected_components(num_nodes, succ)
-    scc_of = {}
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = idx
-
-    out_succ: dict[int, set[int]] = defaultdict(set)
-    in_pred: dict[int, set[int]] = defaultdict(set)
-    for u, w in edges:
-        su, sw = scc_of[u], scc_of[w]
-        if su != sw:
-            out_succ[su].add(sw)
-            in_pred[sw].add(su)
-
-    remaining = {i: len(out_succ[i]) for i in range(len(sccs))}
-    ready = [(min(comp), i) for i, comp in enumerate(sccs) if remaining[i] == 0]
+    sccs, _, succ, pred = _condensation(num_nodes, edges)
+    remaining = [len(s) for s in succ]
+    ready = [(comp[0], i) for i, comp in enumerate(sccs) if remaining[i] == 0]
     heapq.heapify(ready)
     order: list[list[int]] = []
     while ready:
         _, i = heapq.heappop(ready)
         order.append(sccs[i])
-        for p in in_pred[i]:
+        for p in pred[i]:
             remaining[p] -= 1
             if remaining[p] == 0:
-                heapq.heappush(ready, (min(sccs[p]), p))
+                heapq.heappush(ready, (sccs[p][0], p))
     return order
 
 

@@ -658,7 +658,7 @@ def drop_one_sac(
 ) -> ExpansionStrategy:
     """make_strategy with a deliberate fault in SAC, for the suites'
     strategy_factory: every SAC expansion set loses its last action, which
-    the stubborn and optimality suites must report."""
+    the stubborn, optimality and action-preserving suites must report."""
     strategy = make_strategy(task, kind, config)
     return _DropLast(strategy) if kind == "sac" else strategy
 
@@ -789,11 +789,12 @@ def suite_action_preserving(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
     kinds: Sequence[str] = ("sac", "ec"),
     horizon: int = 4,
+    strategy_factory=make_strategy,
 ) -> Report:
     report = Report("action_preserving_suite")
     for seed, task, _ in tasks:
         for kind in kinds:
-            sub = check_action_preserving(task, make_strategy(task, kind), horizon)
+            sub = check_action_preserving(task, strategy_factory(task, kind), horizon)
             report.checked += sub.checked
             for v in sub.violations:
                 v.witness.update(seed=seed, strategy=kind)

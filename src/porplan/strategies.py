@@ -29,7 +29,7 @@ from .graphs import (
     closure_prefix_order,
     stratify,
 )
-from .model import State, Task, applicable, apply_action, conflict_free
+from .model import Action, State, Task, applicable, apply_action, conflict_free
 
 
 class NoUnachievedGoal(Exception):
@@ -107,28 +107,35 @@ class ActionRelations:
     """State-independent pairwise action analysis, built once per task.
 
     supporters[fact] lists the achievers of a precondition entry (the ASG
-    edge targets of an action needing it); pre_conflicts[a] lists actions
-    whose precondition clashes with eff(a), eff_conflicts[a] those whose
-    effect does. Quadratic once, then every per-state closure only walks
-    these lists.
+    edge targets of an action needing it); pre_conflicts[a] lists, in
+    ascending order, the actions b != a whose precondition clashes with
+    eff(a), eff_conflicts[a] those whose effect does. Both come from
+    per-variable occurrence lists, so building them touches only actions
+    sharing a variable with eff(a); every per-state closure then only
+    walks these lists.
     """
 
     def __init__(self, task: Task) -> None:
         self.supporters: dict[tuple[int, int], list[int]] = defaultdict(list)
+        pre_on: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        eff_on: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for action in task.actions:
             for fact in action.effect:
                 self.supporters[fact].append(action.id)
-        n = len(task.actions)
-        self.pre_conflicts: list[list[int]] = [[] for _ in range(n)]
-        self.eff_conflicts: list[list[int]] = [[] for _ in range(n)]
-        for a in task.actions:
-            for b in task.actions:
-                if b.id == a.id:
-                    continue
-                if b.precondition.conflicts_with(a.effect):
-                    self.pre_conflicts[a.id].append(b.id)
-                if b.effect.conflicts_with(a.effect):
-                    self.eff_conflicts[a.id].append(b.id)
+                eff_on[fact[0]].append((action.id, fact[1]))
+            for var, val in action.precondition:
+                pre_on[var].append((action.id, val))
+
+        def clashing(on: dict[int, list[tuple[int, int]]], a: Action) -> list[int]:
+            return sorted({
+                b_id
+                for var, val in a.effect
+                for b_id, other in on.get(var, ())
+                if other != val and b_id != a.id
+            })
+
+        self.pre_conflicts = [clashing(pre_on, a) for a in task.actions]
+        self.eff_conflicts = [clashing(eff_on, a) for a in task.actions]
 
 
 def sac_fixpoint(

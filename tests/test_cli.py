@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from porplan.cli import main
-from porplan import emit_sas
+from porplan import emit_sas, oracle
 
 from conftest import FIXTURES, build_task
 
@@ -142,6 +142,11 @@ def test_inspect_rejects_bad_index_state_or_goal(two_switches_file, capsys, targ
         ["plan", "F", "--max-time", "nan"],
         ["bench", "D", "--workers", "0"],
         ["bench", "D", "--max-nodes", "-3"],
+        ["verify", "--horizon", "-3"],
+        ["verify", "--horizon", "0"],
+        ["verify", "--max-states", "0"],
+        ["verify", "--seeds", "-1"],
+        ["verify", "--samples", "-1"],
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -180,6 +185,23 @@ def test_verify_injected_fault_optimality(capsys):
     payload = json.loads(capsys.readouterr().out)
     violations = [v for r in payload["reports"] for v in r["violations"]]
     assert violations and {v["strategy"] for v in violations} == {"sac"}
+
+
+def test_verify_injected_fault_action_preserving(capsys):
+    code = main(["verify", "--seeds", "12", "--suites", "ap",
+                 "--inject-fault", "sac-drop"])
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out)
+    violations = [v for r in payload["reports"] for v in r["violations"]]
+    assert violations and {v["strategy"] for v in violations} == {"sac"}
+
+
+def test_verify_enumeration_budget_is_a_resource_limit(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_DFS_CAP", 10)
+    assert main(["verify", "--seeds", "3", "--suites", "sp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_zero_seeds(capsys):

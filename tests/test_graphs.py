@@ -20,8 +20,7 @@ from porplan.graphs import (
     causal_graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
-    potential_descendant_edges,
-    potential_descendant_vertices,
+    potential_descendants,
     strongly_connected_components,
 )
 from porplan.oracle import RandomTaskSpec, brute_force_core, generate_random_task
@@ -240,24 +239,24 @@ def _linear_dtg():
 
 def test_potential_descendant_edges_linear():
     dtg = _linear_dtg()
-    assert potential_descendant_edges(dtg, 0, goal_value=2) == frozenset(dtg.edges)
-    assert potential_descendant_edges(dtg, 2, goal_value=2) == frozenset()
+    assert potential_descendants(dtg, 0, goal_value=2)[0] == frozenset(dtg.edges)
+    assert potential_descendants(dtg, 2, goal_value=2)[0] == frozenset()
     two = DTG(0, 2, (DtgEdge(0, 1, frozenset({0})),))
-    assert potential_descendant_edges(two, 1) == frozenset()
+    assert potential_descendants(two, 1)[0] == frozenset()
 
 
 def test_potential_descendant_goal_filter():
     # 0 -> 1 and 1 -> 0: from 0 with goal 1, the back edge still lies on a
     # walk 0 -> 1 only if 1 is reachable from its target, which it is
     dtg = DTG(0, 2, (DtgEdge(0, 1, frozenset({0})), DtgEdge(1, 0, frozenset({1}))))
-    assert potential_descendant_edges(dtg, 0, goal_value=1) == frozenset(dtg.edges)
-    assert potential_descendant_vertices(dtg, 0, goal_value=1) == frozenset({0, 1})
+    assert potential_descendants(dtg, 0, goal_value=1)[0] == frozenset(dtg.edges)
+    assert potential_descendants(dtg, 0, goal_value=1)[1] == frozenset({0, 1})
 
 
 def test_v0_edges_always_traversable():
     dtg = DTG(0, 2, (DtgEdge(V0, 1, frozenset({0})),))
-    assert potential_descendant_edges(dtg, 0, goal_value=1) == frozenset(dtg.edges)
-    assert potential_descendant_vertices(dtg, 1, goal_value=1) == frozenset({1})
+    assert potential_descendants(dtg, 0, goal_value=1)[0] == frozenset(dtg.edges)
+    assert potential_descendants(dtg, 1, goal_value=1)[1] == frozenset({1})
 
 
 def _pdg_scan_oracle(task, state, dtgs):
@@ -265,14 +264,9 @@ def _pdg_scan_oracle(task, state, dtgs):
     n = task.num_variables
     goal_of = {v: g for v, g in task.goal}
     edges = set()
-    desc_e = {
-        j: potential_descendant_edges(dtgs[j], state[j], goal_of.get(j))
-        for j in range(n)
-    }
-    desc_v = {
-        j: potential_descendant_vertices(dtgs[j], state[j], goal_of.get(j))
-        for j in range(n)
-    }
+    desc_e, desc_v = {}, {}
+    for j in range(n):
+        desc_e[j], desc_v[j] = potential_descendants(dtgs[j], state[j], goal_of.get(j))
     for i in range(n):
         for j in range(n):
             if i == j:

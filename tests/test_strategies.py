@@ -12,19 +12,23 @@ from porplan import (
     is_left_commutative,
     landmark_action_set,
     make_strategy,
+    parse_sas,
     sac_expansion,
     sp_filter,
     stratify,
 )
+from conftest import FIXTURES
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
+    default_task_stream,
     enumerate_state_space,
     generate_random_task,
 )
 from porplan import strategies
 from porplan.strategies import (
     KINDS,
+    ActionRelations,
     ExpansionContext,
     InvalidPath,
     NoUnachievedGoal,
@@ -137,6 +141,22 @@ def test_sac_fixpoint_stable():
             assert expansion == {
                 a for a in fixpoint if applicable(state, task.actions[a])
             }
+
+
+def test_action_relations_match_pairwise_definition(two_switches, enable_chain, support_chain):
+    tasks = [two_switches, enable_chain, support_chain]
+    tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    tasks += [task for _, task, _ in default_task_stream(60)]
+    for task in tasks:
+        relations = ActionRelations(task)
+        for a in task.actions:
+            others = [b for b in task.actions if b.id != a.id]
+            assert relations.pre_conflicts[a.id] == [
+                b.id for b in others if b.precondition.conflicts_with(a.effect)
+            ]
+            assert relations.eff_conflicts[a.id] == [
+                b.id for b in others if b.effect.conflicts_with(a.effect)
+            ]
 
 
 def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
