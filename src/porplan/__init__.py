@@ -25,10 +25,7 @@ from .model import (
 )
 from .sas_io import emit_sas, parse_sas
 from .graphs import (
-    ASG,
     DTG,
-    PDG,
-    CausalGraph,
     Stratification,
     build_all_dtgs,
     build_asg,
@@ -56,8 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ASG",
-    "CausalGraph",
     "DTG",
     "ExpansionContext",
     "ExpansionStrategy",
@@ -66,7 +61,6 @@ __all__ = [
     "Limits",
     "NotApplicable",
     "NotApplicableAt",
-    "PDG",
     "PartialAssignment",
     "Plan",
     "SearchResult",

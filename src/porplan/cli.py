@@ -6,7 +6,8 @@ verification suites with a JSON report), bench (run a directory of
 instances under several strategies, CSV and JSON output).
 
 Exit codes: 0 solved or clean, 1 proven unsolvable, 2 resource limit,
-3 input error (a bad file, state, inspect target or command line),
+3 input error (a bad or unreadable file, state, inspect target or
+command line, or an output path that cannot be written),
 4 verification violations.
 """
 
@@ -22,14 +23,12 @@ from pathlib import Path
 from . import oracle
 from .graphs import (
     DTG,
-    asg_to_dot,
     build_all_dtgs,
     build_asg,
     build_causal_graph,
     build_pdg,
-    causal_graph_to_dot,
     dtg_to_dot,
-    pdg_to_dot,
+    graph_to_dot,
     stratify,
 )
 from .heuristics import HEURISTICS
@@ -46,13 +45,13 @@ EXIT_VIOLATIONS = 4
 
 
 class _InputError(Exception):
-    pass
+    """Bad input; main prints it as one error line and exits 3."""
 
 
 def _load_task(path: str) -> Task:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_sas(text)
@@ -93,12 +92,11 @@ def _plan_text(task: Task, plan) -> str:
 
 
 def cmd_plan(args) -> int:
+    task = _load_task(args.file)
     try:
-        task = _load_task(args.file)
         result = solve(task, _search_spec(args, args.por))
-    except (_InputError, ValueError) as exc:  # ValueError: e.g. bfs on metric costs
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:  # e.g. bfs on metric costs
+        raise _InputError(str(exc)) from exc
     stats = _stats_json(args, result)
     if args.stats_json:
         Path(args.stats_json).write_text(json.dumps(stats, indent=2) + "\n")
@@ -128,11 +126,16 @@ def _parse_state(task: Task, text: str) -> State:
     return State(values)
 
 
-def _graph_json(nodes, edges) -> dict:
-    return {"nodes": list(nodes), "edges": [list(e) for e in edges]}
+def _plain_graph(name: str, nodes: list[str], edges, as_json: bool) -> str:
+    """An edge set over node indices as DOT, or as JSON naming the nodes."""
+    if as_json:
+        pairs = [[nodes[u], nodes[w]] for u, w in sorted(edges)]
+        return json.dumps({"nodes": nodes, "edges": pairs}, indent=2)
+    return graph_to_dot(name, nodes, edges)
 
 
 def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -> str:
+    var_names = [v.name for v in task.variables]
     if token.startswith("dtg:"):
         try:
             var = int(token.split(":", 1)[1])
@@ -161,34 +164,14 @@ def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -
             )
         return dtg_to_dot(task, dtg)
     if token == "cg":
-        cg = build_causal_graph(task)
-        if as_json:
-            names = [v.name for v in task.variables]
-            return json.dumps(
-                _graph_json(names, [(names[u], names[w]) for u, w in sorted(cg.edges)]),
-                indent=2,
-            )
-        return causal_graph_to_dot(task, cg)
+        return _plain_graph("causal_graph", var_names, build_causal_graph(task), as_json)
     if token.startswith("asg@"):
-        state = _parse_state(task, token[4:])
-        asg = build_asg(task, state)
-        if as_json:
-            names = [a.name for a in task.actions]
-            return json.dumps(
-                _graph_json(names, [(names[a], names[b]) for a, b in sorted(asg.edges)]),
-                indent=2,
-            )
-        return asg_to_dot(task, asg)
+        edges = build_asg(task, _parse_state(task, token[4:]))
+        names = [a.name for a in task.actions]
+        return _plain_graph("action_support_graph", names, edges, as_json)
     if token.startswith("pdg@"):
-        state = _parse_state(task, token[4:])
-        pdg = build_pdg(task, state, dtgs)
-        if as_json:
-            names = [v.name for v in task.variables]
-            return json.dumps(
-                _graph_json(names, [(names[i], names[j]) for i, j in sorted(pdg.edges)]),
-                indent=2,
-            )
-        return pdg_to_dot(task, pdg)
+        edges = build_pdg(task, _parse_state(task, token[4:]), dtgs)
+        return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
         strat = stratify(task)
         return json.dumps(
@@ -216,13 +199,9 @@ def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -
 
 
 def cmd_inspect(args) -> int:
-    try:
-        task = _load_task(args.file)
-        dtgs = build_all_dtgs(task)
-        chunks = [_inspect_one(task, dtgs, token, args.json) for token in args.show]
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    task = _load_task(args.file)
+    dtgs = build_all_dtgs(task)
+    chunks = [_inspect_one(task, dtgs, token, args.json) for token in args.show]
     text = "\n".join(chunks)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -306,13 +285,11 @@ def _bench_one(job: tuple[str, SearchSpec]) -> dict:
 def cmd_bench(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"{directory} is not a directory")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in KINDS:
-            print(f"error: unknown strategy {s!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"unknown strategy {s!r}")
     files = sorted(directory.glob("*.sas"))
     jobs = [
         (str(path), _search_spec(args, strategy))
@@ -441,7 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_InputError, OSError) as exc:  # OSError: an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ used by the potential-descendant relations treats V0 as reachable from
 every vertex, and the potential-dependent rule treats V0-source edges as
 leaving the current value. Paths are walks; repetition is allowed.
 
-DTGs, the causal graph and the stratification are built once per task and
-immutable; ASG and PDG are per-state values owned by the caller.
+The causal graph, ASG and PDG are plain frozensets of (source, target)
+index pairs: variables for the causal graph and PDG, action ids for the
+ASG. DTGs and the stratification are immutable objects built once per
+task.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import State, Task, applicable
 
@@ -59,36 +61,6 @@ class DTG:
 
 
 @dataclass(frozen=True)
-class CausalGraph:
-    """Variable dependencies: effect variable to precondition/effect variable."""
-
-    num_variables: int
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class ASG:
-    """Action support graph at a state.
-
-    Edge (a, b): a is not applicable in the state and some effect entry of
-    b is a precondition entry of a.
-    """
-
-    state: State
-    num_actions: int
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class PDG:
-    """Potential dependency graph over DTG indices at a state."""
-
-    state: State
-    num_variables: int
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class Stratification:
     """Causal-graph levels; no edge runs from a higher to a lower level."""
 
@@ -125,7 +97,8 @@ def build_all_dtgs(task: Task) -> tuple[DTG, ...]:
     return tuple(build_dtg(task, v) for v in range(task.num_variables))
 
 
-def build_causal_graph(task: Task) -> CausalGraph:
+def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
+    """Edge (x, y): some action writes x and reads or writes y."""
     edges: set[tuple[int, int]] = set()
     for action in task.actions:
         eff_vars = action.effect.variables
@@ -134,10 +107,12 @@ def build_causal_graph(task: Task) -> CausalGraph:
             for y in dep_vars:
                 if x != y:
                     edges.add((x, y))
-    return CausalGraph(task.num_variables, frozenset(edges))
+    return frozenset(edges)
 
 
-def build_asg(task: Task, state: State) -> ASG:
+def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
+    """Action support graph at the state: edge (a, b) when a is not
+    applicable and some effect entry of b is a precondition entry of a."""
     edges: set[tuple[int, int]] = set()
     for a in task.actions:
         if applicable(state, a):
@@ -145,7 +120,7 @@ def build_asg(task: Task, state: State) -> ASG:
         for b in task.actions:
             if a.precondition.shares_entry_with(b.effect):
                 edges.add((a.id, b.id))
-    return ASG(state, len(task.actions), frozenset(edges))
+    return frozenset(edges)
 
 
 def potential_descendants(
@@ -195,8 +170,10 @@ def build_pdg(
     state: State,
     dtgs: Sequence[DTG],
     cache: dict | None = None,
-) -> PDG:
-    """Edge (i, j): the current value of variable i is a potential
+) -> frozenset[tuple[int, int]]:
+    """Potential dependency graph over DTG indices at the state.
+
+    Edge (i, j): the current value of variable i is a potential
     precondition or potential dependent of DTG j.
 
     cache maps (variable, value) to its potential descendants; it only
@@ -239,7 +216,7 @@ def build_pdg(
                     if j != i:
                         edges.add((i, j))
 
-    return PDG(state, n, frozenset(edges))
+    return frozenset(edges)
 
 
 def strongly_connected_components(
@@ -322,7 +299,7 @@ def _condensation(
 
 def stratify(
     task: Task,
-    causal_graph: CausalGraph | None = None,
+    causal_graph: frozenset[tuple[int, int]] | None = None,
     tie_break: str = "canonical",
 ) -> Stratification:
     """Level the causal graph; same-component variables share a level.
@@ -337,7 +314,7 @@ def stratify(
     if causal_graph is None:
         causal_graph = build_causal_graph(task)
     n = task.num_variables
-    sccs, scc_of, succ, pred = _condensation(n, causal_graph.edges)
+    sccs, scc_of, succ, pred = _condensation(n, causal_graph)
 
     level = [1] * len(sccs)
     remaining = [len(p) for p in pred]
@@ -411,28 +388,11 @@ def dtg_to_dot(task: Task, dtg: DTG) -> str:
     return _dot(f"dtg_{dtg.variable}", nodes, edges)
 
 
-def causal_graph_to_dot(task: Task, cg: CausalGraph) -> str:
-    nodes = [f'"{v.name}";' for v in task.variables]
-    edges = [
-        f'"{task.variables[u].name}" -> "{task.variables[w].name}";'
-        for u, w in sorted(cg.edges)
-    ]
-    return _dot("causal_graph", nodes, edges)
-
-
-def asg_to_dot(task: Task, asg: ASG) -> str:
-    nodes = [f'"{a.name}";' for a in task.actions]
-    edges = [
-        f'"{task.actions[a].name}" -> "{task.actions[b].name}";'
-        for a, b in sorted(asg.edges)
-    ]
-    return _dot("action_support_graph", nodes, edges)
-
-
-def pdg_to_dot(task: Task, pdg: PDG) -> str:
-    nodes = [f'"{v.name}";' for v in task.variables]
-    edges = [
-        f'"{task.variables[i].name}" -> "{task.variables[j].name}";'
-        for i, j in sorted(pdg.edges)
-    ]
-    return _dot("potential_dependency_graph", nodes, edges)
+def graph_to_dot(name: str, nodes: Sequence[str], edges: Iterable[tuple[int, int]]) -> str:
+    """A plain digraph: node labels by index, edges as index pairs drawn
+    in sorted order."""
+    return _dot(
+        name,
+        [f'"{n}";' for n in nodes],
+        [f'"{nodes[u]}" -> "{nodes[w]}";' for u, w in sorted(edges)],
+    )

@@ -63,6 +63,7 @@ class PartialAssignment:
 
     entries: tuple[tuple[int, int], ...]
     pairs: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_var: dict[int, int] = {}
@@ -74,6 +75,7 @@ class PartialAssignment:
             by_var[var] = val
         object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
         object.__setattr__(self, "pairs", frozenset(self.entries))
+        object.__setattr__(self, "variables", tuple(v for v, _ in self.entries))
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> PartialAssignment:
@@ -84,10 +86,6 @@ class PartialAssignment:
             if v == var:
                 return val
         return None
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
 
     def holds_in(self, state: State) -> bool:
         return all(state.values[v] == val for v, val in self.entries)

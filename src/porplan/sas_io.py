@@ -2,8 +2,8 @@
 
 The reader is total: any input yields either a Task or a structured error
 carrying a 1-based line number. Section order is fixed: version, metric,
-variables, mutex groups (parsed and retained but unused), initial state,
-goal, operators, axiom count. Operator prevail conditions and pre/post
+variables, mutex groups (checked, then dropped), initial state, goal,
+operators, axiom count. Operator prevail conditions and pre/post
 pairs are merged into precondition/effect assignments; a pre value of -1
 contributes no precondition entry. Axioms and conditional effects are
 rejected.
@@ -11,9 +11,7 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import PartialAssignment, State, Task, Variable
+from .model import Action, PartialAssignment, State, Task, Variable
 
 
 class SasError(Exception):
@@ -47,26 +45,6 @@ class UnsupportedFeature(SasError):
 class SasRangeError(SasError):
     def __init__(self, message: str, line: int | None = None) -> None:
         super().__init__(message, line)
-
-
-@dataclass(frozen=True)
-class SasOperator:
-    name: str
-    prevail: tuple[tuple[int, int], ...]
-    effects: tuple[tuple[int, int, int], ...]  # (var, pre, post), pre may be -1
-    cost: int
-
-
-@dataclass(frozen=True)
-class SasDocument:
-    version: int
-    metric_flag: int
-    variables: tuple[Variable, ...]
-    mutex_groups: tuple[tuple[tuple[int, int], ...], ...]
-    initial: tuple[int, ...]
-    goal: tuple[tuple[int, int], ...]
-    operators: tuple[SasOperator, ...]
-    axiom_count: int
 
 
 class _Cursor:
@@ -121,7 +99,8 @@ def _check_fact(cursor: _Cursor, variables: tuple[Variable, ...], var: int, val:
         )
 
 
-def parse_document(text: str) -> SasDocument:
+def parse_sas(text: str) -> Task:
+    """Parse a complete .sas document into a Task."""
     c = _Cursor(text)
 
     c.expect("begin_version")
@@ -151,17 +130,13 @@ def parse_document(text: str) -> SasDocument:
     var_tuple = tuple(variables)
 
     num_mutexes = c.read_int("a mutex group count", low=0)
-    mutex_groups: list[tuple[tuple[int, int], ...]] = []
     for _ in range(num_mutexes):
         c.expect("begin_mutex_group")
         size = c.read_int("a mutex group size", low=0)
-        group = []
         for _ in range(size):
             var, val = c.read_ints(2, "a variable-value pair")
             _check_fact(c, var_tuple, var, val)
-            group.append((var, val))
         c.expect("end_mutex_group")
-        mutex_groups.append(tuple(group))
 
     c.expect("begin_state")
     initial = []
@@ -183,27 +158,24 @@ def parse_document(text: str) -> SasDocument:
     c.expect("end_goal")
 
     num_ops = c.read_int("an operator count", low=0)
-    operators: list[SasOperator] = []
-    for _ in range(num_ops):
+    actions: list[Action] = []
+    for op_id in range(num_ops):
         c.expect("begin_operator")
         name = c.next("an operator name")
 
         num_prevail = c.read_int("a prevail condition count", low=0)
         pre_map: dict[int, int] = {}
-        prevail = []
         for _ in range(num_prevail):
             var, val = c.read_ints(2, "a prevail variable-value pair")
             _check_fact(c, var_tuple, var, val)
             if pre_map.get(var, val) != val:
                 raise SasSyntaxError(c.line_no, "a single precondition value per variable")
             pre_map[var] = val
-            prevail.append((var, val))
 
         num_effects = c.read_int("an effect count", low=0)
         if num_effects == 0:
             raise SasSyntaxError(c.line_no, "a non-empty effect list")
         eff_map: dict[int, int] = {}
-        effects = []
         for _ in range(num_effects):
             tokens = c.next("an effect line").split()
             try:
@@ -231,11 +203,18 @@ def parse_document(text: str) -> SasDocument:
             if eff_map.get(var, post) != post:
                 raise SasSyntaxError(c.line_no, "a single effect value per variable")
             eff_map[var] = post
-            effects.append((var, pre, post))
 
         cost = c.read_int("an operator cost", low=0)
         c.expect("end_operator")
-        operators.append(SasOperator(name, tuple(prevail), tuple(effects), cost))
+        actions.append(
+            Action(
+                id=op_id,
+                name=name,
+                precondition=PartialAssignment.of(pre_map.items()),
+                effect=PartialAssignment.of(eff_map.items()),
+                cost=cost if metric else 1,
+            )
+        )
 
     axiom_count = c.read_int("an axiom count", low=0)
     if axiom_count > 0:
@@ -246,51 +225,13 @@ def parse_document(text: str) -> SasDocument:
             raise SasSyntaxError(c.pos + 1, "end of document")
         c.pos += 1
 
-    return SasDocument(
-        version=version,
-        metric_flag=metric,
-        variables=var_tuple,
-        mutex_groups=tuple(mutex_groups),
-        initial=tuple(initial),
-        goal=tuple(sorted(goal.items())),
-        operators=tuple(operators),
-        axiom_count=axiom_count,
-    )
-
-
-def document_to_task(doc: SasDocument) -> Task:
-    from .model import Action
-
-    actions = []
-    for i, op in enumerate(doc.operators):
-        pre = dict(op.prevail)
-        eff = {}
-        for var, pre_val, post in op.effects:
-            if pre_val != -1:
-                pre[var] = pre_val
-            eff[var] = post
-        cost = op.cost if doc.metric_flag else 1
-        actions.append(
-            Action(
-                id=i,
-                name=op.name,
-                precondition=PartialAssignment.of(sorted(pre.items())),
-                effect=PartialAssignment.of(sorted(eff.items())),
-                cost=cost,
-            )
-        )
     return Task(
-        variables=doc.variables,
+        variables=var_tuple,
         actions=tuple(actions),
-        initial=State(doc.initial),
-        goal=PartialAssignment.of(doc.goal),
-        uses_metric=bool(doc.metric_flag),
+        initial=State(tuple(initial)),
+        goal=PartialAssignment.of(goal.items()),
+        uses_metric=bool(metric),
     )
-
-
-def parse_sas(text: str) -> Task:
-    """Parse a complete .sas document into a Task."""
-    return document_to_task(parse_document(text))
 
 
 def emit_sas(task: Task) -> str:

@@ -117,7 +117,6 @@ def _best_first(
     root_key = strategy.node_key(root, None)
     # key -> [g, parent_key, generating_action, state]
     records: dict = {root_key: [0, None, None, root]}
-    closed: set = set()
     h0 = heuristic(root)
     open_heap: list = []
     if h0 != INFINITY:
@@ -130,9 +129,8 @@ def _best_first(
             return run.result(RESOURCE_LIMIT, None, kind)
         *_, key, g_pushed = heapq.heappop(open_heap)
         record = records[key]
-        if key in closed or g_pushed > record[0]:
-            continue  # stale entry
-        closed.add(key)
+        if g_pushed > record[0]:
+            continue  # stale: the key was pushed again with a smaller g
         run.expanded += 1
         state = record[3]
         if is_goal(task, state):
@@ -152,7 +150,6 @@ def _best_first(
                 records[succ_key] = [g2, key, action_id, succ]
                 continue  # dead in the relaxation; keep g for reopen checks
             records[succ_key] = [g2, key, action_id, succ]
-            closed.discard(succ_key)  # reopen on a strictly better path
             heapq.heappush(open_heap, (*priority(g2, h), next(counter), succ_key, g2))
             run.note_open(len(open_heap))
     return run.result(UNSOLVABLE, None)

@@ -142,7 +142,7 @@ def sac_fixpoint(
     task: Task,
     state: State,
     seed: Iterable[int],
-    relations: ActionRelations | None = None,
+    relations: ActionRelations,
 ) -> frozenset[int]:
     """Joint support/conflict closure of a seed action set.
 
@@ -155,8 +155,6 @@ def sac_fixpoint(
     the member and the state, so the worklist reaches the unique least
     fixpoint whatever order it visits members in.
     """
-    if relations is None:
-        relations = ActionRelations(task)
     actions = task.actions
     members = set(seed)
     work = list(members)
@@ -184,7 +182,7 @@ def sac_expansion(
     task: Task,
     state: State,
     dtgs: Sequence[DTG],
-    relations: ActionRelations | None = None,
+    relations: ActionRelations,
 ) -> frozenset[int]:
     """Applicable members of the joint closure of a landmark action set."""
     landmarks = landmark_action_set(task, state, dtgs)
@@ -213,7 +211,7 @@ def ec_expansion(
         raise NoUnachievedGoal("state satisfies the goal")
     pdg = build_pdg(task, state, dtgs, cache)
     prefix: set[int] = set()
-    for component in closure_prefix_order(task.num_variables, pdg.edges):
+    for component in closure_prefix_order(task.num_variables, pdg):
         prefix.update(component)
         if unachieved.intersection(component):
             break

@@ -133,6 +133,46 @@ def test_inspect_rejects_bad_index_state_or_goal(two_switches_file, capsys, targ
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_inspect_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.sas"
+    bad.write_bytes(b"begin_version\n3\nend_version\n\xff\xfe\n")
+    assert main(["inspect", str(bad), "cg"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, prints_first",
+    [
+        (["plan", "{two}", "--plan-out", "{missing}"], True),
+        (["plan", "{two}", "--stats-json", "{missing}"], False),
+        (["inspect", "{two}", "cg", "--out", "{missing}"], False),
+        (["verify", "--seeds", "0", "--json-out", "{missing}"], False),
+        (["bench", "{corpus}", "--search", "bfs", "--strategies", "none",
+          "--csv-out", "{missing}"], False),
+        (["bench", "{corpus}", "--search", "bfs", "--strategies", "none",
+          "--json-out", "{missing}"], False),
+    ],
+    ids=["plan-out", "stats-json", "inspect-out", "verify-json-out", "bench-csv-out",
+         "bench-json-out"],
+)
+def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
+    paths = {
+        "two": str(FIXTURES / "two_switches.sas"),
+        "corpus": str(bench_corpus(tmp_path)),
+        "missing": str(tmp_path / "no_such_dir" / "out"),
+        "plan": str(tmp_path / "sas_plan"),
+    }
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "plan" and "--plan-out" not in argv:
+        argv += ["--plan-out", paths["plan"]]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert bool(captured.out) == prints_first  # plan prints its stats first
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -270,3 +310,44 @@ def test_bench_parallel_matches_serial(tmp_path):
         {k: v for k, v in r.items() if k != "time_ms"} for r in json.loads(rows)
     ]
     assert strip(one.read_text()) == strip(two.read_text())
+
+
+_ENABLE_CHAIN_GRAPHS = {
+    "cg": (
+        "causal_graph",
+        ["x1", "x2", "x3"],
+        [("x2", "x1"), ("x3", "x2")],
+    ),
+    "asg@0,0,2": ("action_support_graph", ["a", "b"], [("b", "a")]),
+    "pdg@initial": (
+        "potential_dependency_graph",
+        ["x1", "x2", "x3"],
+        [("x1", "x2"), ("x2", "x1"), ("x3", "x2")],
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_ENABLE_CHAIN_GRAPHS))
+def test_inspect_graph_output_is_pinned(target, capsys):
+    name, nodes, edges = _ENABLE_CHAIN_GRAPHS[target]
+    src = str(FIXTURES / "enable_chain.sas")
+    assert main(["inspect", src, target]) == 0
+    lines = [f'  "{n}";' for n in nodes] + [f'  "{u}" -> "{w}";' for u, w in edges]
+    dot = f"digraph {name} {{\n" + "\n".join(lines) + "\n}\n"
+    assert capsys.readouterr().out == dot + "\n"
+
+    assert main(["inspect", src, target, "--json"]) == 0
+    payload = {"nodes": nodes, "edges": [list(e) for e in edges]}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_inspect_dtg_output_is_pinned(capsys):
+    assert main(["inspect", str(FIXTURES / "two_switches.sas"), "dtg:0"]) == 0
+    assert capsys.readouterr().out == (
+        "digraph dtg_0 {\n"
+        '  "v0" [shape=diamond];\n'
+        '  "x1=0";\n'
+        '  "x1=1";\n'
+        '  "x1=0" -> "x1=1" [label="a"];\n'
+        "}\n\n"
+    )

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from porplan import (
-    CausalGraph,
     State,
     build_all_dtgs,
     build_asg,
@@ -17,14 +16,14 @@ from porplan.graphs import (
     DTG,
     DtgEdge,
     MixedEffectLevels,
-    causal_graph_to_dot,
+    graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
     potential_descendants,
     strongly_connected_components,
 )
 from porplan.oracle import RandomTaskSpec, brute_force_core, generate_random_task
-from porplan.strategies import sac_fixpoint
+from porplan.strategies import ActionRelations, sac_fixpoint
 
 
 
@@ -77,12 +76,12 @@ def test_dtg_rules_brute_force():
 
 
 def test_causal_graph(two_switches, enable_chain, build):
-    assert build_causal_graph(two_switches).edges == frozenset()
-    assert build_causal_graph(enable_chain).edges == frozenset({(1, 0), (2, 1)})
+    assert build_causal_graph(two_switches) == frozenset()
+    assert build_causal_graph(enable_chain) == frozenset({(1, 0), (2, 1)})
     # joint effect on x and y links both directions
     task = build(domains=[2, 2], actions=[("o", [], [(0, 1), (1, 1)])],
                  initial=[0, 0], goal=[(0, 1)])
-    assert build_causal_graph(task).edges == frozenset({(0, 1), (1, 0)})
+    assert build_causal_graph(task) == frozenset({(0, 1), (1, 0)})
 
 
 def test_stratify_enable_chain(enable_chain):
@@ -116,7 +115,7 @@ def test_stratify_invariant_random():
         cg = build_causal_graph(task)
         for tie_break in ("canonical", "distinct"):
             strat = stratify(task, cg, tie_break)
-            for x, y in cg.edges:
+            for x, y in cg:
                 assert strat.variable_level[x] <= strat.variable_level[y]
             for action in task.actions:
                 levels = {strat.variable_level[v] for v in action.effect.variables}
@@ -128,7 +127,7 @@ def test_mixed_effect_levels(build):
                  initial=[0, 0], goal=[(0, 1)])
     # a hand-built edgeless causal graph splits the effect variables
     with pytest.raises(MixedEffectLevels):
-        stratify(task, CausalGraph(2, frozenset()), tie_break="distinct")
+        stratify(task, frozenset(), tie_break="distinct")
 
 
 def test_scc_order():
@@ -140,14 +139,14 @@ def test_closure_prefix_order_is_closed():
     for task in random_tasks(20):
         dtgs = build_all_dtgs(task)
         pdg = build_pdg(task, task.initial, dtgs)
-        order = closure_prefix_order(task.num_variables, pdg.edges)
+        order = closure_prefix_order(task.num_variables, pdg)
         assert sorted(v for comp in order for v in comp) == list(
             range(task.num_variables)
         )
         prefix = set()
         for comp in order:
             prefix.update(comp)
-            for u, w in pdg.edges:
+            for u, w in pdg:
                 if u in prefix:
                     assert w in prefix  # no edge leaves any prefix
 
@@ -158,9 +157,9 @@ def test_closure_prefix_order_is_closed():
 
 
 def test_asg(two_switches, enable_chain):
-    assert build_asg(two_switches, two_switches.initial).edges == frozenset()
+    assert build_asg(two_switches, two_switches.initial) == frozenset()
     asg = build_asg(enable_chain, State((0, 0, 2)))
-    assert asg.edges == frozenset({(1, 0)})  # b unsupported, a supplies x2=1
+    assert asg == frozenset({(1, 0)})  # b unsupported, a supplies x2=1
 
 
 def test_action_core(two_switches, enable_chain, support_chain, build):
@@ -184,7 +183,7 @@ def test_action_core(two_switches, enable_chain, support_chain, build):
     ]
     for task, state, seed, expected in cases:
         assert brute_force_core(task, state.values, seed) == frozenset(expected)
-        assert sac_fixpoint(task, state, seed) == frozenset(expected)
+        assert sac_fixpoint(task, state, seed, ActionRelations(task)) == frozenset(expected)
 
 
 def test_action_core_monotone_idempotent():
@@ -198,14 +197,15 @@ def test_action_core_monotone_idempotent():
 
 
 def test_action_closure(two_switches, build):
-    assert sac_fixpoint(two_switches, two_switches.initial, {0}) == frozenset({0})
+    relations = ActionRelations(two_switches)
+    assert sac_fixpoint(two_switches, two_switches.initial, {0}, relations) == frozenset({0})
     clash = build(
         domains=[2, 3],
         actions=[("one", [], [(1, 1)]), ("two", [], [(1, 2)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert sac_fixpoint(clash, clash.initial, {0}) == frozenset({0, 1})
+    assert sac_fixpoint(clash, clash.initial, {0}, ActionRelations(clash)) == frozenset({0, 1})
     # an inapplicable seed without supporters pulls in nothing
     blocked = build(
         domains=[2, 2],
@@ -213,17 +213,18 @@ def test_action_closure(two_switches, build):
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert sac_fixpoint(blocked, blocked.initial, {0}) == frozenset({0})
+    assert sac_fixpoint(blocked, blocked.initial, {0}, ActionRelations(blocked)) == frozenset({0})
 
 
 def test_action_closure_superset_idempotent():
     for task in random_tasks(15):
         state = task.initial
         ids = [a.id for a in task.actions]
-        small = sac_fixpoint(task, state, ids[:1])
-        large = sac_fixpoint(task, state, ids[:3])
+        relations = ActionRelations(task)
+        small = sac_fixpoint(task, state, ids[:1], relations)
+        large = sac_fixpoint(task, state, ids[:3], relations)
         assert frozenset(ids[:1]) <= small <= large
-        assert sac_fixpoint(task, state, small) == small
+        assert sac_fixpoint(task, state, small, relations) == small
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ def _pdg_scan_oracle(task, state, dtgs):
 
 def test_pdg_two_switches(two_switches):
     dtgs = build_all_dtgs(two_switches)
-    assert build_pdg(two_switches, two_switches.initial, dtgs).edges == frozenset()
+    assert build_pdg(two_switches, two_switches.initial, dtgs) == frozenset()
 
 
 def test_pdg_enable_chain(enable_chain):
@@ -301,7 +302,7 @@ def test_pdg_enable_chain(enable_chain):
     pdg = build_pdg(enable_chain, state, dtgs)
     golden = frozenset({(0, 1), (1, 0), (2, 1)})  # frozen from the scan oracle
     assert _pdg_scan_oracle(enable_chain, state, dtgs) == golden
-    assert pdg.edges == golden
+    assert pdg == golden
 
 
 def test_pdg_single_variable_actions(build):
@@ -315,7 +316,7 @@ def test_pdg_single_variable_actions(build):
     )
     dtgs = build_all_dtgs(task)
     for values in [(0, 0), (1, 0), (0, 2), (1, 2)]:
-        assert build_pdg(task, State(values), dtgs).edges == frozenset()
+        assert build_pdg(task, State(values), dtgs) == frozenset()
 
 
 def test_pdg_matches_scan_oracle_random():
@@ -325,7 +326,7 @@ def test_pdg_matches_scan_oracle_random():
             State(tuple((v + 1) % task.variables[i].domain_size
                         for i, v in enumerate(task.initial.values)))
         }:
-            assert build_pdg(task, state, dtgs).edges == _pdg_scan_oracle(
+            assert build_pdg(task, state, dtgs) == _pdg_scan_oracle(
                 task, state, dtgs
             )
 
@@ -333,5 +334,6 @@ def test_pdg_matches_scan_oracle_random():
 def test_dot_emission(two_switches):
     dot = dtg_to_dot(two_switches, build_dtg(two_switches, 0))
     assert "v0" in dot and '"x1=0" -> "x1=1"' in dot and 'label="a"' in dot
-    cg_dot = causal_graph_to_dot(two_switches, build_causal_graph(two_switches))
+    names = [v.name for v in two_switches.variables]
+    cg_dot = graph_to_dot("causal_graph", names, build_causal_graph(two_switches))
     assert '"x1"' in cg_dot and "->" not in cg_dot.split("\n", 1)[1].replace("digraph", "")

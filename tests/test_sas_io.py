@@ -13,7 +13,6 @@ from porplan.sas_io import (
     SasSyntaxError,
     UnsupportedFeature,
     UnsupportedVersion,
-    parse_document,
 )
 
 from conftest import FIXTURES
@@ -152,9 +151,11 @@ def test_mutex_groups_parsed_and_ignored():
         "end_variable\n0\nbegin_state",
         "end_variable\n1\nbegin_mutex_group\n2\n0 0\n1 1\nend_mutex_group\nbegin_state",
     )
-    doc = parse_document(text)
-    assert doc.mutex_groups == (((0, 0), (1, 1)),)
-    assert parse_sas(text).goal.entries == ((0, 1), (1, 1))
+    assert parse_sas(text) == parse_sas(fixture_text("two_switches.sas"))
+    out_of_range = text.replace("0 0\n1 1\nend_mutex_group", "0 0\n1 5\nend_mutex_group")
+    with pytest.raises(SasRangeError) as err:
+        parse_sas(out_of_range)
+    assert err.value.line == out_of_range.splitlines().index("1 5") + 1
 
 
 def test_trailing_garbage_rejected():

@@ -90,20 +90,22 @@ def test_landmark_includes_v0_movers(build):
                  initial=[0], goal=[(0, 1)])
     dtgs = build_all_dtgs(task)
     assert landmark_action_set(task, task.initial, dtgs) == {0}
-    assert sac_expansion(task, task.initial, dtgs) == {0}
+    assert sac_expansion(task, task.initial, dtgs, ActionRelations(task)) == {0}
 
 
 def test_sac_two_switches(two_switches):
     dtgs = build_all_dtgs(two_switches)
-    assert sac_expansion(two_switches, two_switches.initial, dtgs) == {0}
-    assert sac_expansion(two_switches, State((1, 0)), dtgs) == {1}
+    relations = ActionRelations(two_switches)
+    assert sac_expansion(two_switches, two_switches.initial, dtgs, relations) == {0}
+    assert sac_expansion(two_switches, State((1, 0)), dtgs, relations) == {1}
 
 
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
     dtgs = build_all_dtgs(support_chain)
-    assert sac_expansion(support_chain, support_chain.initial, dtgs) == {1}
+    relations = ActionRelations(support_chain)
+    assert sac_expansion(support_chain, support_chain.initial, dtgs, relations) == {1}
     assert ec_expansion(support_chain, support_chain.initial, dtgs) == {1, 2}
 
 
@@ -115,12 +117,13 @@ def test_sac_fixpoint_stable():
 
     for task, graph in solvable_tasks(20):
         dtgs = build_all_dtgs(task)
+        relations = ActionRelations(task)
         for values in graph.states[:20]:
             state = State(values)
             if task.goal.holds_in(state):
                 continue
             landmarks = landmark_action_set(task, state, dtgs)
-            fixpoint = sac_fixpoint(task, state, landmarks)
+            fixpoint = sac_fixpoint(task, state, landmarks, relations)
             assert landmarks <= fixpoint
             for a in (task.actions[i] for i in fixpoint):
                 pre_a = set(a.precondition.entries)
@@ -137,7 +140,7 @@ def test_sac_fixpoint_stable():
                             clash(pre_b, eff_a) and any(values[v] == x for v, x in pre_b)
                         )
                     assert b.id in fixpoint or not pulled
-            expansion = sac_expansion(task, state, dtgs)
+            expansion = sac_expansion(task, state, dtgs, relations)
             assert expansion == {
                 a for a in fixpoint if applicable(state, task.actions[a])
             }
