@@ -34,7 +34,7 @@ from .graphs import (
 from .heuristics import HEURISTICS
 from .model import State, Task, validate_plan
 from .sas_io import SasError, parse_sas
-from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchSpec, solve
+from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchResult, SearchSpec, solve
 from .strategies import KINDS, ExpansionContext, StrategyConfig, make_strategy
 
 EXIT_SOLVED = 0
@@ -69,13 +69,20 @@ def _search_spec(args, por: str) -> SearchSpec:
     )
 
 
-def _stats_json(args, result) -> dict:
+def _result_fields(result: SearchResult) -> dict:
+    """The record of one search run that plan's stats and bench's rows share."""
     return {
         "outcome": result.outcome,
         "cost": result.plan.cost if result.plan else None,
         "expanded": result.expanded,
         "generated": result.generated,
         "time_ms": result.wall_time * 1000.0,
+    }
+
+
+def _stats_json(args, result: SearchResult) -> dict:
+    return {
+        **_result_fields(result),
         "peak_open": result.peak_open_size,
         "plan_length": len(result.plan.steps) if result.plan else None,
         "search": args.search,
@@ -269,14 +276,7 @@ def _bench_one(job: tuple[str, SearchSpec]) -> dict:
         "error": None,
     }
     try:
-        result = solve(parse_sas(Path(path).read_text()), spec)
-        row.update(
-            outcome=result.outcome,
-            cost=result.plan.cost if result.plan else None,
-            expanded=result.expanded,
-            generated=result.generated,
-            time_ms=result.wall_time * 1000.0,
-        )
+        row.update(_result_fields(solve(parse_sas(Path(path).read_text()), spec)))
     except (OSError, SasError, ValueError) as exc:
         row.update(outcome="error", error=str(exc))
     return row

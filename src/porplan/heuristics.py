@@ -21,8 +21,6 @@ from .model import State, Task, is_goal
 
 INFINITY = math.inf
 
-HEURISTICS = ("blind", "goalcount", "hmax", "hadd", "zero")
-
 
 class DeleteRelaxationHeuristic:
     """Fact-cost fixpoint evaluator; combine is "max" or "add"."""
@@ -129,16 +127,20 @@ class Zero:
         return 0
 
 
-def make_heuristic(task: Task, name: str) -> Callable[[State], float]:
-    if name == "hmax":
-        return DeleteRelaxationHeuristic(task, "max")
-    if name == "hadd":
-        return DeleteRelaxationHeuristic(task, "add")
-    if name == "blind":
-        return Blind(task)
-    if name == "goalcount":
-        return GoalCount(task)
-    if name == "zero":
-        return Zero(task)
-    raise ValueError(f"unknown heuristic {name!r}")
+_HEURISTICS: dict[str, Callable[[Task], Callable[[State], float]]] = {
+    "blind": Blind,
+    "goalcount": GoalCount,
+    "hmax": lambda task: DeleteRelaxationHeuristic(task, "max"),
+    "hadd": lambda task: DeleteRelaxationHeuristic(task, "add"),
+    "zero": Zero,
+}
+HEURISTICS = tuple(_HEURISTICS)
 
+
+def make_heuristic(task: Task, name: str) -> Callable[[State], float]:
+    """The heuristic of the given name, one of HEURISTICS, bound to the task."""
+    try:
+        make = _HEURISTICS[name]
+    except KeyError:
+        raise ValueError(f"unknown heuristic {name!r}") from None
+    return make(task)

@@ -233,10 +233,7 @@ def is_goal(task: Task, state: State) -> bool:
 
 
 def plan_cost(task: Task, steps: Iterable[int]) -> int:
-    steps = tuple(steps)
-    if task.uses_metric:
-        return sum(task.actions[a].cost for a in steps)
-    return len(steps)
+    return sum(task.actions[a].cost for a in steps)
 
 
 def validate_plan(task: Task, steps: Iterable[int]) -> Plan:

@@ -26,13 +26,13 @@ from .model import Action, PartialAssignment, State, Task, Variable
 from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
-    StrategyConfig,
     is_left_commutative,
     make_strategy,
 )
 
 DEFAULT_MAX_STATES = 2000
 _DFS_CAP = 2_000_000  # enumeration nodes before giving up
+_MAX_WITNESSES = 5  # violations a checker records before it only counts
 
 
 class TooLarge(Exception):
@@ -186,6 +186,13 @@ class Report:
     def add(self, kind: str, state: tuple[int, ...] | None, **witness) -> None:
         self.violations.append(Violation(kind, state, witness))
 
+    def absorb(self, sub: Report, **tags) -> None:
+        """Add a sub-report's checks and its violations, tagged."""
+        self.checked += sub.checked
+        for v in sub.violations:
+            v.witness.update(tags)
+            self.violations.append(v)
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -204,7 +211,6 @@ def check_stubborn_conditions(
     graph: StateSpaceGraph | None = None,
     goal_reachable: set[tuple[int, ...]] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-    max_witnesses: int = 5,
 ) -> Report:
     """Check A1 and A2 for one expansion set at one state.
 
@@ -233,7 +239,7 @@ def check_stubborn_conditions(
         if explored > _DFS_CAP:
             raise TooLarge("path enumeration exceeded the budget")
         if path and _applies(current, task.goal.entries):
-            if len(report.violations) < max_witnesses:
+            if len(report.violations) < _MAX_WITNESSES:
                 report.add("A2", values, path=list(path))
         if len(path) <= horizon - 1:
             for b in members:
@@ -246,7 +252,7 @@ def check_stubborn_conditions(
                 report.checked += 1
                 fronted = _walk(values, rows, (b, *path))
                 if fronted is None or fronted != tail_end:
-                    if len(report.violations) < max_witnesses:
+                    if len(report.violations) < _MAX_WITNESSES:
                         report.add(
                             "A1",
                             values,
@@ -276,8 +282,6 @@ def check_action_preserving(
     task: Task,
     strategy: ExpansionStrategy,
     horizon: int,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_witnesses: int = 5,
     strict: bool = False,
 ) -> Report:
     """Every full-graph solution has a same-multiset permutation that is a
@@ -347,7 +351,7 @@ def check_action_preserving(
                     frames.append(
                         (_result(values, eff), remaining[:i] + remaining[i + 1 :])
                     )
-        if not found and len(report.violations) < max_witnesses:
+        if not found and len(report.violations) < _MAX_WITNESSES:
             report.add("action_preserving", initial, multiset=list(multiset), end=end)
     return report
 
@@ -367,7 +371,6 @@ def check_sp_permutation(
     task: Task,
     horizon: int,
     tie_break: str = "canonical",
-    max_witnesses: int = 5,
 ) -> Report:
     """Every valid path from the initial state has an SP-path permutation
     to the same state (consecutive pairs survive the level filter)."""
@@ -426,7 +429,7 @@ def check_sp_permutation(
                     frames.append(
                         (_result(values, eff), remaining[:i] + remaining[i + 1 :], a)
                     )
-        if not found and len(report.violations) < max_witnesses:
+        if not found and len(report.violations) < _MAX_WITNESSES:
             report.add("sp_permutation", initial, multiset=list(multiset), end=end)
     return report
 
@@ -464,12 +467,7 @@ def sp_reachable_values(
     return frozenset(values_seen)
 
 
-def check_left_commutativity_equivalence(
-    task: Task,
-    samples: int,
-    seed: int,
-    max_witnesses: int = 5,
-) -> Report:
+def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) -> Report:
     """Sample valid (a, b) pairs and compare the syntactic criterion with
     the semantic both-orders check."""
     rng = random.Random(seed)
@@ -512,7 +510,7 @@ def check_left_commutativity_equivalence(
                 semantic = _result(swapped_mid, rows[a][1]) == end_ab
         report.checked += 1
         if syntactic != semantic:
-            if len(report.violations) < max_witnesses:
+            if len(report.violations) < _MAX_WITNESSES:
                 report.add(
                     "commutativity_mismatch",
                     values,
@@ -547,9 +545,7 @@ def brute_force_core(
     return frozenset(core)
 
 
-def check_action_core_lemma(
-    task: Task, horizon: int, max_witnesses: int = 5
-) -> Report:
+def check_action_core_lemma(task: Task, horizon: int) -> Report:
     """Every valid path from the initial state ending in an action that is
     inapplicable there contains a distinct member of that action's core."""
     rows = _rows(task)
@@ -569,7 +565,7 @@ def check_action_core_lemma(
         if path and path[-1] in inapplicable:
             report.checked += 1
             if not cores[path[-1]].intersection(path):
-                if len(report.violations) < max_witnesses:
+                if len(report.violations) < _MAX_WITNESSES:
                     report.add("action_core_lemma", initial, path=list(path))
         if len(path) < horizon:
             for a, (pre, eff, _) in enumerate(rows):
@@ -587,10 +583,7 @@ def default_task_stream(
     count: int,
     start: int = 0,
     cost_mode: str = "unit",
-    goal_mode: str = "walk",
     max_states: int = DEFAULT_MAX_STATES,
-    max_variables: int = 6,
-    max_actions: int = 10,
 ) -> list[tuple[int, Task, StateSpaceGraph]]:
     """First `count` seeds from `start` whose task fits the state cap.
 
@@ -602,12 +595,11 @@ def default_task_stream(
     while len(out) < count:
         spec = RandomTaskSpec(
             seed=seed,
-            num_variables=3 + seed % (max_variables - 2),
+            num_variables=3 + seed % 4,
             max_domain=2 + seed % 2,
-            num_actions=5 + seed % (max_actions - 4),
+            num_actions=5 + seed % 6,
             goal_size=1 + seed % 2,
             cost_mode=cost_mode,
-            goal_mode=goal_mode,
         )
         seed += 1
         task = generate_random_task(spec)
@@ -653,13 +645,11 @@ class _DropLast:
         return self.inner.expansion(ctx)[:-1]
 
 
-def drop_one_sac(
-    task: Task, kind: str, config: StrategyConfig | None = None
-) -> ExpansionStrategy:
+def drop_one_sac(task: Task, kind: str) -> ExpansionStrategy:
     """make_strategy with a deliberate fault in SAC, for the suites'
     strategy_factory: every SAC expansion set loses its last action, which
     the stubborn, optimality and action-preserving suites must report."""
-    strategy = make_strategy(task, kind, config)
+    strategy = make_strategy(task, kind)
     return _DropLast(strategy) if kind == "sac" else strategy
 
 
@@ -682,16 +672,13 @@ def suite_stubborn(
                 sub = check_stubborn_conditions(
                     task, values, expansion, horizon, goal_reachable=goal_reachable
                 )
-                report.checked += sub.checked + 1
-                for v in sub.violations:
-                    v.witness.update(seed=seed, strategy=kind)
-                    report.violations.append(v)
+                report.absorb(sub, seed=seed, strategy=kind)
+                report.checked += 1
     return report
 
 
 def suite_optimality(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    sp_closed: str = "state",
     strategy_factory=make_strategy,
 ) -> Report:
     """A*+hmax cost equality under ec/sac and solvability agreement under
@@ -704,8 +691,7 @@ def suite_optimality(
         optimum = brute_force_optimal_cost(task)
         heuristic = make_heuristic(task, "hmax")
         for kind in ("none", "ec", "sp", "sac"):
-            config = StrategyConfig(sp_closed=sp_closed)
-            result = astar(task, heuristic, strategy_factory(task, kind, config))
+            result = astar(task, heuristic, strategy_factory(task, kind))
             report.checked += 1
             if result.solved != (optimum is not None):
                 report.add(
@@ -731,19 +717,13 @@ def suite_optimality(
 
 
 def suite_sp(
-    tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    horizon: int = 5,
-    tie_break: str = "canonical",
+    tasks: Sequence[tuple[int, Task, StateSpaceGraph]], horizon: int = 5
 ) -> Report:
     """Permutation property plus reachable-set equality for SP."""
     report = Report("sp_suite")
     for seed, task, graph in tasks:
-        sub = check_sp_permutation(task, horizon, tie_break)
-        report.checked += sub.checked
-        for v in sub.violations:
-            v.witness.update(seed=seed)
-            report.violations.append(v)
-        reachable = sp_reachable_values(task, tie_break)
+        report.absorb(check_sp_permutation(task, horizon), seed=seed)
+        reachable = sp_reachable_values(task)
         full = frozenset(graph.states)
         report.checked += 1
         if reachable != full:
@@ -762,11 +742,7 @@ def suite_lemma(
 ) -> Report:
     report = Report("action_core_lemma_suite")
     for seed, task, _ in tasks:
-        sub = check_action_core_lemma(task, horizon)
-        report.checked += sub.checked
-        for v in sub.violations:
-            v.witness.update(seed=seed)
-            report.violations.append(v)
+        report.absorb(check_action_core_lemma(task, horizon), seed=seed)
     return report
 
 
@@ -778,10 +754,7 @@ def suite_commutativity(
     report = Report("commutativity_suite")
     for task_seed, task, _ in tasks:
         sub = check_left_commutativity_equivalence(task, samples_per_task, seed)
-        report.checked += sub.checked
-        for v in sub.violations:
-            v.witness.update(seed=task_seed)
-            report.violations.append(v)
+        report.absorb(sub, seed=task_seed)
     return report
 
 
@@ -795,10 +768,7 @@ def suite_action_preserving(
     for seed, task, _ in tasks:
         for kind in kinds:
             sub = check_action_preserving(task, strategy_factory(task, kind), horizon)
-            report.checked += sub.checked
-            for v in sub.violations:
-                v.witness.update(seed=seed, strategy=kind)
-                report.violations.append(v)
+            report.absorb(sub, seed=seed, strategy=kind)
     return report
 
 

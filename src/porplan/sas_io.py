@@ -267,7 +267,7 @@ def emit_sas(task: Task) -> str:
         for var, post in action.effect:
             pre = action.precondition.value_of(var)
             out.append(f"0 {var} {-1 if pre is None else pre} {post}")
-        out.append(str(action.cost if task.uses_metric else 1))
+        out.append(str(action.cost))
         out.append("end_operator")
     out.append("0")  # axioms
     return "\n".join(out) + "\n"

@@ -9,6 +9,7 @@ from porplan import (
     gbfs,
     make_heuristic,
     make_strategy,
+    parse_sas,
     validate_plan,
 )
 from porplan.oracle import (
@@ -20,6 +21,8 @@ from porplan.oracle import (
 )
 from porplan.search import RESOURCE_LIMIT, SOLVED, UNSOLVABLE
 from porplan.strategies import StrategyConfig
+
+from conftest import FIXTURES
 
 
 def distinct(task, kind):
@@ -93,22 +96,63 @@ def test_bfs_requires_unit_costs(build):
 
 
 def test_resource_limits(two_switches):
-    result = astar(
-        two_switches,
-        make_heuristic(two_switches, "hmax"),
-        make_strategy(two_switches, "none"),
-        Limits(max_expanded=1),
-    )
-    assert result.outcome == RESOURCE_LIMIT and result.limit_kind == "nodes"
-    result = bfs(two_switches, make_strategy(two_switches, "none"), Limits(max_time=0.0))
-    assert result.outcome == RESOURCE_LIMIT and result.limit_kind == "time"
-    result = astar(
-        two_switches,
-        make_heuristic(two_switches, "hmax"),
-        make_strategy(two_switches, "none"),
-        Limits(max_open=1),
-    )
-    assert result.outcome == RESOURCE_LIMIT and result.limit_kind == "memory"
+    heuristic = make_heuristic(two_switches, "hmax")
+    engines = {
+        "astar": lambda strategy, limits: astar(two_switches, heuristic, strategy, limits),
+        "gbfs": lambda strategy, limits: gbfs(two_switches, heuristic, strategy, limits),
+        "bfs": lambda strategy, limits: bfs(two_switches, strategy, limits),
+    }
+    cases = [
+        (Limits(max_expanded=1), "nodes"),
+        (Limits(max_time=0.0), "time"),
+        (Limits(max_open=1), "memory"),
+        # checked in this order: nodes, then time, then memory
+        (Limits(max_expanded=0, max_time=0.0, max_open=0), "nodes"),
+        (Limits(max_time=0.0, max_open=0), "time"),
+    ]
+    for name, engine in engines.items():
+        for limits, kind in cases:
+            result = engine(make_strategy(two_switches, "none"), limits)
+            assert result.outcome == RESOURCE_LIMIT, (name, kind)
+            assert result.limit_kind == kind, (name, kind)
+            assert result.plan is None
+
+
+# (fixture, strategy, sp_closed, strat_tie_break, outcome, expanded,
+#  generated, peak open, plan steps) of bfs
+BFS_PINNED = [
+    ("enable_chain.sas", "none", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "ec", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state", "distinct", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state-level", "canonical", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state-level", "distinct", SOLVED, 3, 3, 1, (0, 1)),
+    ("support_chain.sas", "none", "state", "canonical", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "ec", "state", "canonical", SOLVED, 4, 3, 2, (1, 0)),
+    ("support_chain.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (1, 0)),
+    ("support_chain.sas", "sp", "state", "canonical", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "sp", "state", "distinct", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "sp", "state-level", "canonical", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "sp", "state-level", "distinct", SOLVED, 4, 4, 3, (1, 0)),
+    ("two_switches.sas", "none", "state", "canonical", SOLVED, 4, 4, 2, (0, 1)),
+    ("two_switches.sas", "ec", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sp", "state", "canonical", SOLVED, 4, 4, 2, (0, 1)),
+    ("two_switches.sas", "sp", "state", "distinct", SOLVED, 4, 3, 2, (1, 0)),
+    ("two_switches.sas", "sp", "state-level", "canonical", SOLVED, 4, 4, 2, (0, 1)),
+    ("two_switches.sas", "sp", "state-level", "distinct", SOLVED, 4, 3, 2, (1, 0)),
+]
+
+
+def test_bfs_pinned_counts():
+    for name, kind, mode, tie_break, outcome, expanded, generated, peak, steps in BFS_PINNED:
+        task = parse_sas((FIXTURES / name).read_text())
+        config = StrategyConfig(sp_closed=mode, strat_tie_break=tie_break)
+        result = bfs(task, make_strategy(task, kind, config))
+        row = (result.outcome, result.expanded, result.generated, result.peak_open_size)
+        assert row == (outcome, expanded, generated, peak), (name, kind, mode, tie_break)
+        assert result.plan.steps == steps, (name, kind, mode, tie_break)
 
 
 def test_counters_and_plan_validity():
