@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import State, Task, applicable
+from .model import State, Task
 
 V0 = -1  # sentinel DTG vertex for effects without an own-variable precondition
 
@@ -79,13 +79,11 @@ class MixedEffectLevels(Exception):
 def build_dtg(task: Task, var: int) -> DTG:
     """Transitions of one variable; parallel actions merge into one edge."""
     by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for action in task.actions:
-        post = action.effect.value_of(var)
-        if post is None:
-            continue
+    for a in task.index.writers[var]:
+        action = task.actions[a]
         pre = action.precondition.value_of(var)
         source = V0 if pre is None else pre
-        by_pair[(source, post)].add(action.id)
+        by_pair[(source, action.effect.value_of(var))].add(a)
     edges = tuple(
         DtgEdge(src, dst, frozenset(ids))
         for (src, dst), ids in sorted(by_pair.items())
@@ -113,14 +111,15 @@ def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
 def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
     """Action support graph at the state: edge (a, b) when a is not
     applicable and some effect entry of b is a precondition entry of a."""
-    edges: set[tuple[int, int]] = set()
-    for a in task.actions:
-        if applicable(state, a):
-            continue
-        for b in task.actions:
-            if a.precondition.shares_entry_with(b.effect):
-                edges.add((a.id, b.id))
-    return frozenset(edges)
+    index = task.index
+    applicable = index.applicable_mask(state.values)
+    return frozenset(
+        (a, b)
+        for a, facts in enumerate(index.pre_facts)
+        if not applicable >> a & 1
+        for f in facts
+        for b in index.achievers[f]
+    )
 
 
 def potential_descendants(

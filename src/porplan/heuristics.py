@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import add
 from typing import Callable
 
 from .model import State, Task, is_goal
@@ -28,58 +29,37 @@ class DeleteRelaxationHeuristic:
     def __init__(self, task: Task, combine: str) -> None:
         if combine not in ("max", "add"):
             raise ValueError(f"unknown combiner {combine!r}")
-        self.task = task
         self.add = combine == "add"
-        self.offsets = []
-        total = 0
-        for var in task.variables:
-            self.offsets.append(total)
-            total += var.domain_size
-        self.num_facts = total
-        self.pre_facts: list[list[int]] = []
-        self.eff_facts: list[list[int]] = []
-        self.costs: list[int] = []
-        self.waiters: list[list[int]] = [[] for _ in range(total)]
-        for action in task.actions:
-            pre = [self.offsets[v] + val for v, val in action.precondition]
-            eff = [self.offsets[v] + val for v, val in action.effect]
-            a = len(self.pre_facts)
-            self.pre_facts.append(pre)
-            self.eff_facts.append(eff)
-            self.costs.append(action.cost)
-            for f in pre:
-                self.waiters[f].append(a)
-        self.goal_facts = [self.offsets[v] + val for v, val in task.goal]
+        index = self.index = task.index
+        self.costs = [action.cost for action in task.actions]
+        self.goal_facts = [index.offsets[v] + val for v, val in task.goal]
+        self.unconditional = [a for a, n in enumerate(index.pre_count) if n == 0]
 
     def __call__(self, state: State) -> float:
-        dist: list[float] = [INFINITY] * self.num_facts
-        heap: list[tuple[float, int]] = []
-        for var, val in enumerate(state.values):
-            f = self.offsets[var] + val
+        index = self.index
+        dist: list[float] = [INFINITY] * index.offsets[-1]
+        heap = [(0, f) for f in map(add, index.offsets, state.values)]
+        for _, f in heap:
             dist[f] = 0
-            heap.append((0, f))
         heapq.heapify(heap)
 
-        remaining = [len(pre) for pre in self.pre_facts]
+        remaining = list(index.pre_count)
         acc = list(self.costs)  # running cost + sum of finalized pre facts
 
         def trigger(a: int, pre_value: float) -> None:
             value = acc[a] if self.add else self.costs[a] + pre_value
-            for f in self.eff_facts[a]:
+            for f in index.eff_facts[a]:
                 if value < dist[f]:
                     dist[f] = value
                     heapq.heappush(heap, (value, f))
 
-        done = [False] * self.num_facts
-        for a, count in enumerate(remaining):
-            if count == 0:
-                trigger(a, 0)
+        for a in self.unconditional:
+            trigger(a, 0)
         while heap:
             d, f = heapq.heappop(heap)
-            if done[f] or d > dist[f]:
-                continue
-            done[f] = True
-            for a in self.waiters[f]:
+            if d > dist[f]:
+                continue  # stale; a fact is pushed once per strictly smaller value
+            for a in index.consumers[f]:
                 remaining[a] -= 1
                 if self.add:
                     acc[a] += d
@@ -87,12 +67,10 @@ class DeleteRelaxationHeuristic:
                     # facts finalize in cost order, so d is the max pre cost
                     trigger(a, d)
 
-        if not self.goal_facts:
-            return 0
         values = [dist[f] for f in self.goal_facts]
-        if any(v == INFINITY for v in values):
+        if INFINITY in values:
             return INFINITY
-        return sum(values) if self.add else max(values)
+        return sum(values) if self.add else max(values, default=0)
 
 
 class Blind:

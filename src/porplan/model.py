@@ -1,16 +1,21 @@
-"""SAS+ task model: variables, states, actions, plans.
+"""SAS+ task model: variables, states, actions, plans, the action index.
 
 States are dense value tuples indexed by variable position; equality and
 hashing are plain tuple equality, which keeps the search hot path cheap.
 Partial assignments are sorted (variable, value) pair tuples carrying the
-conflict-freedom algebra everything else builds on. All types are
-immutable after construction and safe to share across threads; the
+conflict-freedom algebra everything else builds on. Each Task builds one
+ActionIndex at construction; applicability tests, the search engine, the
+heuristics, the graph builders and the strategies all read it. All types
+are immutable after construction and safe to share across threads; the
 operations below are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, compress, count
+from operator import add, and_
 from typing import Iterable, Iterator
 
 
@@ -62,7 +67,6 @@ class PartialAssignment:
     """A set of (variable, value) entries, at most one entry per variable."""
 
     entries: tuple[tuple[int, int], ...]
-    pairs: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -74,7 +78,6 @@ class PartialAssignment:
                 )
             by_var[var] = val
         object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
-        object.__setattr__(self, "pairs", frozenset(self.entries))
         object.__setattr__(self, "variables", tuple(v for v, _ in self.entries))
 
     @classmethod
@@ -90,18 +93,10 @@ class PartialAssignment:
     def holds_in(self, state: State) -> bool:
         return all(state.values[v] == val for v, val in self.entries)
 
-    def shares_entry_with(self, other: PartialAssignment) -> bool:
-        """True when some identical (variable, value) entry appears in both."""
-        return not self.pairs.isdisjoint(other.pairs)
-
     def conflicts_with(self, other: PartialAssignment) -> bool:
         """True when some variable receives different values in the two."""
         mine = dict(self.entries)
         return any(mine.get(v, val) != val for v, val in other.entries)
-
-    def satisfied_in(self, state: State) -> bool:
-        """True when at least one entry already holds in the state."""
-        return any(state.values[v] == val for v, val in self.entries)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.entries)
@@ -111,9 +106,6 @@ class PartialAssignment:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
-
-
-EMPTY_ASSIGNMENT = PartialAssignment(())
 
 
 @dataclass(frozen=True)
@@ -154,6 +146,62 @@ class Plan:
     cost: int
 
 
+# bin() digits to the bytes 0/1, so compress() can pick out the set bits
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _inverse(size: int, keys_of: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """For each key below size, the ascending positions whose keys hold it."""
+    lists: list[list[int]] = [[] for _ in range(size)]
+    for position, keys in enumerate(keys_of):
+        for key in keys:
+            lists[key].append(position)
+    return tuple(map(tuple, lists))
+
+
+class ActionIndex:
+    """The action tables of one task, built once with the Task.
+
+    Fact (var, value) has the dense id offsets[var] + value; offsets[-1]
+    is the number of facts. Per action a: eff[a] holds its effect entries,
+    pre_facts[a] and eff_facts[a] the fact ids of its precondition and
+    effect, pre_count[a] the precondition size. Per fact: achievers
+    (actions whose effect sets it) and consumers (actions whose
+    precondition needs it). Per variable: writers. All ascending.
+    """
+
+    def __init__(self, task: Task) -> None:
+        variables, actions = task.variables, task.actions
+        off = self.offsets = tuple(accumulate((v.domain_size for v in variables), initial=0))
+        self.eff = tuple(a.effect.entries for a in actions)
+        self.pre_facts = tuple(tuple(off[v] + x for v, x in a.precondition) for a in actions)
+        self.eff_facts = tuple(tuple(off[v] + x for v, x in eff) for eff in self.eff)
+        self.pre_count = tuple(map(len, self.pre_facts))
+        self.achievers = _inverse(off[-1], self.eff_facts)
+        self.consumers = _inverse(off[-1], self.pre_facts)
+        self.writers = _inverse(len(variables), (a.effect.variables for a in actions))
+        # bit a of _compatible[f]: no precondition entry of action a
+        # contradicts fact f (a needs f or reads nothing on f's variable);
+        # an action reads a variable at most once, so sum is a union here
+        self._all = (1 << len(actions)) - 1
+        needs = [sum(1 << a for a in users) for users in self.consumers]
+        self._compatible = tuple(
+            (self._all & ~sum(needs[off[v] : off[v + 1]])) | needs[f]
+            for v in range(len(variables))
+            for f in range(off[v], off[v + 1])
+        )
+
+    def applicable_mask(self, values: tuple[int, ...]) -> int:
+        """Bit a is set iff action a is applicable in the state values."""
+        facts = map(add, self.offsets, values)
+        return reduce(and_, map(self._compatible.__getitem__, facts), self._all)
+
+    def applicable_ids(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """The applicable action ids in the state values, ascending."""
+        bits = bin(self.applicable_mask(values))[:1:-1].encode().translate(_BIT_FLAGS)
+        return tuple(compress(count(), bits))
+
+
 @dataclass(frozen=True)
 class Task:
     """A full SAS+ instance.
@@ -167,6 +215,7 @@ class Task:
     initial: State
     goal: PartialAssignment
     uses_metric: bool = False
+    index: ActionIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.variables)
@@ -175,7 +224,7 @@ class Task:
                 raise InvalidTask(f"variable {var.name!r} has id {var.id}, expected {i}")
         if len(self.initial.values) != n:
             raise InvalidTask("initial state length differs from variable count")
-        self._check_value(self.initial.values, "initial state")
+        self._check_assignment(enumerate(self.initial.values), "initial state")
         self._check_assignment(self.goal, "goal")
         for i, action in enumerate(self.actions):
             if action.id != i:
@@ -186,14 +235,10 @@ class Task:
                 raise InvalidTask(
                     f"action {action.name!r}: cost {action.cost} without a metric"
                 )
+        object.__setattr__(self, "index", ActionIndex(self))
 
-    def _check_value(self, values: tuple[int, ...], where: str) -> None:
-        for var, val in enumerate(values):
-            if not 0 <= val < self.variables[var].domain_size:
-                raise InvalidTask(f"{where}: value {val} out of domain of variable {var}")
-
-    def _check_assignment(self, pa: PartialAssignment, where: str) -> None:
-        for var, val in pa:
+    def _check_assignment(self, entries: Iterable[tuple[int, int]], where: str) -> None:
+        for var, val in entries:
             if not 0 <= var < len(self.variables):
                 raise InvalidTask(f"{where}: unknown variable {var}")
             if not 0 <= val < self.variables[var].domain_size:

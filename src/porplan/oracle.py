@@ -210,7 +210,6 @@ def check_stubborn_conditions(
     horizon: int,
     graph: StateSpaceGraph | None = None,
     goal_reachable: set[tuple[int, ...]] | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> Report:
     """Check A1 and A2 for one expansion set at one state.
 
@@ -226,7 +225,7 @@ def check_stubborn_conditions(
     outside = [a for a in range(len(rows)) if a not in member_set]
     if goal_reachable is None:
         if graph is None:
-            graph = enumerate_state_space(task, max_states, root=values)
+            graph = enumerate_state_space(task, root=values)
         goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
     reach_goal = goal_reachable
 
@@ -357,14 +356,12 @@ def check_action_preserving(
 
 
 def _follow_up_matrix(task: Task) -> list[list[bool]]:
-    n = len(task.actions)
-    out = [[False] * n for _ in range(n)]
-    for a in task.actions:
-        for b in task.actions:
-            out[a.id][b.id] = a.effect.shares_entry_with(
-                b.precondition
-            ) or a.effect.shares_entry_with(b.effect)
-    return out
+    """follow[a][b]: eff(a) shares an entry with pre(b) or eff(b)."""
+    rows = _rows(task)
+    return [
+        [not set(eff).isdisjoint(pre_b + eff_b) for pre_b, eff_b, _ in rows]
+        for _, eff, _ in rows
+    ]
 
 
 def check_sp_permutation(
@@ -434,9 +431,7 @@ def check_sp_permutation(
     return report
 
 
-def sp_reachable_values(
-    task: Task, tie_break: str = "canonical", max_states: int = DEFAULT_MAX_STATES
-) -> frozenset[tuple[int, ...]]:
+def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[tuple[int, ...]]:
     """States reachable via SP-paths, explored exactly over
     (state, last action) pairs; closed-list policy plays no role here."""
     from .graphs import stratify
@@ -459,8 +454,8 @@ def sp_reachable_values(
             succ = _result(values, eff)
             pair = (succ, a)
             if pair not in seen_pairs:
-                if len(values_seen) > max_states:
-                    raise TooLarge(f"more than {max_states} reachable states")
+                if len(values_seen) > DEFAULT_MAX_STATES:
+                    raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
                 seen_pairs.add(pair)
                 values_seen.add(succ)
                 queue.append(pair)
@@ -611,9 +606,7 @@ def default_task_stream(
     return out
 
 
-def reduced_reachable_values(
-    task: Task, strategy: ExpansionStrategy, max_states: int = DEFAULT_MAX_STATES
-) -> list[tuple[int, ...]]:
+def reduced_reachable_values(task: Task, strategy: ExpansionStrategy) -> list[tuple[int, ...]]:
     """States a strategy-driven exhaustive BFS expands (goals terminal)."""
     rows = _rows(task)
     initial = task.initial.values
@@ -625,8 +618,8 @@ def reduced_reachable_values(
         for a in _reduced_expansion(task, strategy, values):
             succ = _result(values, rows[a][1])
             if succ not in seen:
-                if len(seen) >= max_states:
-                    raise TooLarge(f"more than {max_states} reachable states")
+                if len(seen) >= DEFAULT_MAX_STATES:
+                    raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
                 seen.add(succ)
                 order.append(succ)
                 queue.append(succ)

@@ -11,7 +11,9 @@ duplicates included. Duplicate detection keys come from the strategy
 (SP may fold in the generating action's level); a stored node is only
 rewritten when a strictly smaller g arrives, in which case it is
 reopened. Under BFS's unit costs nodes pop in g order, so nothing is
-ever reopened and the first record of every key wins.
+ever reopened and the first record of every key wins. Successors are
+built from the task's ActionIndex; an action the strategy returns that
+the state's applicability mask rejects raises NotApplicable.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .heuristics import INFINITY, Zero, make_heuristic
-from .model import Plan, State, Task, apply_action, is_goal, plan_cost
+from .model import NotApplicable, Plan, State, Task, is_goal, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
 
 # heap ordering prefix per search, from a node's (g, h)
@@ -89,6 +91,7 @@ def _best_first(
     """
     limits = limits or Limits()
     start = time.perf_counter()
+    index = task.index
     expanded = generated = 0
     counter = itertools.count()
     root = task.initial
@@ -128,9 +131,15 @@ def _best_first(
         if is_goal(task, state):
             return result(SOLVED, _extract_plan(task, records, key))
         ctx = ExpansionContext(state, record[2])
+        applicable = index.applicable_mask(state.values)
         for action_id in strategy.expansion(ctx):
             action = task.actions[action_id]
-            succ = apply_action(state, action)
+            if not applicable >> action_id & 1:
+                raise NotApplicable(f"action {action.name!r} is not applicable")
+            values = list(state.values)
+            for var, val in index.eff[action_id]:
+                values[var] = val
+            succ = State(tuple(values))
             generated += 1
             g2 = record[0] + action.cost
             succ_key = strategy.node_key(succ, action_id)

@@ -1,11 +1,13 @@
 """Per-state expansion-set generators: full, EC, SP filtering, SAC.
 
 Each strategy answers one question at a state s: which applicable actions
-may the search apply. "none" returns all of them. EC keeps the actions of
-a dependency-closed DTG prefix of the potential dependency graph. SAC
-closes a landmark action set under ASG support and conflict rules and
-keeps the applicable members. SP is a filter over the full set driven by
-causal-graph levels and the action that generated the node.
+may the search apply. "none" returns all of them, generated from the
+task's ActionIndex (full_expansion). EC keeps the applicable actions that
+write a dependency-closed DTG prefix of the potential dependency graph.
+SAC closes a landmark action set under ASG support and conflict rules and
+keeps the applicable members, testing both against one applicability mask
+per state. SP is a filter over the full set driven by causal-graph levels
+and the action that generated the node.
 
 Each kind is one class behind the ExpansionStrategy protocol; build them
 with make_strategy. The none, SP and SAC objects hold only per-task
@@ -17,8 +19,8 @@ uses it: give each thread its own.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import add
 from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
@@ -29,7 +31,7 @@ from .graphs import (
     closure_prefix_order,
     stratify,
 )
-from .model import Action, State, Task, applicable, apply_action, conflict_free
+from .model import State, Task, applicable, apply_action, conflict_free
 
 
 class NoUnachievedGoal(Exception):
@@ -67,7 +69,7 @@ class ExpansionContext(NamedTuple):
 
 def full_expansion(task: Task, state: State) -> tuple[int, ...]:
     """All applicable action ids, ascending."""
-    return tuple(a.id for a in task.actions if applicable(state, a))
+    return task.index.applicable_ids(state.values)
 
 
 def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
@@ -106,36 +108,31 @@ def landmark_action_set(
 class ActionRelations:
     """State-independent pairwise action analysis, built once per task.
 
-    supporters[fact] lists the achievers of a precondition entry (the ASG
-    edge targets of an action needing it); pre_conflicts[a] lists, in
-    ascending order, the actions b != a whose precondition clashes with
-    eff(a), eff_conflicts[a] those whose effect does. Both come from
-    per-variable occurrence lists, so building them touches only actions
-    sharing a variable with eff(a); every per-state closure then only
-    walks these lists.
+    pre_conflicts[a] lists, in ascending order, the actions b != a whose
+    precondition clashes with eff(a), eff_conflicts[a] those whose effect
+    does. Both are read off the task index's per-fact consumers and
+    achievers of the other values of eff(a)'s variables, so building them
+    touches only actions sharing a variable with eff(a); every per-state
+    closure then only walks these lists.
     """
 
     def __init__(self, task: Task) -> None:
-        self.supporters: dict[tuple[int, int], list[int]] = defaultdict(list)
-        pre_on: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        eff_on: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for action in task.actions:
-            for fact in action.effect:
-                self.supporters[fact].append(action.id)
-                eff_on[fact[0]].append((action.id, fact[1]))
-            for var, val in action.precondition:
-                pre_on[var].append((action.id, val))
+        index = task.index
+        off = index.offsets
 
-        def clashing(on: dict[int, list[tuple[int, int]]], a: Action) -> list[int]:
+        def clashing(by_fact: Sequence[Sequence[int]], a: int) -> list[int]:
             return sorted({
-                b_id
-                for var, val in a.effect
-                for b_id, other in on.get(var, ())
-                if other != val and b_id != a.id
+                b
+                for var, val in index.eff[a]
+                for f in range(off[var], off[var + 1])
+                if f != off[var] + val
+                for b in by_fact[f]
+                if b != a
             })
 
-        self.pre_conflicts = [clashing(pre_on, a) for a in task.actions]
-        self.eff_conflicts = [clashing(eff_on, a) for a in task.actions]
+        actions = range(len(task.actions))
+        self.pre_conflicts = [clashing(index.consumers, a) for a in actions]
+        self.eff_conflicts = [clashing(index.achievers, a) for a in actions]
 
 
 def sac_fixpoint(
@@ -143,6 +140,7 @@ def sac_fixpoint(
     state: State,
     seed: Iterable[int],
     relations: ActionRelations,
+    applicable_mask: int | None = None,
 ) -> frozenset[int]:
     """Joint support/conflict closure of a seed action set.
 
@@ -153,24 +151,25 @@ def sac_fixpoint(
     whose precondition both conflicts with eff(a) and has an entry
     holding in the state (conflict closure). Both rules depend only on
     the member and the state, so the worklist reaches the unique least
-    fixpoint whatever order it visits members in.
+    fixpoint whatever order it visits members in. applicable_mask is the
+    task index's mask at the state, when the caller already has it.
     """
-    actions = task.actions
+    index = task.index
+    if applicable_mask is None:
+        applicable_mask = index.applicable_mask(state.values)
+    held = set(map(add, index.offsets, state.values))  # the state's fact ids
     members = set(seed)
     work = list(members)
     while work:
         a_id = work.pop()
-        a = actions[a_id]
-        if applicable(state, a):
+        if applicable_mask >> a_id & 1:
             pulled = relations.eff_conflicts[a_id] + [
                 b_id
                 for b_id in relations.pre_conflicts[a_id]
-                if b_id not in members and actions[b_id].precondition.satisfied_in(state)
+                if b_id not in members and not held.isdisjoint(index.pre_facts[b_id])
             ]
         else:
-            pulled = [
-                b_id for fact in a.precondition for b_id in relations.supporters.get(fact, ())
-            ]
+            pulled = [b_id for f in index.pre_facts[a_id] for b_id in index.achievers[f]]
         for b_id in pulled:
             if b_id not in members:
                 members.add(b_id)
@@ -188,10 +187,9 @@ def sac_expansion(
     landmarks = landmark_action_set(task, state, dtgs)
     if not landmarks:
         return frozenset()
-    members = sac_fixpoint(task, state, landmarks, relations)
-    return frozenset(
-        a_id for a_id in members if applicable(state, task.actions[a_id])
-    )
+    mask = task.index.applicable_mask(state.values)
+    members = sac_fixpoint(task, state, landmarks, relations, mask)
+    return frozenset(a_id for a_id in members if mask >> a_id & 1)
 
 
 def ec_expansion(
@@ -215,19 +213,19 @@ def ec_expansion(
         prefix.update(component)
         if unachieved.intersection(component):
             break
+    actions = task.actions
     return frozenset(
-        a.id
-        for a in task.actions
-        if applicable(state, a) and not prefix.isdisjoint(a.effect.variables)
+        a
+        for a in full_expansion(task, state)
+        if not prefix.isdisjoint(actions[a].effect.variables)
     )
 
 
 def is_follow_up(task: Task, first: int, second: int) -> bool:
     """True when eff(first) shares an entry with pre(second) or eff(second)."""
-    a, b = task.actions[first], task.actions[second]
-    return a.effect.shares_entry_with(b.precondition) or a.effect.shares_entry_with(
-        b.effect
-    )
+    index = task.index
+    shared = set(index.eff_facts[first])
+    return not shared.isdisjoint(index.pre_facts[second] + index.eff_facts[second])
 
 
 def sp_filter(

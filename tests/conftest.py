@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,20 @@ import pytest
 from porplan import Action, PartialAssignment, State, Task, Variable
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_WORKLOADS = ("counters-bfs", "random-astar-blind", "logistics-astar-hmax")
+
+
+def perfbench_corpus():
+    """perfbench/corpus.py, the benchmark's instance generator, loaded from
+    its file without putting perfbench on sys.path."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "corpus.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def build_task(domains, actions, initial, goal, uses_metric=False, names=None):

@@ -275,7 +275,7 @@ def _pdg_scan_oracle(task, state, dtgs):
             # potential precondition of G_j
             for e in desc_e[j]:
                 for o in e.actions:
-                    if (i, state[i]) in task.actions[o].precondition.pairs:
+                    if (i, state[i]) in task.actions[o].precondition.entries:
                         edges.add((i, j))
             # potential dependent of G_j, plus co-movement
             for e in dtgs[i].edges:
@@ -284,7 +284,7 @@ def _pdg_scan_oracle(task, state, dtgs):
                 for o in e.actions:
                     act = task.actions[o]
                     for w in desc_v[j]:
-                        if (j, w) in act.precondition.pairs:
+                        if (j, w) in act.precondition.entries:
                             edges.add((i, j))
                     if j in act.effect.variables:
                         edges.add((i, j))

@@ -4,6 +4,7 @@ import pytest
 
 from porplan import (
     Limits,
+    NotApplicable,
     astar,
     bfs,
     gbfs,
@@ -20,7 +21,7 @@ from porplan.oracle import (
     generate_random_task,
 )
 from porplan.search import RESOURCE_LIMIT, SOLVED, UNSOLVABLE
-from porplan.strategies import StrategyConfig
+from porplan.strategies import ExpansionStrategy, StrategyConfig
 
 from conftest import FIXTURES
 
@@ -86,6 +87,29 @@ def test_bfs_golden_counts(two_switches):
         assert result.outcome == SOLVED
         assert result.plan.cost == 2
         assert result.expanded == expanded, kind
+
+
+class _Inapplicable(ExpansionStrategy):
+    """Returns every action, applicable or not."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def expansion(self, ctx):
+        return tuple(range(len(self.task.actions)))
+
+
+@pytest.mark.parametrize("search", ["astar", "gbfs", "bfs"])
+def test_engine_rejects_inapplicable_action(two_switches, search):
+    # both actions apply at the initial state; at either successor the
+    # stub offers again the action just applied, whose precondition fails
+    strategy = _Inapplicable(two_switches)
+    with pytest.raises(NotApplicable):
+        if search == "bfs":
+            bfs(two_switches, strategy)
+        else:
+            engine = astar if search == "astar" else gbfs
+            engine(two_switches, make_heuristic(two_switches, "blind"), strategy)
 
 
 def test_bfs_requires_unit_costs(build):

@@ -17,7 +17,7 @@ from porplan import (
     sp_filter,
     stratify,
 )
-from conftest import FIXTURES
+from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -58,6 +58,60 @@ def test_full_expansion(two_switches, build):
     assert full_expansion(two_switches, State((1, 1))) == ()
     empty = build(domains=[2], actions=[], initial=[0], goal=[])
     assert full_expansion(empty, empty.initial) == ()
+
+
+def _scan(task, state):
+    return tuple(a.id for a in task.actions if applicable(state, a))
+
+
+def _reachable(task, limit):
+    """Up to limit states reachable from the initial state, breadth first,
+    found with the model's own applicable/apply_action."""
+    seen = {task.initial}
+    queue = [task.initial]
+    for state in queue:
+        for a in task.actions:
+            if len(seen) < limit and applicable(state, a):
+                succ = apply_action(state, a)
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(succ)
+    return queue
+
+
+def test_full_expansion_matches_scan(build):
+    # actions 0 and 2 have empty preconditions; 3 reads two variables
+    unconditional = build(
+        domains=[3, 2, 2],
+        actions=[
+            ("set0", [], [(0, 2)]),
+            ("need0", [(0, 1)], [(1, 1)]),
+            ("flip", [], [(1, 0), (2, 1)]),
+            ("both", [(0, 2), (1, 0)], [(2, 0)]),
+        ],
+        initial=[1, 1, 0],
+        goal=[(2, 1)],
+    )
+    tasks = [unconditional]
+    tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    checked = 0
+    for task in tasks:
+        for state in _reachable(task, 1000):
+            assert full_expansion(task, state) == _scan(task, state)
+            checked += 1
+    for _, task, graph in default_task_stream(60):
+        for values in graph.states:
+            state = State(values)
+            assert full_expansion(task, state) == _scan(task, state)
+            checked += 1
+    corpus = perfbench_corpus()
+    for workload in BENCH_WORKLOADS:
+        for instance in corpus.instances(workload, 1)[:2]:
+            task = parse_sas(instance.text)
+            for state in _reachable(task, 150):
+                assert full_expansion(task, state) == _scan(task, state)
+                checked += 1
+    assert checked > 1000
 
 
 def test_landmark_action_set(two_switches):
