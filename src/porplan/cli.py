@@ -217,36 +217,39 @@ def cmd_inspect(args) -> int:
     return EXIT_SOLVED
 
 
+# verify's suites in report order; each runner takes (tasks, args, strategy factory)
+_SUITES = {
+    "comm": lambda tasks, args, factory: oracle.suite_commutativity(
+        tasks, args.samples, seed=0
+    ),
+    "stubborn": lambda tasks, args, factory: oracle.suite_stubborn(
+        tasks, horizon=args.horizon, strategy_factory=factory
+    ),
+    "optimality": lambda tasks, args, factory: oracle.suite_optimality(
+        tasks, strategy_factory=factory
+    ),
+    "sp": lambda tasks, args, factory: oracle.suite_sp(tasks, horizon=min(args.horizon, 5)),
+    "lemma": lambda tasks, args, factory: oracle.suite_lemma(
+        tasks, horizon=min(args.horizon, 5)
+    ),
+    "ap": lambda tasks, args, factory: oracle.suite_action_preserving(
+        tasks, horizon=4, strategy_factory=factory
+    ),
+}
+
+
 def cmd_verify(args) -> int:
     tasks = oracle.default_task_stream(
         args.seeds, start=args.seed_start, max_states=args.max_states
     )
     factory = oracle.drop_one_sac if args.inject_fault == "sac-drop" else make_strategy
-    reports = []
-    suites = set(args.suites or ["all"])
-
-    def wants(name: str) -> bool:
-        return "all" in suites or name in suites
-
+    chosen = set(args.suites or ["all"])
     try:
-        if wants("comm"):
-            reports.append(oracle.suite_commutativity(tasks, args.samples, seed=0))
-        if wants("stubborn"):
-            reports.append(
-                oracle.suite_stubborn(
-                    tasks, horizon=args.horizon, strategy_factory=factory
-                )
-            )
-        if wants("optimality"):
-            reports.append(oracle.suite_optimality(tasks, strategy_factory=factory))
-        if wants("sp"):
-            reports.append(oracle.suite_sp(tasks, horizon=min(args.horizon, 5)))
-        if wants("lemma"):
-            reports.append(oracle.suite_lemma(tasks, horizon=min(args.horizon, 5)))
-        if wants("ap"):
-            reports.append(
-                oracle.suite_action_preserving(tasks, horizon=4, strategy_factory=factory)
-            )
+        reports = [
+            run(tasks, args, factory)
+            for name, run in _SUITES.items()
+            if "all" in chosen or name in chosen
+        ]
     except oracle.TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -263,18 +266,16 @@ def cmd_verify(args) -> int:
     return EXIT_SOLVED if payload["ok"] else EXIT_VIOLATIONS
 
 
+# bench's row keys, in CSV column order
+_BENCH_FIELDS = (
+    "instance", "strategy", "outcome", "cost", "expanded", "generated", "time_ms", "error"
+)
+
+
 def _bench_one(job: tuple[str, SearchSpec]) -> dict:
     path, spec = job
-    row = {
-        "instance": Path(path).stem,
-        "strategy": spec.por,
-        "outcome": None,
-        "cost": None,
-        "expanded": None,
-        "generated": None,
-        "time_ms": None,
-        "error": None,
-    }
+    row = dict.fromkeys(_BENCH_FIELDS)
+    row.update(instance=Path(path).stem, strategy=spec.por)
     try:
         row.update(_result_fields(solve(parse_sas(Path(path).read_text()), spec)))
     except (OSError, SasError, ValueError) as exc:
@@ -304,10 +305,9 @@ def cmd_bench(args) -> int:
     order = {s: i for i, s in enumerate(strategies)}
     rows.sort(key=lambda r: (r["instance"], order[r["strategy"]]))
 
-    fields = ["instance", "strategy", "outcome", "cost", "expanded", "generated", "time_ms", "error"]
     if args.csv_out:
         with open(args.csv_out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
     if args.json_out:
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suites",
         nargs="*",
-        choices=("all", "comm", "stubborn", "optimality", "sp", "lemma", "ap"),
+        choices=("all", *_SUITES),
         default=["all"],
     )
     p.add_argument("--json-out", default=None)

@@ -1,4 +1,4 @@
-"""Derived graph structures: DTGs, causal graph, ASG, PDG, stratification.
+"""Derived graph structures: DTGs, causal graph, ASG, PDG, condensation, stratification.
 
 Domain transition graphs carry a sentinel source vertex V0 for actions
 whose effect touches the variable but whose precondition does not mention
@@ -10,7 +10,7 @@ leaving the current value. Paths are walks; repetition is allowed.
 The causal graph, ASG and PDG are plain frozensets of (source, target)
 index pairs: variables for the causal graph and PDG, action ids for the
 ASG. DTGs and the stratification are immutable objects built once per
-task.
+task. EC and SP share one condensation, `closure_prefix_order`.
 """
 
 from __future__ import annotations
@@ -219,81 +219,50 @@ def build_pdg(
 
 
 def strongly_connected_components(
-    num_nodes: int, successors: dict[int, list[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan; each component is sorted, order is emission order."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(num_nodes):
-        if root in index_of:
-            continue
-        work = [(root, iter(successors.get(root, ())))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(successors.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(component))
-    return components
-
-
-def _condensation(
     num_nodes: int, edges: frozenset[tuple[int, int]]
-) -> tuple[list[list[int]], list[int], list[set[int]], list[set[int]]]:
-    """Strongly connected components and the acyclic graph between them.
-
-    Returns the components (each sorted), the component index of every
-    node, and for every component its successor and predecessor
-    components.
-    """
-    succ: dict[int, list[int]] = defaultdict(list)
+) -> list[list[int]]:
+    """Kosaraju's two-pass SCCs (Sharir, 1981), each sorted, in no promised order."""
+    succ: list[list[int]] = [[] for _ in range(num_nodes)]
+    pred: list[list[int]] = [[] for _ in range(num_nodes)]
     for u, w in edges:
         succ[u].append(w)
-    sccs = strongly_connected_components(num_nodes, succ)
-    scc_of = [0] * num_nodes
-    for idx, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = idx
-    out: list[set[int]] = [set() for _ in sccs]
-    into: list[set[int]] = [set() for _ in sccs]
-    for u, w in edges:
-        su, sw = scc_of[u], scc_of[w]
-        if su != sw:
-            out[su].add(sw)
-            into[sw].add(su)
-    return sccs, scc_of, out, into
+        pred[w].append(u)
+
+    # pass 1: the nodes in the order a search over successors finishes them
+    finished: list[int] = []
+    seen = [False] * num_nodes
+    for root in range(num_nodes):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:
+                work.pop()
+                finished.append(node)
+
+    # pass 2: from the latest finished node still unassigned, a search over
+    # predecessors collects exactly its component
+    components: list[list[int]] = []
+    assigned = [False] * num_nodes
+    for root in reversed(finished):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        component = [root]
+        for v in component:  # also visits the nodes appended on the way
+            for u in pred[v]:
+                if not assigned[u]:
+                    assigned[u] = True
+                    component.append(u)
+        components.append(sorted(component))
+    return components
 
 
 def stratify(
@@ -313,33 +282,32 @@ def stratify(
     if causal_graph is None:
         causal_graph = build_causal_graph(task)
     n = task.num_variables
-    sccs, scc_of, succ, pred = _condensation(n, causal_graph)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, w in causal_graph:
+        pred[w].append(u)
 
-    level = [1] * len(sccs)
-    remaining = [len(p) for p in pred]
-    ready = [i for i, count in enumerate(remaining) if count == 0]
-    while ready:
-        i = ready.pop()
-        for j in succ[i]:
-            level[j] = max(level[j], level[i] + 1)
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                ready.append(j)
+    # reversed, the sinks-first order lists every component after all of
+    # its predecessors; members of the component itself still read 0
+    components = closure_prefix_order(n, causal_graph)[::-1]
+    variable_level = [0] * n
+    for comp in components:
+        level = 1 + max((variable_level[u] for v in comp for u in pred[v]), default=0)
+        for v in comp:
+            variable_level[v] = level
 
     if tie_break == "distinct":
-        ranked = sorted(range(len(sccs)), key=lambda i: (level[i], -min(sccs[i])))
-        level = [0] * len(sccs)
-        for pos, i in enumerate(ranked, start=1):
-            level[i] = pos
+        ranked = sorted(components, key=lambda comp: (variable_level[comp[0]], -comp[0]))
+        for pos, comp in enumerate(ranked, start=1):
+            for v in comp:
+                variable_level[v] = pos
 
-    variable_level = tuple(level[scc_of[v]] for v in range(n))
     action_level = []
     for action in task.actions:
         levels = {variable_level[v] for v in action.effect.variables}
         if len(levels) != 1:
             raise MixedEffectLevels(action.id)
         action_level.append(levels.pop())
-    return Stratification(variable_level, tuple(action_level))
+    return Stratification(tuple(variable_level), tuple(action_level))
 
 
 def closure_prefix_order(
@@ -350,8 +318,20 @@ def closure_prefix_order(
     Deterministic: among ready components the one containing the smallest
     node is emitted first.
     """
-    sccs, _, succ, pred = _condensation(num_nodes, edges)
-    remaining = [len(s) for s in succ]
+    sccs = strongly_connected_components(num_nodes, edges)
+    scc_of = [0] * num_nodes
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = i
+    # a component is ready once every component it has an edge to is out
+    pred: list[set[int]] = [set() for _ in sccs]
+    remaining = [0] * len(sccs)
+    for u, w in edges:
+        su, sw = scc_of[u], scc_of[w]
+        if su != sw and su not in pred[sw]:
+            pred[sw].add(su)
+            remaining[su] += 1
+
     ready = [(comp[0], i) for i, comp in enumerate(sccs) if remaining[i] == 0]
     heapq.heapify(ready)
     order: list[list[int]] = []

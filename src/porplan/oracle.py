@@ -583,7 +583,7 @@ def default_task_stream(
     """First `count` seeds from `start` whose task fits the state cap.
 
     Sizes vary deterministically with the seed within the generator
-    bounds. Walk-mode goals make every returned task solvable.
+    bounds. Random-walk goals make every returned task solvable.
     """
     out: list[tuple[int, Task, StateSpaceGraph]] = []
     seed = start
@@ -775,7 +775,6 @@ class RandomTaskSpec:
     num_actions: int = 8
     goal_size: int = 2
     cost_mode: str = "unit"  # or "random"
-    goal_mode: str = "walk"  # or "random"
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_variables <= 6:
@@ -788,12 +787,10 @@ class RandomTaskSpec:
             raise ValueError("goal size must be positive")
         if self.cost_mode not in ("unit", "random"):
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
-        if self.goal_mode not in ("walk", "random"):
-            raise ValueError(f"unknown goal mode {self.goal_mode!r}")
 
 
 def generate_random_task(spec: RandomTaskSpec) -> Task:
-    """Deterministic per seed; walk-mode goals are reachable by construction."""
+    """Deterministic per seed; goals come from a random walk, so they are reachable."""
     rng = random.Random(spec.seed)
     n = spec.num_variables
     domains = [rng.randint(2, spec.max_domain) for _ in range(n)]
@@ -818,19 +815,15 @@ def generate_random_task(spec: RandomTaskSpec) -> Task:
 
     initial = tuple(rng.randrange(d) for d in domains)
     goal_size = min(spec.goal_size, n)
-    if spec.goal_mode == "walk":
-        rows = [(a.precondition.entries, a.effect.entries, a.cost) for a in actions]
-        values = initial
-        for _ in range(rng.randint(1, n + 2)):
-            moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
-            if not moves:
-                break
-            values = _result(values, rows[rng.choice(moves)][1])
-        goal_vars = sorted(rng.sample(range(n), goal_size))
-        goal = tuple((v, values[v]) for v in goal_vars)
-    else:
-        goal_vars = sorted(rng.sample(range(n), goal_size))
-        goal = tuple((v, rng.randrange(domains[v])) for v in goal_vars)
+    rows = [(a.precondition.entries, a.effect.entries, a.cost) for a in actions]
+    values = initial
+    for _ in range(rng.randint(1, n + 2)):
+        moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
+        if not moves:
+            break
+        values = _result(values, rows[rng.choice(moves)][1])
+    goal_vars = sorted(rng.sample(range(n), goal_size))
+    goal = tuple((v, values[v]) for v in goal_vars)
 
     return Task(
         variables=variables,

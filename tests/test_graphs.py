@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 
 from porplan import (
@@ -22,7 +25,12 @@ from porplan.graphs import (
     potential_descendants,
     strongly_connected_components,
 )
-from porplan.oracle import RandomTaskSpec, brute_force_core, generate_random_task
+from porplan.oracle import (
+    RandomTaskSpec,
+    brute_force_core,
+    default_task_stream,
+    generate_random_task,
+)
 from porplan.strategies import ActionRelations, sac_fixpoint
 
 
@@ -131,8 +139,78 @@ def test_mixed_effect_levels(build):
 
 
 def test_scc_order():
-    comps = strongly_connected_components(4, {0: [1], 1: [0], 2: [3]})
+    comps = strongly_connected_components(4, frozenset({(0, 1), (1, 0), (2, 3)}))
     assert sorted(map(tuple, comps)) == [(0, 1), (2,), (3,)]
+
+
+def _condensation_by_definition(num_nodes, edges):
+    """Components, sinks-first emission and canonical levels computed from
+    their definitions, sharing no code with porplan.graphs."""
+    succ = {v: {w for u, w in edges if u == v} for v in range(num_nodes)}
+    reach = []
+    for v in range(num_nodes):  # plain BFS
+        seen, queue = {v}, deque([v])
+        while queue:
+            for w in succ[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    comp_of = {v: frozenset(w for w in reach[v] if v in reach[w]) for v in range(num_nodes)}
+    components = set(comp_of.values())
+
+    # each step emits, among the components whose edges all end in emitted
+    # components or in themselves, the one holding the smallest node
+    order, emitted = [], set()
+    while len(order) < len(components):
+        ready = [
+            c for c in components
+            if not c & emitted and all(w in emitted or w in c for v in c for w in succ[v])
+        ]
+        first = min(ready, key=min)
+        order.append(sorted(first))
+        emitted |= first
+
+    preds = {c: {comp_of[u] for u, w in edges if w in c} - {c} for c in components}
+    memo = {}
+
+    def level(c):  # 1 + the longest condensation path ending in c
+        if c not in memo:
+            memo[c] = 1 + max((level(p) for p in preds[c]), default=0)
+        return memo[c]
+
+    return components, order, [level(comp_of[v]) for v in range(num_nodes)]
+
+
+def _random_digraphs(count):
+    rng = random.Random(7)
+    for _ in range(count):
+        n = rng.randint(1, 30)
+        density = rng.choice((0.02, 0.08, 0.2))
+        yield n, frozenset(
+            (u, w) for u in range(n) for w in range(n) if rng.random() < density
+        )
+
+
+def test_condensation_matches_definition(build):
+    """Pins the components, closure_prefix_order's tie-break (EC's expansion
+    sets depend on it) and the canonical and distinct stratification."""
+    graphs = [
+        (n, edges, build(domains=[2] * n, actions=[], initial=[0] * n, goal=[]))
+        for n, edges in _random_digraphs(300)
+    ]
+    graphs += [(task.num_variables, build_causal_graph(task), task)
+               for _, task, _ in default_task_stream(60)]
+    for n, edges, task in graphs:
+        components, order, levels = _condensation_by_definition(n, edges)
+        assert {frozenset(c) for c in strongly_connected_components(n, edges)} == components
+        assert closure_prefix_order(n, edges) == order
+        assert stratify(task, edges).variable_level == tuple(levels)
+        ranked = sorted(components, key=lambda c: (levels[min(c)], -min(c)))
+        distinct = {v: pos for pos, c in enumerate(ranked, start=1) for v in c}
+        assert stratify(task, edges, "distinct").variable_level == tuple(
+            distinct[v] for v in range(n)
+        )
 
 
 def test_closure_prefix_order_is_closed():
