@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import State, Task
+from .model import State, Task, ids
 
 V0 = -1  # sentinel DTG vertex for effects without an own-variable precondition
 
@@ -79,7 +79,7 @@ class MixedEffectLevels(Exception):
 def build_dtg(task: Task, var: int) -> DTG:
     """Transitions of one variable; parallel actions merge into one edge."""
     by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for a in task.index.writers[var]:
+    for a in ids(task.index.writer_masks[var]):
         action = task.actions[a]
         pre = action.precondition.value_of(var)
         source = V0 if pre is None else pre
@@ -111,14 +111,12 @@ def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
 def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
     """Action support graph at the state: edge (a, b) when a is not
     applicable and some effect entry of b is a precondition entry of a."""
-    index = task.index
-    applicable = index.applicable_mask(state.values)
+    applicable = task.index.applicable_mask(state.values)
     return frozenset(
         (a, b)
-        for a, facts in enumerate(index.pre_facts)
+        for a, support in enumerate(task.index.support)
         if not applicable >> a & 1
-        for f in facts
-        for b in index.achievers[f]
+        for b in ids(support)
     )
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import add, and_
-from typing import Iterable, Iterator
+from operator import add, and_, itemgetter, or_
+from typing import Callable, Iterable, Iterator
 
 
 class InvalidTask(ValueError):
@@ -68,6 +68,10 @@ class PartialAssignment:
 
     entries: tuple[tuple[int, int], ...]
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # holds_in compares _read(state values) with _values: one bare value
+    # for a single entry, a tuple otherwise (the empty slice when empty)
+    _read: Callable = field(init=False, repr=False, compare=False)
+    _values: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_var: dict[int, int] = {}
@@ -79,6 +83,10 @@ class PartialAssignment:
             by_var[var] = val
         object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
         object.__setattr__(self, "variables", tuple(v for v, _ in self.entries))
+        values = tuple(val for _, val in self.entries)
+        read = itemgetter(*self.variables) if values else itemgetter(slice(0))
+        object.__setattr__(self, "_read", read)
+        object.__setattr__(self, "_values", values[0] if len(values) == 1 else values)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> PartialAssignment:
@@ -91,7 +99,7 @@ class PartialAssignment:
         return None
 
     def holds_in(self, state: State) -> bool:
-        return all(state.values[v] == val for v, val in self.entries)
+        return self._read(state.values) == self._values
 
     def conflicts_with(self, other: PartialAssignment) -> bool:
         """True when some variable receives different values in the two."""
@@ -150,6 +158,15 @@ class Plan:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def ids(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a non-negative mask, ascending."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    # a list first: a tuple grown from an iterator is resized, and CPython
+    # then parks it in the free list of its final size instead of reusing
+    # it (about 1 MB more peak memory over a SAC corpus run)
+    return tuple([*compress(count(), bits)])
+
+
 def _inverse(size: int, keys_of: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """For each key below size, the ascending positions whose keys hold it."""
     lists: list[list[int]] = [[] for _ in range(size)]
@@ -159,15 +176,26 @@ def _inverse(size: int, keys_of: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
     return tuple(map(tuple, lists))
 
 
+def _masks(lists: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The bit mask of each id list."""
+    return tuple(sum(1 << a for a in members) for members in lists)
+
+
 class ActionIndex:
     """The action tables of one task, built once with the Task.
 
     Fact (var, value) has the dense id offsets[var] + value; offsets[-1]
     is the number of facts. Per action a: eff[a] holds its effect entries,
     pre_facts[a] and eff_facts[a] the fact ids of its precondition and
-    effect, pre_count[a] the precondition size. Per fact: achievers
-    (actions whose effect sets it) and consumers (actions whose
-    precondition needs it). Per variable: writers. All ascending.
+    effect, pre_count[a] the precondition size. Per fact: consumers, the
+    ascending actions whose precondition needs it.
+
+    Action sets are bit masks, bit a for action a; ids() reads one out.
+    Per fact: achiever_masks (the effect sets it), consumer_masks and
+    compatible (no precondition entry contradicts it). Per variable:
+    writer_masks. Per action a: support (the achievers of a's
+    precondition facts), pre_conflicts and eff_conflicts (the actions
+    b != a whose precondition, or effect, contradicts eff(a)).
     """
 
     def __init__(self, task: Task) -> None:
@@ -177,29 +205,36 @@ class ActionIndex:
         self.pre_facts = tuple(tuple(off[v] + x for v, x in a.precondition) for a in actions)
         self.eff_facts = tuple(tuple(off[v] + x for v, x in eff) for eff in self.eff)
         self.pre_count = tuple(map(len, self.pre_facts))
-        self.achievers = _inverse(off[-1], self.eff_facts)
         self.consumers = _inverse(off[-1], self.pre_facts)
-        self.writers = _inverse(len(variables), (a.effect.variables for a in actions))
-        # bit a of _compatible[f]: no precondition entry of action a
-        # contradicts fact f (a needs f or reads nothing on f's variable);
-        # an action reads a variable at most once, so sum is a union here
+        self.consumer_masks = needs = _masks(self.consumers)
+        self.achiever_masks = achievers = _masks(_inverse(off[-1], self.eff_facts))
+        self.writer_masks = _masks(_inverse(len(variables), (a.effect.variables for a in actions)))
+        # an action reads a variable at most once, so the OR over the
+        # variable's facts is the actions reading it at all
         self._all = (1 << len(actions)) - 1
-        needs = [sum(1 << a for a in users) for users in self.consumers]
-        self._compatible = tuple(
-            (self._all & ~sum(needs[off[v] : off[v + 1]])) | needs[f]
+        self.compatible = tuple(
+            (self._all & ~reduce(or_, needs[off[v] : off[v + 1]])) | needs[f]
             for v in range(len(variables))
             for f in range(off[v], off[v + 1])
+        )
+        self.support = tuple(reduce(or_, map(achievers.__getitem__, pre), 0) for pre in self.pre_facts)
+        self.pre_conflicts = tuple(
+            reduce(or_, (self._all ^ self.compatible[f] for f in facts), 0) & ~(1 << a)
+            for a, facts in enumerate(self.eff_facts)
+        )
+        self.eff_conflicts = tuple(
+            reduce(or_, (self.writer_masks[v] & ~achievers[off[v] + x] for v, x in eff), 0)
+            for eff in self.eff
         )
 
     def applicable_mask(self, values: tuple[int, ...]) -> int:
         """Bit a is set iff action a is applicable in the state values."""
         facts = map(add, self.offsets, values)
-        return reduce(and_, map(self._compatible.__getitem__, facts), self._all)
+        return reduce(and_, map(self.compatible.__getitem__, facts), self._all)
 
     def applicable_ids(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """The applicable action ids in the state values, ascending."""
-        bits = bin(self.applicable_mask(values))[:1:-1].encode().translate(_BIT_FLAGS)
-        return tuple(compress(count(), bits))
+        return ids(self.applicable_mask(values))
 
 
 @dataclass(frozen=True)

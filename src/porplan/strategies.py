@@ -5,23 +5,25 @@ may the search apply. "none" returns all of them, generated from the
 task's ActionIndex (full_expansion). EC keeps the applicable actions that
 write a dependency-closed DTG prefix of the potential dependency graph.
 SAC closes a landmark action set under ASG support and conflict rules and
-keeps the applicable members, testing both against one applicability mask
-per state. SP is a filter over the full set driven by causal-graph levels
-and the action that generated the node.
+keeps the applicable members. Both work on the index's action bit masks
+and AND the result with the state's applicability mask. SP is a filter
+over the full set driven by causal-graph levels and the action that
+generated the node.
 
 Each kind is one class behind the ExpansionStrategy protocol; build them
-with make_strategy. The none, SP and SAC objects hold only per-task
-precomputation (DTGs, ActionRelations, the stratification) and never
-change after construction. EC fills a (variable, value) descendants
-cache during search, so an EC object is mutated by every search that
-uses it: give each thread its own.
+with make_strategy. The none and SAC objects hold only their task, SP
+also its stratification; none of them changes after construction. EC
+holds the DTGs and fills a (variable, value) descendants cache during
+search, so an EC object is mutated by every search that uses it: give
+each thread its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
-from typing import Hashable, Iterable, NamedTuple, Protocol, Sequence
+from functools import reduce
+from operator import add, or_
+from typing import Hashable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
     DTG,
@@ -31,7 +33,7 @@ from .graphs import (
     closure_prefix_order,
     stratify,
 )
-from .model import State, Task, applicable, apply_action, conflict_free
+from .model import State, Task, applicable, apply_action, conflict_free, ids
 
 
 class NoUnachievedGoal(Exception):
@@ -76,120 +78,67 @@ def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
     return [v for v, g in task.goal if state[v] != g]
 
 
-def landmark_action_set(
-    task: Task,
-    state: State,
-    dtgs: Sequence[DTG],
-) -> frozenset[int]:
-    """Actions of which every solution from the state must use at least one.
+def landmark_action_set(task: Task, state: State) -> int:
+    """Mask of actions of which every solution from the state must use one.
 
-    Picks one unachieved goal-related DTG and returns the actions on its
+    Picks one unachieved goal-related DTG and takes the actions on its
     transitions leaving the current value, V0-source transitions included
     (an action without an own-variable precondition can be the first
-    mover). The DTG with the fewest such actions wins, ties to the lowest
-    variable id.
+    mover): the variable's writers compatible with its current value. The
+    DTG with the fewest such actions wins, ties to the lowest variable id.
     """
-    unachieved = _unachieved_goal_variables(task, state)
-    if not unachieved:
+    index = task.index
+    leaving = [
+        index.writer_masks[v] & index.compatible[index.offsets[v] + state[v]]
+        for v in _unachieved_goal_variables(task, state)
+    ]
+    if not leaving:
         raise NoUnachievedGoal("state satisfies the goal")
-    best: frozenset[int] | None = None
-    best_key: tuple[int, int] | None = None
-    for var in unachieved:
-        actions: set[int] = set()
-        for e in dtgs[var].edges_leaving(state[var]):
-            actions.update(e.actions)
-        key = (len(actions), var)
-        if best_key is None or key < best_key:
-            best, best_key = frozenset(actions), key
-    assert best is not None
-    return best
-
-
-class ActionRelations:
-    """State-independent pairwise action analysis, built once per task.
-
-    pre_conflicts[a] lists, in ascending order, the actions b != a whose
-    precondition clashes with eff(a), eff_conflicts[a] those whose effect
-    does. Both are read off the task index's per-fact consumers and
-    achievers of the other values of eff(a)'s variables, so building them
-    touches only actions sharing a variable with eff(a); every per-state
-    closure then only walks these lists.
-    """
-
-    def __init__(self, task: Task) -> None:
-        index = task.index
-        off = index.offsets
-
-        def clashing(by_fact: Sequence[Sequence[int]], a: int) -> list[int]:
-            return sorted({
-                b
-                for var, val in index.eff[a]
-                for f in range(off[var], off[var + 1])
-                if f != off[var] + val
-                for b in by_fact[f]
-                if b != a
-            })
-
-        actions = range(len(task.actions))
-        self.pre_conflicts = [clashing(index.consumers, a) for a in actions]
-        self.eff_conflicts = [clashing(index.achievers, a) for a in actions]
+    return min(leaving, key=int.bit_count)
 
 
 def sac_fixpoint(
     task: Task,
     state: State,
-    seed: Iterable[int],
-    relations: ActionRelations,
+    seed_mask: int,
     applicable_mask: int | None = None,
-) -> frozenset[int]:
-    """Joint support/conflict closure of a seed action set.
+) -> int:
+    """Joint support/conflict closure of a seed action mask.
 
-    Two rules, each processed once per member when it enters the set: an
-    inapplicable member pulls in every action supplying one of its
-    precondition entries (ASG support closure), and an applicable member
-    a pulls in every outside b whose effect conflicts with eff(a), or
-    whose precondition both conflicts with eff(a) and has an entry
-    holding in the state (conflict closure). Both rules depend only on
-    the member and the state, so the worklist reaches the unique least
-    fixpoint whatever order it visits members in. applicable_mask is the
-    task index's mask at the state, when the caller already has it.
+    Two rules, each applied once per member when it enters the set: an
+    inapplicable member a pulls in support[a], every action supplying one
+    of its precondition entries (ASG support closure), and an applicable
+    member a pulls in every b whose effect conflicts with eff(a), or whose
+    precondition both conflicts with eff(a) and has an entry holding in
+    the state (conflict closure). Both rules depend only on the member and
+    the state, so closing in rounds reaches the unique least fixpoint.
+    applicable_mask is the task index's mask at the state, when the caller
+    already has it.
     """
     index = task.index
     if applicable_mask is None:
         applicable_mask = index.applicable_mask(state.values)
-    held = set(map(add, index.offsets, state.values))  # the state's fact ids
-    members = set(seed)
-    work = list(members)
-    while work:
-        a_id = work.pop()
-        if applicable_mask >> a_id & 1:
-            pulled = relations.eff_conflicts[a_id] + [
-                b_id
-                for b_id in relations.pre_conflicts[a_id]
-                if b_id not in members and not held.isdisjoint(index.pre_facts[b_id])
-            ]
-        else:
-            pulled = [b_id for f in index.pre_facts[a_id] for b_id in index.achievers[f]]
-        for b_id in pulled:
-            if b_id not in members:
-                members.add(b_id)
-                work.append(b_id)
-    return frozenset(members)
+    held = map(add, index.offsets, state.values)
+    touching = reduce(or_, map(index.consumer_masks.__getitem__, held), 0)
+    members = new = seed_mask
+    while new:
+        pulled = 0
+        for a in ids(new):
+            if applicable_mask >> a & 1:
+                pulled |= index.eff_conflicts[a] | index.pre_conflicts[a] & touching
+            else:
+                pulled |= index.support[a]
+        new = pulled & ~members
+        members |= new
+    return members
 
 
-def sac_expansion(
-    task: Task,
-    state: State,
-    dtgs: Sequence[DTG],
-    relations: ActionRelations,
-) -> frozenset[int]:
-    """Applicable members of the joint closure of a landmark action set."""
-    landmarks = landmark_action_set(task, state, dtgs)
-    if not landmarks:
-        return frozenset()
-    mask = task.index.applicable_mask(state.values)
-    members = sac_fixpoint(task, state, landmarks, relations, mask)
-    return frozenset(a_id for a_id in members if mask >> a_id & 1)
+def sac_expansion(task: Task, state: State) -> tuple[int, ...]:
+    """Applicable members of the joint closure of a landmark action set,
+    ascending."""
+    landmarks = landmark_action_set(task, state)
+    applicable = task.index.applicable_mask(state.values)
+    return ids(applicable & sac_fixpoint(task, state, landmarks, applicable))
 
 
 def ec_expansion(
@@ -197,8 +146,9 @@ def ec_expansion(
     state: State,
     dtgs: Sequence[DTG],
     cache: dict | None = None,
-) -> frozenset[int]:
-    """Applicable actions of a minimal dependency-closed DTG prefix.
+) -> tuple[int, ...]:
+    """Applicable actions of a minimal dependency-closed DTG prefix,
+    ascending.
 
     SCCs of PDG(s) are ordered sinks-first (every prefix then is a
     dependency closure); the prefix stops at the first component holding
@@ -207,18 +157,15 @@ def ec_expansion(
     unachieved = set(_unachieved_goal_variables(task, state))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
+    index = task.index
     pdg = build_pdg(task, state, dtgs, cache)
-    prefix: set[int] = set()
+    writers = 0
     for component in closure_prefix_order(task.num_variables, pdg):
-        prefix.update(component)
+        for v in component:
+            writers |= index.writer_masks[v]
         if unachieved.intersection(component):
             break
-    actions = task.actions
-    return frozenset(
-        a
-        for a in full_expansion(task, state)
-        if not prefix.isdisjoint(actions[a].effect.variables)
-    )
+    return ids(index.applicable_mask(state.values) & writers)
 
 
 def is_follow_up(task: Task, first: int, second: int) -> bool:
@@ -313,7 +260,7 @@ class EcStrategy(ExpansionStrategy):
         self._desc_cache: dict = {}
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return tuple(sorted(ec_expansion(self.task, ctx.state, self.dtgs, self._desc_cache)))
+        return ec_expansion(self.task, ctx.state, self.dtgs, self._desc_cache)
 
 
 class SpStrategy(ExpansionStrategy):
@@ -344,11 +291,9 @@ class SacStrategy(ExpansionStrategy):
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.dtgs = build_all_dtgs(task)
-        self._relations = ActionRelations(task)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return tuple(sorted(sac_expansion(self.task, ctx.state, self.dtgs, self._relations)))
+        return sac_expansion(self.task, ctx.state)
 
 
 _STRATEGIES = {"none": FullStrategy, "ec": EcStrategy, "sp": SpStrategy, "sac": SacStrategy}

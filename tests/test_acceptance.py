@@ -37,7 +37,7 @@ from porplan.oracle import (
     suite_stubborn,
 )
 from porplan.sas_io import SasError
-from porplan.strategies import ActionRelations, ExpansionContext, StrategyConfig
+from porplan.strategies import ExpansionContext, StrategyConfig
 
 from conftest import FIXTURES, build_task
 from test_sas_io import _mutate
@@ -88,9 +88,9 @@ def test_criterion_02_golden_expansion_sets():
         start = time.perf_counter()
         chosen = ec_expansion(task, task.initial, dtgs)
         after_a = sp_filter(task, strat, ExpansionContext(State((1, 0)), 0), (1,))
-        landmark_core = sac_expansion(task, task.initial, dtgs, ActionRelations(task))
+        landmark_core = sac_expansion(task, task.initial)
         timings.append(time.perf_counter() - start)
-    assert len(chosen) == 1 and chosen <= {0, 1}
+    assert len(chosen) == 1 and set(chosen) <= {0, 1}
     assert strat.action_level[0] > strat.action_level[1]
     assert after_a == ()  # b pruned after a
     assert len(landmark_core) == 1

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from porplan.cli import main
 from porplan import emit_sas, oracle
@@ -351,3 +353,75 @@ def test_inspect_dtg_output_is_pinned(capsys):
         '  "x1=0" -> "x1=1" [label="a"];\n'
         "}\n\n"
     )
+
+
+# argv fuzz for plan and inspect (verify has no run-wide time bound and
+# bench --workers starts processes). Every file name is relative to the
+# test's working directory, so no output, the default sas_plan included,
+# can land outside it.
+_FUZZ_FILES = ["two_switches.sas", "enable_chain.sas", "support_chain.sas", "mutated.sas",
+               "missing.sas", ".", ""]
+_FUZZ_TARGETS = ["dtg:0", "dtg:7", "dtg:x", "cg", "strata", "bogus", "asg@initial",
+                 "asg@0,0", "asg@0,0,2", "asg@1,-1", "pdg@initial", "pdg@x",
+                 "expansion@initial", "expansion@1,1", "expansion@"]
+_FUZZ_OUTPUTS = ["out.txt", ".", "nodir/out.txt"]
+_FUZZ_OPTIONS = {
+    "plan": {
+        "--search": ["astar", "gbfs", "bfs"],
+        "--heuristic": ["blind", "goalcount", "hmax", "hadd"],
+        "--por": ["none", "ec", "sp", "sac"],
+        "--max-time": ["0", "0.5", "inf"],
+        "--max-nodes": ["0", "1", "3"],
+        "--sp-closed": ["state", "state-level"],
+        "--strat-tiebreak": ["canonical", "distinct"],
+        "--plan-out": _FUZZ_OUTPUTS,
+        "--stats-json": _FUZZ_OUTPUTS,
+    },
+    "inspect": {"--out": _FUZZ_OUTPUTS},
+}
+_FUZZ_BAD = ["-1", "-0.5", "nan", "x", "", "--json", "--bogus", "-h"]
+_FUZZ_STDERR = re.compile(r"(usage: |\s|error: |porplan( \w+)?: error: )")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command, draw(st.sampled_from(_FUZZ_FILES))]
+    if command == "inspect":
+        argv += draw(st.lists(st.sampled_from(_FUZZ_TARGETS), max_size=3))
+    options = _FUZZ_OPTIONS[command]
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        value = draw(st.sampled_from(options[option]) | st.sampled_from(_FUZZ_BAD))
+        argv += [option, value]
+    return argv + draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=1))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    argv=_fuzz_argv(),
+    mutation=st.tuples(
+        st.sampled_from(["two_switches.sas", "enable_chain.sas", "support_chain.sas"]),
+        st.integers(0, 60),
+        st.sampled_from(["", "-1", "7", "x", "0 0", "begin_state", "end_operator"]),
+    ),
+)
+def test_cli_is_total_on_fuzzed_argv(tmp_path, monkeypatch, capsys, argv, mutation):
+    monkeypatch.chdir(tmp_path)
+    for path in FIXTURES.glob("*.sas"):
+        shutil.copy(path, path.name)
+    source, line, token = mutation
+    lines = (FIXTURES / source).read_text().splitlines()
+    lines[line % len(lines)] = token
+    (tmp_path / "mutated.sas").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code or 0
+    assert code in range(5)
+    err = capsys.readouterr().err
+    assert all(_FUZZ_STDERR.match(line) for line in err.splitlines() if line), err

@@ -31,7 +31,8 @@ from porplan.oracle import (
     default_task_stream,
     generate_random_task,
 )
-from porplan.strategies import ActionRelations, sac_fixpoint
+from porplan.model import ids
+from porplan.strategies import sac_fixpoint
 
 
 
@@ -261,7 +262,8 @@ def test_action_core(two_switches, enable_chain, support_chain, build):
     ]
     for task, state, seed, expected in cases:
         assert brute_force_core(task, state.values, seed) == frozenset(expected)
-        assert sac_fixpoint(task, state, seed, ActionRelations(task)) == frozenset(expected)
+        seed_mask = sum(1 << a for a in seed)
+        assert ids(sac_fixpoint(task, state, seed_mask)) == tuple(sorted(expected))
 
 
 def test_action_core_monotone_idempotent():
@@ -275,15 +277,14 @@ def test_action_core_monotone_idempotent():
 
 
 def test_action_closure(two_switches, build):
-    relations = ActionRelations(two_switches)
-    assert sac_fixpoint(two_switches, two_switches.initial, {0}, relations) == frozenset({0})
+    assert ids(sac_fixpoint(two_switches, two_switches.initial, 0b1)) == (0,)
     clash = build(
         domains=[2, 3],
         actions=[("one", [], [(1, 1)]), ("two", [], [(1, 2)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert sac_fixpoint(clash, clash.initial, {0}, ActionRelations(clash)) == frozenset({0, 1})
+    assert ids(sac_fixpoint(clash, clash.initial, 0b1)) == (0, 1)
     # an inapplicable seed without supporters pulls in nothing
     blocked = build(
         domains=[2, 2],
@@ -291,18 +292,18 @@ def test_action_closure(two_switches, build):
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert sac_fixpoint(blocked, blocked.initial, {0}, ActionRelations(blocked)) == frozenset({0})
+    assert ids(sac_fixpoint(blocked, blocked.initial, 0b1)) == (0,)
 
 
 def test_action_closure_superset_idempotent():
     for task in random_tasks(15):
         state = task.initial
-        ids = [a.id for a in task.actions]
-        relations = ActionRelations(task)
-        small = sac_fixpoint(task, state, ids[:1], relations)
-        large = sac_fixpoint(task, state, ids[:3], relations)
-        assert frozenset(ids[:1]) <= small <= large
-        assert sac_fixpoint(task, state, small, relations) == small
+        first = 0b1 if task.actions else 0
+        small = sac_fixpoint(task, state, first)
+        large = sac_fixpoint(task, state, 0b111 & (1 << len(task.actions)) - 1)
+        # as sets: first <= small <= large
+        assert first & ~small == 0 and small & ~large == 0
+        assert sac_fixpoint(task, state, small) == small
 
 
 # ---------------------------------------------------------------------------

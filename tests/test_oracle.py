@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from porplan import State, build_all_dtgs, make_strategy, sac_expansion
-from porplan.strategies import ActionRelations
+from porplan import State, make_strategy, sac_expansion
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -72,9 +71,7 @@ def test_stubborn_conditions_two_switches(two_switches):
     ok = check_stubborn_conditions(
         two_switches,
         init,
-        sac_expansion(
-            two_switches, init, build_all_dtgs(two_switches), ActionRelations(two_switches)
-        ),
+        sac_expansion(two_switches, init),
         horizon=4,
     )
     assert ok.ok

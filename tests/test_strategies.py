@@ -26,9 +26,9 @@ from porplan.oracle import (
     generate_random_task,
 )
 from porplan import strategies
+from porplan.model import ids
 from porplan.strategies import (
     KINDS,
-    ActionRelations,
     ExpansionContext,
     InvalidPath,
     NoUnachievedGoal,
@@ -115,11 +115,10 @@ def test_full_expansion_matches_scan(build):
 
 
 def test_landmark_action_set(two_switches):
-    dtgs = build_all_dtgs(two_switches)
-    assert landmark_action_set(two_switches, two_switches.initial, dtgs) == {0}
-    assert landmark_action_set(two_switches, State((1, 0)), dtgs) == {1}
+    assert ids(landmark_action_set(two_switches, two_switches.initial)) == (0,)
+    assert ids(landmark_action_set(two_switches, State((1, 0)))) == (1,)
     with pytest.raises(NoUnachievedGoal):
-        landmark_action_set(two_switches, State((1, 1)), dtgs)
+        landmark_action_set(two_switches, State((1, 1)))
 
 
 def test_landmark_set_is_a_landmark():
@@ -127,11 +126,10 @@ def test_landmark_set_is_a_landmark():
     for task, graph in solvable_tasks(25):
         from porplan.oracle import check_stubborn_conditions
 
-        dtgs = build_all_dtgs(task)
         initial = task.initial
         if task.goal.holds_in(initial):
             continue
-        landmarks = landmark_action_set(task, initial, dtgs)
+        landmarks = ids(landmark_action_set(task, initial))
         report = check_stubborn_conditions(
             task, initial, landmarks, horizon=6, graph=graph
         )
@@ -142,25 +140,21 @@ def test_landmark_includes_v0_movers(build):
     # the only goal mover carries no precondition on the goal variable
     task = build(domains=[2], actions=[("free", [], [(0, 1)])],
                  initial=[0], goal=[(0, 1)])
-    dtgs = build_all_dtgs(task)
-    assert landmark_action_set(task, task.initial, dtgs) == {0}
-    assert sac_expansion(task, task.initial, dtgs, ActionRelations(task)) == {0}
+    assert ids(landmark_action_set(task, task.initial)) == (0,)
+    assert sac_expansion(task, task.initial) == (0,)
 
 
 def test_sac_two_switches(two_switches):
-    dtgs = build_all_dtgs(two_switches)
-    relations = ActionRelations(two_switches)
-    assert sac_expansion(two_switches, two_switches.initial, dtgs, relations) == {0}
-    assert sac_expansion(two_switches, State((1, 0)), dtgs, relations) == {1}
+    assert sac_expansion(two_switches, two_switches.initial) == (0,)
+    assert sac_expansion(two_switches, State((1, 0))) == (1,)
 
 
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
     dtgs = build_all_dtgs(support_chain)
-    relations = ActionRelations(support_chain)
-    assert sac_expansion(support_chain, support_chain.initial, dtgs, relations) == {1}
-    assert ec_expansion(support_chain, support_chain.initial, dtgs) == {1, 2}
+    assert sac_expansion(support_chain, support_chain.initial) == (1,)
+    assert ec_expansion(support_chain, support_chain.initial, dtgs) == (1, 2)
 
 
 def test_sac_fixpoint_stable():
@@ -170,15 +164,13 @@ def test_sac_fixpoint_stable():
         return any(effect.get(v, x) != x for v, x in entries)
 
     for task, graph in solvable_tasks(20):
-        dtgs = build_all_dtgs(task)
-        relations = ActionRelations(task)
         for values in graph.states[:20]:
             state = State(values)
             if task.goal.holds_in(state):
                 continue
-            landmarks = landmark_action_set(task, state, dtgs)
-            fixpoint = sac_fixpoint(task, state, landmarks, relations)
-            assert landmarks <= fixpoint
+            landmarks = landmark_action_set(task, state)
+            fixpoint = set(ids(sac_fixpoint(task, state, landmarks)))
+            assert set(ids(landmarks)) <= fixpoint
             for a in (task.actions[i] for i in fixpoint):
                 pre_a = set(a.precondition.entries)
                 eff_a = dict(a.effect.entries)
@@ -194,10 +186,10 @@ def test_sac_fixpoint_stable():
                             clash(pre_b, eff_a) and any(values[v] == x for v, x in pre_b)
                         )
                     assert b.id in fixpoint or not pulled
-            expansion = sac_expansion(task, state, dtgs, relations)
-            assert expansion == {
-                a for a in fixpoint if applicable(state, task.actions[a])
-            }
+            expansion = sac_expansion(task, state)
+            assert expansion == tuple(
+                a for a in sorted(fixpoint) if applicable(state, task.actions[a])
+            )
 
 
 def test_action_relations_match_pairwise_definition(two_switches, enable_chain, support_chain):
@@ -205,15 +197,50 @@ def test_action_relations_match_pairwise_definition(two_switches, enable_chain, 
     tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
     tasks += [task for _, task, _ in default_task_stream(60)]
     for task in tasks:
-        relations = ActionRelations(task)
+        index = task.index
         for a in task.actions:
             others = [b for b in task.actions if b.id != a.id]
-            assert relations.pre_conflicts[a.id] == [
+            assert ids(index.pre_conflicts[a.id]) == tuple(
                 b.id for b in others if b.precondition.conflicts_with(a.effect)
-            ]
-            assert relations.eff_conflicts[a.id] == [
+            )
+            assert ids(index.eff_conflicts[a.id]) == tuple(
                 b.id for b in others if b.effect.conflicts_with(a.effect)
-            ]
+            )
+            # support: the actions sharing an entry of pre(a) in their effect
+            pre = set(a.precondition.entries)
+            assert ids(index.support[a.id]) == tuple(
+                b.id for b in task.actions if not pre.isdisjoint(b.effect.entries)
+            )
+
+
+def test_landmark_matches_dtg_definition():
+    # the actions on DTG edges leaving the current value, of the
+    # unachieved goal variable with the fewest, ties to the lowest variable
+    def from_dtgs(task, dtgs, state):
+        candidates = []
+        for v, g in task.goal:
+            if state[v] != g:
+                leaving = set()
+                for e in dtgs[v].edges_leaving(state[v]):
+                    leaving |= e.actions
+                candidates.append((len(leaving), v, tuple(sorted(leaving))))
+        return min(candidates)[2]
+
+    cases = []
+    for path in sorted(FIXTURES.glob("*.sas")):
+        task = parse_sas(path.read_text())
+        cases.append((task, _reachable(task, 10**4)))
+    for _, task, graph in default_task_stream(60):
+        cases.append((task, [State(values) for values in graph.states]))
+    checked = 0
+    for task, states in cases:
+        dtgs = build_all_dtgs(task)
+        for state in states:
+            if not task.goal.holds_in(state):
+                expected = from_dtgs(task, dtgs, state)
+                assert ids(landmark_action_set(task, state)) == expected
+                checked += 1
+    assert checked > 300
 
 
 def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
@@ -241,7 +268,7 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
 def test_ec_two_switches(two_switches):
     dtgs = build_all_dtgs(two_switches)
     chosen = ec_expansion(two_switches, two_switches.initial, dtgs)
-    assert len(chosen) == 1 and chosen <= {0, 1}
+    assert len(chosen) == 1 and set(chosen) <= {0, 1}
     with pytest.raises(NoUnachievedGoal):
         ec_expansion(two_switches, State((1, 1)), dtgs)
 
@@ -255,7 +282,7 @@ def test_ec_single_scc(build):
         goal=[(0, 1), (1, 1)],
     )
     dtgs = build_all_dtgs(task)
-    assert ec_expansion(task, task.initial, dtgs) == {0, 1}
+    assert ec_expansion(task, task.initial, dtgs) == (0, 1)
 
 
 def test_sp_filter(two_switches, enable_chain):
