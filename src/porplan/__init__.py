@@ -27,11 +27,11 @@ from .sas_io import emit_sas, parse_sas
 from .graphs import (
     DTG,
     Stratification,
-    build_all_dtgs,
     build_asg,
     build_causal_graph,
     build_dtg,
     build_pdg,
+    potential_masks,
     stratify,
 )
 from .strategies import (
@@ -74,7 +74,6 @@ __all__ = [
     "apply_action",
     "astar",
     "bfs",
-    "build_all_dtgs",
     "build_asg",
     "build_causal_graph",
     "build_dtg",
@@ -90,6 +89,7 @@ __all__ = [
     "make_heuristic",
     "make_strategy",
     "parse_sas",
+    "potential_masks",
     "sac_expansion",
     "solve",
     "sp_filter",

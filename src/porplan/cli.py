@@ -22,13 +22,13 @@ from pathlib import Path
 
 from . import oracle
 from .graphs import (
-    DTG,
-    build_all_dtgs,
     build_asg,
     build_causal_graph,
+    build_dtg,
     build_pdg,
     dtg_to_dot,
     graph_to_dot,
+    potential_masks,
     stratify,
 )
 from .heuristics import HEURISTICS
@@ -141,7 +141,7 @@ def _plain_graph(name: str, nodes: list[str], edges, as_json: bool) -> str:
     return graph_to_dot(name, nodes, edges)
 
 
-def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -> str:
+def _inspect_one(task: Task, token: str, as_json: bool) -> str:
     var_names = [v.name for v in task.variables]
     if token.startswith("dtg:"):
         try:
@@ -150,7 +150,7 @@ def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -
             raise _InputError(f"bad variable index in {token!r}") from None
         if not 0 <= var < task.num_variables:
             raise _InputError(f"no variable {var}")
-        dtg = dtgs[var]
+        dtg = build_dtg(task, var)
         if as_json:
             names = task.variables[var].value_names
             label = lambda v: "v0" if v < 0 else names[v]
@@ -177,7 +177,7 @@ def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -
         names = [a.name for a in task.actions]
         return _plain_graph("action_support_graph", names, edges, as_json)
     if token.startswith("pdg@"):
-        edges = build_pdg(task, _parse_state(task, token[4:]), dtgs)
+        edges = build_pdg(task, _parse_state(task, token[4:]), potential_masks(task))
         return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
         strat = stratify(task)
@@ -207,8 +207,7 @@ def _inspect_one(task: Task, dtgs: tuple[DTG, ...], token: str, as_json: bool) -
 
 def cmd_inspect(args) -> int:
     task = _load_task(args.file)
-    dtgs = build_all_dtgs(task)
-    chunks = [_inspect_one(task, dtgs, token, args.json) for token in args.show]
+    chunks = [_inspect_one(task, token, args.json) for token in args.show]
     text = "\n".join(chunks)
     if args.out:
         Path(args.out).write_text(text + "\n")

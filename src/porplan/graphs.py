@@ -2,23 +2,27 @@
 
 Domain transition graphs carry a sentinel source vertex V0 for actions
 whose effect touches the variable but whose precondition does not mention
-it. Such an action can fire at any current value, so all reachability
-used by the potential-descendant relations treats V0 as reachable from
-every vertex, and the potential-dependent rule treats V0-source edges as
-leaving the current value. Paths are walks; repetition is allowed.
+it; they are built for inspection and DOT output. The PDG reads per-fact
+action masks instead (potential_masks), built once per task from the
+action index, where an action without a precondition on a variable
+leaves every value of it, as a V0 edge does. Paths are walks;
+repetition is allowed.
 
 The causal graph, ASG and PDG are plain frozensets of (source, target)
 index pairs: variables for the causal graph and PDG, action ids for the
-ASG. DTGs and the stratification are immutable objects built once per
-task. EC and SP share one condensation, `closure_prefix_order`.
+ASG. DTGs, the potential masks and the stratification are immutable and
+built once per task. EC and SP share one condensation,
+`closure_prefix_order`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from operator import add, or_
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import State, Task, ids
 
@@ -39,25 +43,10 @@ class DTG:
     variable: int
     domain_size: int
     edges: tuple[DtgEdge, ...]
-    _leaving: dict[int, tuple[DtgEdge, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        leaving = {
-            value: tuple(e for e in self.edges if e.source in (value, V0))
-            for value in self.vertices
-        }
-        object.__setattr__(self, "_leaving", leaving)
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return (V0,) + tuple(range(self.domain_size))
-
-    def edges_leaving(self, value: int) -> tuple[DtgEdge, ...]:
-        """Edges traversable while the variable holds the given value,
-        V0-source edges included, in edge order."""
-        return self._leaving[value]
 
 
 @dataclass(frozen=True)
@@ -91,10 +80,6 @@ def build_dtg(task: Task, var: int) -> DTG:
     return DTG(var, task.variables[var].domain_size, edges)
 
 
-def build_all_dtgs(task: Task) -> tuple[DTG, ...]:
-    return tuple(build_dtg(task, v) for v in range(task.num_variables))
-
-
 def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
     """Edge (x, y): some action writes x and reads or writes y."""
     edges: set[tuple[int, int]] = set()
@@ -120,100 +105,71 @@ def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
     )
 
 
-def potential_descendants(
-    dtg: DTG, v: int, goal_value: int | None = None
-) -> tuple[frozenset[DtgEdge], frozenset[int]]:
-    """Edges that may still be traversed and domain values that may still
-    be visited, starting from domain value v.
+class PotentialMasks(NamedTuple):
+    """Action masks per fact (j, v), for a state where variable j holds v.
 
-    Goal-related case: edges and values lying on some walk from v to the
-    goal value. Non-goal case: everything reachable from v. V0 is
-    reachable from every vertex.
+    relevant: the writers of j on a transition that lies on a walk from v
+    to j's goal value, or on any walk from v when j has no goal value.
+    dependent: the writers of j, plus the consumers of every value of j
+    that such a walk visits.
     """
-    forward = {v, V0}
-    queue = [v]
-    while queue:
-        # edges_leaving includes the V0-source edges, so V0's successors
-        # are reached from the first vertex on
-        for e in dtg.edges_leaving(queue.pop()):
-            if e.target not in forward:
-                forward.add(e.target)
-                queue.append(e.target)
-    if goal_value is None:
-        edges = frozenset(e for e in dtg.edges if e.source in forward)
-        return edges, frozenset(forward - {V0})
 
-    pred: dict[int, list[int]] = defaultdict(list)
-    for e in dtg.edges:
-        pred[e.target].append(e.source)
-    backward = {goal_value}
-    queue = [goal_value]
-    while queue:
-        for u in pred[queue.pop()]:
-            if u not in backward:
-                backward.add(u)
-                queue.append(u)
-    if V0 in backward:
-        # any vertex can hop to V0, hence reach the goal value through it
-        backward.update(dtg.vertices)
-    edges = frozenset(
-        e for e in dtg.edges if e.source in forward and e.target in backward
-    )
-    return edges, frozenset((forward & backward) - {V0})
+    relevant: tuple[int, ...]
+    dependent: tuple[int, ...]
 
 
-def build_pdg(
-    task: Task,
-    state: State,
-    dtgs: Sequence[DTG],
-    cache: dict | None = None,
-) -> frozenset[tuple[int, int]]:
+def potential_masks(task: Task) -> PotentialMasks:
+    """The potential masks of every fact, from the task's action index.
+
+    A transition leaves value u when its action writes j and is compatible
+    with (j, u), so an action without a precondition on j leaves every
+    value; it moves j to w when the action achieves (j, w).
+    """
+    index = task.index
+    relevant: list[int] = []
+    dependent: list[int] = []
+    for j, goal in enumerate(map(task.goal.value_of, range(task.num_variables))):
+        facts = range(index.offsets[j], index.offsets[j + 1])
+        values = range(len(facts))
+        leaving = [index.writer_masks[j] & index.compatible[f] for f in facts]
+        successors = [
+            [w for w in values if leave & index.achiever_masks[facts[w]]] for leave in leaving
+        ]
+        reach = []  # reach[v]: the values some walk from v visits
+        for v in values:
+            seen = [v]
+            for u in seen:  # also visits the values appended on the way
+                seen += [w for w in successors[u] if w not in seen]
+            reach.append(set(seen))
+        onward = {u for u in values if goal is None or goal in reach[u]}
+        into = reduce(or_, (index.achiever_masks[facts[w]] for w in onward), 0)
+        for v in values:
+            relevant.append(into & reduce(or_, (leaving[u] for u in reach[v])))
+            visited = (index.consumer_masks[facts[w]] for w in reach[v] & onward)
+            dependent.append(reduce(or_, visited, index.writer_masks[j]))
+    return PotentialMasks(tuple(relevant), tuple(dependent))
+
+
+def build_pdg(task: Task, state: State, masks: PotentialMasks) -> frozenset[tuple[int, int]]:
     """Potential dependency graph over DTG indices at the state.
 
-    Edge (i, j): the current value of variable i is a potential
-    precondition or potential dependent of DTG j.
-
-    cache maps (variable, value) to its potential descendants; it only
-    depends on the task, so a caller may keep it across states.
+    Edge (i, j), i != j: an action on a still-relevant transition of
+    G_j requires variable i at its current value (potential precondition),
+    or an action moving G_i off its current value requires a value G_j
+    may still visit, or also writes j (potential dependent; without the
+    co-movement tie an outside writer of G_j breaks the front-swap
+    condition, since effects need not carry own-variable preconditions).
     """
-    n = task.num_variables
-    if cache is None:
-        cache = {}
-    descendants = []
-    for j in range(n):
-        key = (j, state[j])
-        if key not in cache:
-            cache[key] = potential_descendants(dtgs[j], state[j], task.goal.value_of(j))
-        descendants.append(cache[key])
-    edges: set[tuple[int, int]] = set()
-
-    for j in range(n):
-        # potential precondition: an action driving a still-relevant
-        # transition of G_j requires variable i at its current value
-        for e in descendants[j][0]:
-            for o in e.actions:
-                for i, val in task.actions[o].precondition:
-                    if i != j and state[i] == val:
-                        edges.add((i, j))
-
-    for i in range(n):
-        # potential dependent: an action moving G_i off its current value
-        # requires a still-reachable value of G_j
-        for e in dtgs[i].edges_leaving(state[i]):
-            for o in e.actions:
-                for j, w in task.actions[o].precondition:
-                    if j != i and w in descendants[j][1]:
-                        edges.add((i, j))
-                # co-movement: the same action also writes G_j, so a
-                # closure containing G_i may execute it and move G_j;
-                # without this tie an outside writer of G_j breaks the
-                # front-swap condition (effects need not carry
-                # own-variable preconditions, so no other rule fires)
-                for j in task.actions[o].effect.variables:
-                    if j != i:
-                        edges.add((i, j))
-
-    return frozenset(edges)
+    index = task.index
+    held = list(map(add, index.offsets, state.values))
+    needs = [index.consumer_masks[f] for f in held]
+    moves = [index.writer_masks[i] & index.compatible[f] for i, f in enumerate(held)]
+    return frozenset(
+        (i, j)
+        for j, f in enumerate(held)
+        for i, (need, move) in enumerate(zip(needs, moves))
+        if i != j and (masks.relevant[f] & need or masks.dependent[f] & move)
+    )
 
 
 def strongly_connected_components(

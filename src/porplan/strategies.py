@@ -11,11 +11,9 @@ over the full set driven by causal-graph levels and the action that
 generated the node.
 
 Each kind is one class behind the ExpansionStrategy protocol; build them
-with make_strategy. The none and SAC objects hold only their task, SP
-also its stratification; none of them changes after construction. EC
-holds the DTGs and fills a (variable, value) descendants cache during
-search, so an EC object is mutated by every search that uses it: give
-each thread its own.
+with make_strategy. The none and SAC objects hold only their task, EC
+also its potential masks and SP its stratification; none of them changes
+after construction, so concurrent searches can share one.
 """
 
 from __future__ import annotations
@@ -26,11 +24,11 @@ from operator import add, or_
 from typing import Hashable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
-    DTG,
+    PotentialMasks,
     Stratification,
-    build_all_dtgs,
     build_pdg,
     closure_prefix_order,
+    potential_masks,
     stratify,
 )
 from .model import State, Task, applicable, apply_action, conflict_free, ids
@@ -141,24 +139,19 @@ def sac_expansion(task: Task, state: State) -> tuple[int, ...]:
     return ids(applicable & sac_fixpoint(task, state, landmarks, applicable))
 
 
-def ec_expansion(
-    task: Task,
-    state: State,
-    dtgs: Sequence[DTG],
-    cache: dict | None = None,
-) -> tuple[int, ...]:
+def ec_expansion(task: Task, state: State, masks: PotentialMasks) -> tuple[int, ...]:
     """Applicable actions of a minimal dependency-closed DTG prefix,
     ascending.
 
     SCCs of PDG(s) are ordered sinks-first (every prefix then is a
     dependency closure); the prefix stops at the first component holding
-    an unachieved goal-related DTG.
+    an unachieved goal-related DTG. masks are the task's potential_masks.
     """
     unachieved = set(_unachieved_goal_variables(task, state))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
     index = task.index
-    pdg = build_pdg(task, state, dtgs, cache)
+    pdg = build_pdg(task, state, masks)
     writers = 0
     for component in closure_prefix_order(task.num_variables, pdg):
         for v in component:
@@ -168,11 +161,19 @@ def ec_expansion(
     return ids(index.applicable_mask(state.values) & writers)
 
 
+def _follow_ups(task: Task, first: int) -> int:
+    """Mask of the actions whose precondition or effect shares an entry
+    with eff(first)."""
+    index = task.index
+    mask = 0
+    for f in index.eff_facts[first]:
+        mask |= index.consumer_masks[f] | index.achiever_masks[f]
+    return mask
+
+
 def is_follow_up(task: Task, first: int, second: int) -> bool:
     """True when eff(first) shares an entry with pre(second) or eff(second)."""
-    index = task.index
-    shared = set(index.eff_facts[first])
-    return not shared.isdisjoint(index.pre_facts[second] + index.eff_facts[second])
+    return bool(_follow_ups(task, first) >> second & 1)
 
 
 def sp_filter(
@@ -189,10 +190,9 @@ def sp_filter(
     if gen is None:
         return tuple(applicable_ids)
     level = stratification.action_level
+    follow_ups = _follow_ups(task, gen)
     return tuple(
-        b
-        for b in applicable_ids
-        if level[b] >= level[gen] or is_follow_up(task, gen, b)
+        b for b in applicable_ids if level[b] >= level[gen] or follow_ups >> b & 1
     )
 
 
@@ -247,20 +247,14 @@ class FullStrategy(ExpansionStrategy):
 
 
 class EcStrategy(ExpansionStrategy):
-    """"ec": a dependency-closed DTG prefix.
-
-    The descendants cache fills lazily, one entry per (variable, value)
-    the search meets; building it eagerly would move that work into
-    set-up for values a search may never reach.
-    """
+    """"ec": a dependency-closed DTG prefix."""
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.dtgs = build_all_dtgs(task)
-        self._desc_cache: dict = {}
+        self.masks = potential_masks(task)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return ec_expansion(self.task, ctx.state, self.dtgs, self._desc_cache)
+        return ec_expansion(self.task, ctx.state, self.masks)
 
 
 class SpStrategy(ExpansionStrategy):

@@ -14,12 +14,12 @@ import time
 from porplan import (
     State,
     bfs,
-    build_all_dtgs,
     ec_expansion,
     emit_sas,
     make_heuristic,
     make_strategy,
     parse_sas,
+    potential_masks,
     sac_expansion,
     sp_filter,
     stratify,
@@ -80,13 +80,13 @@ def test_criterion_01_golden_bfs_counts():
 
 def test_criterion_02_golden_expansion_sets():
     task = two_switches_task()
-    dtgs = build_all_dtgs(task)
+    masks = potential_masks(task)
     strat = stratify(task, tie_break="distinct")
-    ec_expansion(task, task.initial, dtgs)  # warm
+    ec_expansion(task, task.initial, masks)  # warm
     timings = []
     for _ in range(3):
         start = time.perf_counter()
-        chosen = ec_expansion(task, task.initial, dtgs)
+        chosen = ec_expansion(task, task.initial, masks)
         after_a = sp_filter(task, strat, ExpansionContext(State((1, 0)), 0), (1,))
         landmark_core = sac_expansion(task, task.initial)
         timings.append(time.perf_counter() - start)

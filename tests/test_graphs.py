@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 
 from porplan import (
     State,
-    build_all_dtgs,
     build_asg,
     build_causal_graph,
     build_dtg,
     build_pdg,
+    parse_sas,
+    potential_masks,
     stratify,
 )
 from porplan.graphs import (
@@ -22,18 +23,21 @@ from porplan.graphs import (
     graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
-    potential_descendants,
     strongly_connected_components,
 )
 from porplan.oracle import (
     RandomTaskSpec,
     brute_force_core,
     default_task_stream,
+    enumerate_state_space,
     generate_random_task,
 )
+from conftest import FIXTURES
 from porplan.model import ids
 from porplan.strategies import sac_fixpoint
 
+# tasks drawn from each cost mode of the task stream for the PDG check
+PDG_TASKS = 300
 
 
 def random_tasks(count, **kw):
@@ -66,7 +70,6 @@ def test_dtg_rules_brute_force():
     # quadratic scan: every (action, variable) pair induces exactly the
     # prescribed edge
     for task in random_tasks(25):
-        dtgs = build_all_dtgs(task)
         for var in range(task.num_variables):
             expected = {}
             for o in task.actions:
@@ -76,7 +79,7 @@ def test_dtg_rules_brute_force():
                 pre = o.precondition.value_of(var)
                 src = V0 if pre is None else pre
                 expected.setdefault((src, post), set()).add(o.id)
-            got = {(e.source, e.target): set(e.actions) for e in dtgs[var].edges}
+            got = {(e.source, e.target): set(e.actions) for e in build_dtg(task, var).edges}
             assert got == expected
 
 
@@ -216,8 +219,7 @@ def test_condensation_matches_definition(build):
 
 def test_closure_prefix_order_is_closed():
     for task in random_tasks(20):
-        dtgs = build_all_dtgs(task)
-        pdg = build_pdg(task, task.initial, dtgs)
+        pdg = build_pdg(task, task.initial, potential_masks(task))
         order = closure_prefix_order(task.num_variables, pdg)
         assert sorted(v for comp in order for v in comp) == list(
             range(task.num_variables)
@@ -310,6 +312,47 @@ def test_action_closure_superset_idempotent():
 # potential descendants and the PDG
 
 
+def potential_descendants(dtg, v, goal_value=None):
+    """Edges that may still be traversed and domain values that may still
+    be visited, starting from domain value v: the DTG-walk definition that
+    graphs.potential_masks reproduces with action masks.
+
+    Goal-related case: edges and values lying on some walk from v to the
+    goal value. Non-goal case: everything reachable from v. V0 is
+    reachable from every vertex.
+    """
+    forward = {v, V0}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for e in dtg.edges:
+            # a V0-source edge leaves every vertex
+            if e.source in (u, V0) and e.target not in forward:
+                forward.add(e.target)
+                queue.append(e.target)
+    if goal_value is None:
+        edges = frozenset(e for e in dtg.edges if e.source in forward)
+        return edges, frozenset(forward - {V0})
+
+    pred = defaultdict(list)
+    for e in dtg.edges:
+        pred[e.target].append(e.source)
+    backward = {goal_value}
+    queue = [goal_value]
+    while queue:
+        for u in pred[queue.pop()]:
+            if u not in backward:
+                backward.add(u)
+                queue.append(u)
+    if V0 in backward:
+        # any vertex can hop to V0, hence reach the goal value through it
+        backward.update(dtg.vertices)
+    edges = frozenset(
+        e for e in dtg.edges if e.source in forward and e.target in backward
+    )
+    return edges, frozenset((forward & backward) - {V0})
+
+
 def _linear_dtg():
     return DTG(0, 3, (
         DtgEdge(0, 1, frozenset({0})),
@@ -337,6 +380,74 @@ def test_v0_edges_always_traversable():
     dtg = DTG(0, 2, (DtgEdge(V0, 1, frozenset({0})),))
     assert potential_descendants(dtg, 0, goal_value=1)[0] == frozenset(dtg.edges)
     assert potential_descendants(dtg, 1, goal_value=1)[1] == frozenset({1})
+
+
+# The three cases above as tasks. Fact (var, value) has id offset + value,
+# so with a first variable of domain d the next variable's facts start at d.
+
+
+def test_potential_masks_linear(build):
+    # x1: a moves 0 -> 1, b moves 1 -> 2 (the goal) and needs x2 = 0; x3
+    # has no goal value: c moves it 0 -> 1 and nothing leaves 1
+    task = build(
+        domains=[3, 2, 2],
+        actions=[
+            ("a", [(0, 0)], [(0, 1)]),
+            ("b", [(0, 1), (1, 0)], [(0, 2)]),
+            ("c", [(2, 0)], [(2, 1)]),
+        ],
+        initial=[0, 0, 0],
+        goal=[(0, 2)],
+    )
+    masks = potential_masks(task)
+    assert masks.relevant[0:3] == (0b011, 0b010, 0)
+    assert masks.relevant[5:7] == (0b100, 0)
+    # b still lies ahead of x1 = 0 and needs x2 at its current value
+    assert build_pdg(task, State((0, 0, 0)), masks) == {(1, 0)}
+    assert build_pdg(task, State((2, 0, 0)), masks) == frozenset()
+
+
+def test_potential_masks_goal_filter(build):
+    # x1: a moves 0 -> 1 (the goal), b moves it back, c to the dead end 2;
+    # d reads x1 = 2 to set x2
+    task = build(
+        domains=[3, 2],
+        actions=[
+            ("a", [(0, 0)], [(0, 1)]),
+            ("b", [(0, 1)], [(0, 0)]),
+            ("c", [(0, 0)], [(0, 2)]),
+            ("d", [(0, 2), (1, 0)], [(1, 1)]),
+        ],
+        initial=[0, 0],
+        goal=[(0, 1)],
+    )
+    masks = potential_masks(task)
+    # the back edge lies on a walk to the goal, the edge into 2 does not
+    assert masks.relevant[0:2] == (0b0011, 0b0011)
+    # 2 is reachable but on no such walk, so d is no dependent of x1
+    assert masks.dependent[0] == 0b0111
+    assert build_pdg(task, task.initial, masks) == frozenset()
+    # from 2 the goal is out of reach: nothing of x1 stays relevant, and
+    # x1 = 2 is a precondition of d, which moves x2
+    assert masks.relevant[2] == 0
+    assert build_pdg(task, State((2, 0)), masks) == {(0, 1)}
+
+
+def test_potential_masks_v0_edges(build):
+    # a sets x1 = 1 without reading x1 (a V0 edge), and needs x2 = 0
+    task = build(
+        domains=[2, 2],
+        actions=[("a", [(1, 0)], [(0, 1)])],
+        initial=[0, 0],
+        goal=[(0, 1)],
+    )
+    masks = potential_masks(task)
+    # a leaves both values of x1, so it stays relevant at the goal value
+    # and x1 keeps depending on x2 there; a moving x1 needs x2 = 0 too
+    assert masks.relevant[0:2] == (0b1, 0b1)
+    assert masks.dependent[1] == 0b1
+    for values in [(0, 0), (1, 0)]:
+        assert build_pdg(task, State(values), masks) == {(0, 1), (1, 0)}
 
 
 def _pdg_scan_oracle(task, state, dtgs):
@@ -370,17 +481,20 @@ def _pdg_scan_oracle(task, state, dtgs):
     return frozenset(edges)
 
 
+def _dtgs(task):
+    return [build_dtg(task, v) for v in range(task.num_variables)]
+
+
 def test_pdg_two_switches(two_switches):
-    dtgs = build_all_dtgs(two_switches)
-    assert build_pdg(two_switches, two_switches.initial, dtgs) == frozenset()
+    masks = potential_masks(two_switches)
+    assert build_pdg(two_switches, two_switches.initial, masks) == frozenset()
 
 
 def test_pdg_enable_chain(enable_chain):
-    dtgs = build_all_dtgs(enable_chain)
     state = State((0, 0, 2))
-    pdg = build_pdg(enable_chain, state, dtgs)
+    pdg = build_pdg(enable_chain, state, potential_masks(enable_chain))
     golden = frozenset({(0, 1), (1, 0), (2, 1)})  # frozen from the scan oracle
-    assert _pdg_scan_oracle(enable_chain, state, dtgs) == golden
+    assert _pdg_scan_oracle(enable_chain, state, _dtgs(enable_chain)) == golden
     assert pdg == golden
 
 
@@ -393,21 +507,27 @@ def test_pdg_single_variable_actions(build):
         initial=[0, 0],
         goal=[(0, 1), (1, 2)],
     )
-    dtgs = build_all_dtgs(task)
+    masks = potential_masks(task)
     for values in [(0, 0), (1, 0), (0, 2), (1, 2)]:
-        assert build_pdg(task, State(values), dtgs) == frozenset()
+        assert build_pdg(task, State(values), masks) == frozenset()
 
 
 def test_pdg_matches_scan_oracle_random():
-    for task in random_tasks(25):
-        dtgs = build_all_dtgs(task)
-        for state in {task.initial} | {
-            State(tuple((v + 1) % task.variables[i].domain_size
-                        for i, v in enumerate(task.initial.values)))
-        }:
-            assert build_pdg(task, state, dtgs) == _pdg_scan_oracle(
-                task, state, dtgs
-            )
+    # every enumerated state of the unit and random-cost task streams and
+    # of the fixtures
+    cases = [(t, g.states) for _, t, g in default_task_stream(PDG_TASKS)]
+    cases += [(t, g.states) for _, t, g in default_task_stream(PDG_TASKS, cost_mode="random")]
+    for path in sorted(FIXTURES.glob("*.sas")):
+        task = parse_sas(path.read_text())
+        cases.append((task, enumerate_state_space(task).states))
+    checked = 0
+    for task, states in cases:
+        masks, dtgs = potential_masks(task), _dtgs(task)
+        for values in states:
+            state = State(values)
+            assert build_pdg(task, state, masks) == _pdg_scan_oracle(task, state, dtgs)
+            checked += 1
+    assert checked > 1000
 
 
 def test_dot_emission(two_switches):

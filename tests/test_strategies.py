@@ -6,13 +6,14 @@ from porplan import (
     State,
     applicable,
     apply_action,
-    build_all_dtgs,
+    build_dtg,
     ec_expansion,
     full_expansion,
     is_left_commutative,
     landmark_action_set,
     make_strategy,
     parse_sas,
+    potential_masks,
     sac_expansion,
     sp_filter,
     stratify,
@@ -26,6 +27,7 @@ from porplan.oracle import (
     generate_random_task,
 )
 from porplan import strategies
+from porplan.graphs import V0
 from porplan.model import ids
 from porplan.strategies import (
     KINDS,
@@ -152,9 +154,9 @@ def test_sac_two_switches(two_switches):
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
-    dtgs = build_all_dtgs(support_chain)
+    masks = potential_masks(support_chain)
     assert sac_expansion(support_chain, support_chain.initial) == (1,)
-    assert ec_expansion(support_chain, support_chain.initial, dtgs) == (1, 2)
+    assert ec_expansion(support_chain, support_chain.initial, masks) == (1, 2)
 
 
 def test_sac_fixpoint_stable():
@@ -221,8 +223,9 @@ def test_landmark_matches_dtg_definition():
         for v, g in task.goal:
             if state[v] != g:
                 leaving = set()
-                for e in dtgs[v].edges_leaving(state[v]):
-                    leaving |= e.actions
+                for e in dtgs[v].edges:
+                    if e.source in (state[v], V0):
+                        leaving |= e.actions
                 candidates.append((len(leaving), v, tuple(sorted(leaving))))
         return min(candidates)[2]
 
@@ -234,7 +237,7 @@ def test_landmark_matches_dtg_definition():
         cases.append((task, [State(values) for values in graph.states]))
     checked = 0
     for task, states in cases:
-        dtgs = build_all_dtgs(task)
+        dtgs = [build_dtg(task, v) for v in range(task.num_variables)]
         for state in states:
             if not task.goal.holds_in(state):
                 expected = from_dtgs(task, dtgs, state)
@@ -266,11 +269,11 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
 
 
 def test_ec_two_switches(two_switches):
-    dtgs = build_all_dtgs(two_switches)
-    chosen = ec_expansion(two_switches, two_switches.initial, dtgs)
+    masks = potential_masks(two_switches)
+    chosen = ec_expansion(two_switches, two_switches.initial, masks)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     with pytest.raises(NoUnachievedGoal):
-        ec_expansion(two_switches, State((1, 1)), dtgs)
+        ec_expansion(two_switches, State((1, 1)), masks)
 
 
 def test_ec_single_scc(build):
@@ -281,8 +284,8 @@ def test_ec_single_scc(build):
         initial=[0, 0],
         goal=[(0, 1), (1, 1)],
     )
-    dtgs = build_all_dtgs(task)
-    assert ec_expansion(task, task.initial, dtgs) == (0, 1)
+    masks = potential_masks(task)
+    assert ec_expansion(task, task.initial, masks) == (0, 1)
 
 
 def test_sp_filter(two_switches, enable_chain):
@@ -300,6 +303,35 @@ def test_sp_filter(two_switches, enable_chain):
     assert is_follow_up(enable_chain, 0, 1)
     ctx = ExpansionContext(State((0, 1, 2)), 0)
     assert sp_filter(enable_chain, chain_strat, ctx, (0, 1)) == (0, 1)
+
+
+def test_follow_up_matches_pairwise_definition(build):
+    # eff(first) shares an entry with pre(second) or with eff(second); in
+    # `same` the only shared entry is an effect of both
+    same = build(
+        domains=[2, 2],
+        actions=[("p", [(1, 0)], [(0, 1)]), ("q", [(1, 1)], [(0, 1)])],
+        initial=[0, 0],
+        goal=[(0, 1)],
+    )
+    assert is_follow_up(same, 0, 1) and is_follow_up(same, 1, 0)
+    tasks = [same] + [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    tasks += [task for _, task, _ in default_task_stream(60)]
+    for task in tasks:
+        strat = stratify(task)
+        level = strat.action_level
+        everything = tuple(range(len(task.actions)))
+        for a in task.actions:
+            eff = set(a.effect.entries)
+            expected = [
+                not eff.isdisjoint(b.precondition.entries + b.effect.entries)
+                for b in task.actions
+            ]
+            assert [is_follow_up(task, a.id, b) for b in everything] == expected
+            ctx = ExpansionContext(task.initial, a.id)
+            assert sp_filter(task, strat, ctx, everything) == tuple(
+                b for b in everything if level[b] >= level[a.id] or expected[b]
+            )
 
 
 def test_is_left_commutative(two_switches, enable_chain, build):
