@@ -31,6 +31,7 @@ from .graphs import (
     build_causal_graph,
     build_dtg,
     build_pdg,
+    pdg_edges,
     potential_masks,
     stratify,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "make_heuristic",
     "make_strategy",
     "parse_sas",
+    "pdg_edges",
     "potential_masks",
     "sac_expansion",
     "solve",

@@ -28,6 +28,7 @@ from .graphs import (
     build_pdg,
     dtg_to_dot,
     graph_to_dot,
+    pdg_edges,
     potential_masks,
     stratify,
 )
@@ -177,7 +178,8 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         names = [a.name for a in task.actions]
         return _plain_graph("action_support_graph", names, edges, as_json)
     if token.startswith("pdg@"):
-        edges = build_pdg(task, _parse_state(task, token[4:]), potential_masks(task))
+        state = _parse_state(task, token[4:])
+        edges = pdg_edges(task, state, build_pdg(task, state, potential_masks(task)))
         return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
         strat = stratify(task)

@@ -2,27 +2,28 @@
 
 Domain transition graphs carry a sentinel source vertex V0 for actions
 whose effect touches the variable but whose precondition does not mention
-it; they are built for inspection and DOT output. The PDG reads per-fact
-action masks instead (potential_masks), built once per task from the
-action index, where an action without a precondition on a variable
-leaves every value of it, as a V0 edge does. Paths are walks;
-repetition is allowed.
+it; they are built for inspection and DOT output. The PDG reads a fact
+table instead (potential_masks), built once per task from the actions'
+DTG steps, where an action without a precondition on a variable leaves
+every value of it, as a V0 edge does. Paths are walks; repetition is
+allowed.
 
-The causal graph, ASG and PDG are plain frozensets of (source, target)
-index pairs: variables for the causal graph and PDG, action ids for the
-ASG. DTGs, the potential masks and the stratification are immutable and
-built once per task. EC and SP share one condensation,
-`closure_prefix_order`.
+The causal graph and ASG are plain frozensets of (source, target) index
+pairs: variables for the causal graph, action ids for the ASG. The PDG
+is one successor bit mask per variable over the held facts, one n-AND
+lookup in the table per state; pdg_edges reads it out as variable
+pairs. DTGs, the table and the stratification are immutable and built
+once per task. EC and SP share one condensation, the lazy
+`closure_prefix_order` over successor masks.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import State, Task, ids
 
@@ -105,53 +106,84 @@ def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
     )
 
 
-class PotentialMasks(NamedTuple):
-    """Action masks per fact (j, v), for a state where variable j holds v.
+def potential_masks(task: Task) -> tuple[int, ...]:
+    """The PDG successor table: for each fact f_i = (i, u), the mask of the
+    facts f_j = (j, v), j != i, such that PDG(s) has the edge (i, j) in
+    every state s holding both (see build_pdg).
 
-    relevant: the writers of j on a transition that lies on a walk from v
-    to j's goal value, or on any walk from v when j has no goal value.
-    dependent: the writers of j, plus the consumers of every value of j
-    that such a walk visits.
+    It is built per variable j from reach[v], the values some walk from v
+    visits. An action writing j steps from its precondition value on j to
+    its effect value, or from every value when it has no precondition on
+    j (a V0 edge). A value is onward when some walk from it visits j's
+    goal value (every value when j has none). Per action a, relevant holds
+    the facts (j, v) where a moves j into an onward value and leaves a
+    value of reach[v]; dependent holds the facts of every variable a
+    writes, and the facts (j, v) where reach[v] holds an onward value that
+    a consumes. The table ORs relevant into the row of each precondition
+    fact of a, and dependent into the row of each fact of a written
+    variable that a is compatible with.
     """
+    off = task.index.offsets
+    n = task.num_variables
+    everything = (1 << off[-1]) - 1
+    pres = [dict(action.precondition.entries) for action in task.actions]
+    # DTG steps as masks of values: step[f] leaves fact f, free[j] every value of j
+    step = [0] * off[-1]
+    free = [0] * n
+    for action, pre in zip(task.actions, pres):
+        for j, w in action.effect:
+            if j in pre:
+                step[off[j] + pre[j]] |= 1 << w
+            else:
+                free[j] |= 1 << w
+    reached_from = [0] * off[-1]  # fact (j, w): the facts (j, v) with w in reach[v]
+    onward = [False] * off[-1]
+    own = []  # variable j: the mask of its facts
+    for j, goal in enumerate(map(task.goal.value_of, range(n))):
+        o, d = off[j], off[j + 1] - off[j]
+        own.append(((1 << d) - 1) << o)
+        reach = [1 << v | step[o + v] | free[j] for v in range(d)]
+        for k in range(d):  # Warshall: what reaches k reaches all k reaches
+            for v in range(d):
+                if reach[v] >> k & 1:
+                    reach[v] |= reach[k]
+        for v in range(d):
+            for w in range(d):
+                if reach[v] >> w & 1:
+                    reached_from[o + w] |= 1 << o + v
+            onward[o + v] = goal is None or bool(reach[v] >> goal & 1)
 
-    relevant: tuple[int, ...]
-    dependent: tuple[int, ...]
+    table = [0] * off[-1]
+    any_value = [0] * n  # the part of the rows shared by every fact of a variable
+    for action, pre, pre_facts in zip(task.actions, pres, task.index.pre_facts):
+        relevant = dependent = 0
+        for f in pre_facts:
+            if onward[f]:
+                dependent |= reached_from[f]
+        for j, w in action.effect:
+            dependent |= own[j]
+            if onward[off[j] + w]:
+                relevant |= reached_from[off[j] + pre[j]] if j in pre else own[j]
+        for f in pre_facts:
+            table[f] |= relevant
+        for j, _ in action.effect:
+            if j in pre:
+                table[off[j] + pre[j]] |= dependent
+            else:
+                any_value[j] |= dependent
+    # a row holds no fact of its own variable
+    return tuple(
+        (row | any_value[j]) & (everything ^ own[j])
+        for j in range(n)
+        for row in table[off[j] : off[j + 1]]
+    )
 
 
-def potential_masks(task: Task) -> PotentialMasks:
-    """The potential masks of every fact, from the task's action index.
-
-    A transition leaves value u when its action writes j and is compatible
-    with (j, u), so an action without a precondition on j leaves every
-    value; it moves j to w when the action achieves (j, w).
-    """
-    index = task.index
-    relevant: list[int] = []
-    dependent: list[int] = []
-    for j, goal in enumerate(map(task.goal.value_of, range(task.num_variables))):
-        facts = range(index.offsets[j], index.offsets[j + 1])
-        values = range(len(facts))
-        leaving = [index.writer_masks[j] & index.compatible[f] for f in facts]
-        successors = [
-            [w for w in values if leave & index.achiever_masks[facts[w]]] for leave in leaving
-        ]
-        reach = []  # reach[v]: the values some walk from v visits
-        for v in values:
-            seen = [v]
-            for u in seen:  # also visits the values appended on the way
-                seen += [w for w in successors[u] if w not in seen]
-            reach.append(set(seen))
-        onward = {u for u in values if goal is None or goal in reach[u]}
-        into = reduce(or_, (index.achiever_masks[facts[w]] for w in onward), 0)
-        for v in values:
-            relevant.append(into & reduce(or_, (leaving[u] for u in reach[v])))
-            visited = (index.consumer_masks[facts[w]] for w in reach[v] & onward)
-            dependent.append(reduce(or_, visited, index.writer_masks[j]))
-    return PotentialMasks(tuple(relevant), tuple(dependent))
-
-
-def build_pdg(task: Task, state: State, masks: PotentialMasks) -> frozenset[tuple[int, int]]:
-    """Potential dependency graph over DTG indices at the state.
+def build_pdg(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]:
+    """Potential dependency graph over DTG indices at the state, as one
+    successor mask per variable i over the held facts: bit f_j = (j,
+    state[j]) is set when PDG(s) has the edge (i, j). table is the task's
+    potential_masks; pdg_edges reads the masks out as (i, j) pairs.
 
     Edge (i, j), i != j: an action on a still-relevant transition of
     G_j requires variable i at its current value (potential precondition),
@@ -160,63 +192,15 @@ def build_pdg(task: Task, state: State, masks: PotentialMasks) -> frozenset[tupl
     co-movement tie an outside writer of G_j breaks the front-swap
     condition, since effects need not carry own-variable preconditions).
     """
-    index = task.index
-    held = list(map(add, index.offsets, state.values))
-    needs = [index.consumer_masks[f] for f in held]
-    moves = [index.writer_masks[i] & index.compatible[f] for i, f in enumerate(held)]
-    return frozenset(
-        (i, j)
-        for j, f in enumerate(held)
-        for i, (need, move) in enumerate(zip(needs, moves))
-        if i != j and (masks.relevant[f] & need or masks.dependent[f] & move)
-    )
+    held = list(map(add, task.index.offsets, state.values))
+    mask = sum(map((1).__lshift__, held))
+    return tuple([table[f] & mask for f in held])
 
 
-def strongly_connected_components(
-    num_nodes: int, edges: frozenset[tuple[int, int]]
-) -> list[list[int]]:
-    """Kosaraju's two-pass SCCs (Sharir, 1981), each sorted, in no promised order."""
-    succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    pred: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, w in edges:
-        succ[u].append(w)
-        pred[w].append(u)
-
-    # pass 1: the nodes in the order a search over successors finishes them
-    finished: list[int] = []
-    seen = [False] * num_nodes
-    for root in range(num_nodes):
-        if seen[root]:
-            continue
-        seen[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, it = work[-1]
-            for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-            else:
-                work.pop()
-                finished.append(node)
-
-    # pass 2: from the latest finished node still unassigned, a search over
-    # predecessors collects exactly its component
-    components: list[list[int]] = []
-    assigned = [False] * num_nodes
-    for root in reversed(finished):
-        if assigned[root]:
-            continue
-        assigned[root] = True
-        component = [root]
-        for v in component:  # also visits the nodes appended on the way
-            for u in pred[v]:
-                if not assigned[u]:
-                    assigned[u] = True
-                    component.append(u)
-        components.append(sorted(component))
-    return components
+def pdg_edges(task: Task, state: State, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The (i, j) variable pairs of build_pdg's successor masks."""
+    var_of = {task.index.offsets[j] + v: j for j, v in enumerate(state.values)}
+    return frozenset((i, var_of[f]) for i, mask in enumerate(pdg) for f in ids(mask))
 
 
 def stratify(
@@ -236,13 +220,15 @@ def stratify(
     if causal_graph is None:
         causal_graph = build_causal_graph(task)
     n = task.num_variables
+    succ = [0] * n
     pred: list[list[int]] = [[] for _ in range(n)]
     for u, w in causal_graph:
+        succ[u] |= 1 << w
         pred[w].append(u)
 
     # reversed, the sinks-first order lists every component after all of
     # its predecessors; members of the component itself still read 0
-    components = closure_prefix_order(n, causal_graph)[::-1]
+    components = [ids(comp) for comp in closure_prefix_order(succ, (1 << n) - 1)][::-1]
     variable_level = [0] * n
     for comp in components:
         level = 1 + max((variable_level[u] for v in comp for u in pred[v]), default=0)
@@ -265,38 +251,44 @@ def stratify(
 
 
 def closure_prefix_order(
-    num_nodes: int, edges: frozenset[tuple[int, int]]
-) -> list[list[int]]:
-    """SCCs ordered sinks-first so that every prefix has no outgoing edge.
+    successors: Mapping[int, int] | Sequence[int], nodes: int
+) -> Iterator[int]:
+    """The SCCs of a digraph as node masks, sinks first, so that no edge
+    leaves any prefix; yielded lazily, so a caller that stops early skips
+    the rest.
 
-    Deterministic: among ready components the one containing the smallest
-    node is emitted first.
+    The nodes are the set bits of nodes, and successors[v] is the mask of
+    v's successors. Deterministic: among ready components (those whose
+    edges all end in emitted components or in themselves) the one holding
+    the smallest node is emitted first. That is the smallest remaining
+    node v whose component, the nodes of v's remaining reach that reach v
+    back, is all of that reach. The emitted nodes reach no remaining one,
+    so each node's full reach is computed once.
     """
-    sccs = strongly_connected_components(num_nodes, edges)
-    scc_of = [0] * num_nodes
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
-    # a component is ready once every component it has an edge to is out
-    pred: list[set[int]] = [set() for _ in sccs]
-    remaining = [0] * len(sccs)
-    for u, w in edges:
-        su, sw = scc_of[u], scc_of[w]
-        if su != sw and su not in pred[sw]:
-            pred[sw].add(su)
-            remaining[su] += 1
-
-    ready = [(comp[0], i) for i, comp in enumerate(sccs) if remaining[i] == 0]
-    heapq.heapify(ready)
-    order: list[list[int]] = []
-    while ready:
-        _, i = heapq.heappop(ready)
-        order.append(sccs[i])
-        for p in pred[i]:
-            remaining[p] -= 1
-            if remaining[p] == 0:
-                heapq.heappush(ready, (sccs[p][0], p))
-    return order
+    reach: dict[int, int] = {}
+    remaining = nodes
+    while remaining:
+        for v in ids(remaining):
+            if v not in reach:
+                r = new = 1 << v
+                while new:
+                    new = reduce(or_, map(successors.__getitem__, ids(new))) & ~r
+                    r |= new
+                reach[v] = r
+            component = 1 << v
+            rest = reach[v] & remaining & ~component
+            grown = True
+            while rest and grown:
+                grown = False
+                for w in ids(rest):
+                    if successors[w] & component:
+                        component |= 1 << w
+                        grown = True
+                rest &= ~component
+            if not rest:
+                break
+        yield component
+        remaining &= ~component
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ class DeleteRelaxationHeuristic:
         index = self.index = task.index
         self.costs = [action.cost for action in task.actions]
         self.goal_facts = [index.offsets[v] + val for v, val in task.goal]
-        self.unconditional = [a for a, n in enumerate(index.pre_count) if n == 0]
+        # the effect facts of the actions without a precondition, at their cost
+        self.seeds = [
+            (self.costs[a], f)
+            for a, n in enumerate(index.pre_count)
+            if n == 0
+            for f in index.eff_facts[a]
+        ]
 
     def __call__(self, state: State) -> float:
         index = self.index
@@ -45,27 +51,28 @@ class DeleteRelaxationHeuristic:
 
         remaining = list(index.pre_count)
         acc = list(self.costs)  # running cost + sum of finalized pre facts
+        eff_facts, costs, additive, push = index.eff_facts, self.costs, self.add, heapq.heappush
 
-        def trigger(a: int, pre_value: float) -> None:
-            value = acc[a] if self.add else self.costs[a] + pre_value
-            for f in index.eff_facts[a]:
-                if value < dist[f]:
-                    dist[f] = value
-                    heapq.heappush(heap, (value, f))
-
-        for a in self.unconditional:
-            trigger(a, 0)
+        for value, f in self.seeds:
+            if value < dist[f]:
+                dist[f] = value
+                push(heap, (value, f))
         while heap:
             d, f = heapq.heappop(heap)
             if d > dist[f]:
                 continue  # stale; a fact is pushed once per strictly smaller value
             for a in index.consumers[f]:
                 remaining[a] -= 1
-                if self.add:
+                if additive:
                     acc[a] += d
                 if remaining[a] == 0:
-                    # facts finalize in cost order, so d is the max pre cost
-                    trigger(a, d)
+                    # the action's cost plus its combined precondition cost;
+                    # facts finalize in cost order, so d is the max one
+                    value = acc[a] if additive else costs[a] + d
+                    for g in eff_facts[a]:
+                        if value < dist[g]:
+                            dist[g] = value
+                            push(heap, (value, g))
 
         values = [dist[f] for f in self.goal_facts]
         if INFINITY in values:

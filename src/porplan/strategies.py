@@ -3,16 +3,19 @@
 Each strategy answers one question at a state s: which applicable actions
 may the search apply. "none" returns all of them, generated from the
 task's ActionIndex (full_expansion). EC keeps the applicable actions that
-write a dependency-closed DTG prefix of the potential dependency graph.
-SAC closes a landmark action set under ASG support and conflict rules and
-keeps the applicable members. Both work on the index's action bit masks
-and AND the result with the state's applicability mask. SP is a filter
-over the full set driven by causal-graph levels and the action that
-generated the node.
+write a dependency-closed DTG prefix of the potential dependency graph;
+it looks the PDG up in a per-task fact table and condenses it lazily,
+only up to the prefix. SAC closes a landmark action set under ASG
+support and conflict rules and keeps the applicable members. Both work
+on the index's action bit masks and AND the result with the state's
+applicability mask. SP is a filter over the full set driven by
+causal-graph levels and the action that generated the node; it builds
+the generating action's follow-up mask only when some applicable action
+lies below that action's level.
 
 Each kind is one class behind the ExpansionStrategy protocol; build them
 with make_strategy. The none and SAC objects hold only their task, EC
-also its potential masks and SP its stratification; none of them changes
+also its PDG table and SP its stratification; none of them changes
 after construction, so concurrent searches can share one.
 """
 
@@ -24,7 +27,6 @@ from operator import add, or_
 from typing import Hashable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
-    PotentialMasks,
     Stratification,
     build_pdg,
     closure_prefix_order,
@@ -139,25 +141,32 @@ def sac_expansion(task: Task, state: State) -> tuple[int, ...]:
     return ids(applicable & sac_fixpoint(task, state, landmarks, applicable))
 
 
-def ec_expansion(task: Task, state: State, masks: PotentialMasks) -> tuple[int, ...]:
+def ec_expansion(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]:
     """Applicable actions of a minimal dependency-closed DTG prefix,
     ascending.
 
     SCCs of PDG(s) are ordered sinks-first (every prefix then is a
     dependency closure); the prefix stops at the first component holding
-    an unachieved goal-related DTG. masks are the task's potential_masks.
+    an unachieved goal-related DTG, and the rest of the condensation is
+    never computed. The condensation's nodes are the held facts, one per
+    variable. table is the task's potential_masks.
     """
-    unachieved = set(_unachieved_goal_variables(task, state))
+    index = task.index
+    held = list(map(add, index.offsets, state.values))
+    unachieved = sum(1 << held[v] for v in _unachieved_goal_variables(task, state))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
-    index = task.index
-    pdg = build_pdg(task, state, masks)
-    writers = 0
-    for component in closure_prefix_order(task.num_variables, pdg):
-        for v in component:
-            writers |= index.writer_masks[v]
-        if unachieved.intersection(component):
+    pdg = build_pdg(task, state, table)
+    prefix = 0
+    nodes = sum(map((1).__lshift__, held))
+    for component in closure_prefix_order(dict(zip(held, pdg)), nodes):
+        prefix |= component
+        if component & unachieved:
             break
+    writers = 0
+    for v, f in enumerate(held):
+        if prefix >> f & 1:
+            writers |= index.writer_masks[v]
     return ids(index.applicable_mask(state.values) & writers)
 
 
@@ -184,16 +193,19 @@ def sp_filter(
 ) -> tuple[int, ...]:
     """Drop lower-level non-follow-up actions after the generating action.
 
-    At the root every applicable action is kept.
+    At the root every applicable action is kept. The follow-up mask is
+    built only when some applicable action lies below gen's level.
     """
     gen = ctx.generating_action
     if gen is None:
         return tuple(applicable_ids)
     level = stratification.action_level
+    floor = level[gen]
+    kept = tuple([b for b in applicable_ids if level[b] >= floor])
+    if len(kept) == len(applicable_ids):
+        return kept  # nothing lies below gen's level
     follow_ups = _follow_ups(task, gen)
-    return tuple(
-        b for b in applicable_ids if level[b] >= level[gen] or follow_ups >> b & 1
-    )
+    return tuple([b for b in applicable_ids if level[b] >= floor or follow_ups >> b & 1])
 
 
 def is_left_commutative(task: Task, state: State, first: int, second: int) -> bool:
@@ -251,10 +263,10 @@ class EcStrategy(ExpansionStrategy):
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.masks = potential_masks(task)
+        self.table = potential_masks(task)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return ec_expansion(self.task, ctx.state, self.masks)
+        return ec_expansion(self.task, ctx.state, self.table)
 
 
 class SpStrategy(ExpansionStrategy):

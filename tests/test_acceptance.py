@@ -80,13 +80,13 @@ def test_criterion_01_golden_bfs_counts():
 
 def test_criterion_02_golden_expansion_sets():
     task = two_switches_task()
-    masks = potential_masks(task)
+    table = potential_masks(task)
     strat = stratify(task, tie_break="distinct")
-    ec_expansion(task, task.initial, masks)  # warm
+    ec_expansion(task, task.initial, table)  # warm
     timings = []
     for _ in range(3):
         start = time.perf_counter()
-        chosen = ec_expansion(task, task.initial, masks)
+        chosen = ec_expansion(task, task.initial, table)
         after_a = sp_filter(task, strat, ExpansionContext(State((1, 0)), 0), (1,))
         landmark_core = sac_expansion(task, task.initial)
         timings.append(time.perf_counter() - start)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import heapq
 import random
 from collections import defaultdict, deque
+from functools import lru_cache, reduce
+from operator import add, or_
 
 import pytest
 
@@ -12,6 +15,7 @@ from porplan import (
     build_dtg,
     build_pdg,
     parse_sas,
+    pdg_edges,
     potential_masks,
     stratify,
 )
@@ -23,7 +27,6 @@ from porplan.graphs import (
     graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
-    strongly_connected_components,
 )
 from porplan.oracle import (
     RandomTaskSpec,
@@ -34,7 +37,7 @@ from porplan.oracle import (
 )
 from conftest import FIXTURES
 from porplan.model import ids
-from porplan.strategies import sac_fixpoint
+from porplan.strategies import ec_expansion, sac_fixpoint
 
 # tasks drawn from each cost mode of the task stream for the PDG check
 PDG_TASKS = 300
@@ -142,9 +145,22 @@ def test_mixed_effect_levels(build):
         stratify(task, frozenset(), tie_break="distinct")
 
 
+def order_of(num_nodes, edges):
+    """closure_prefix_order over an edge set, components as sorted lists."""
+    succ = [0] * num_nodes
+    for u, w in edges:
+        succ[u] |= 1 << w
+    return [list(ids(c)) for c in closure_prefix_order(succ, (1 << num_nodes) - 1)]
+
+
 def test_scc_order():
-    comps = strongly_connected_components(4, frozenset({(0, 1), (1, 0), (2, 3)}))
+    comps = order_of(4, frozenset({(0, 1), (1, 0), (2, 3)}))
     assert sorted(map(tuple, comps)) == [(0, 1), (2,), (3,)]
+    # the tie-break: {1} is ready as soon as {2} is, and holds the smaller
+    # node; an order that emits [2], [0] first gives a longer EC prefix
+    assert order_of(3, frozenset({(0, 2)})) == [[1], [2], [0]]
+    # a chain: every component a singleton, emitted from the sink back
+    assert order_of(6, frozenset((v, v + 1) for v in range(5))) == [[5], [4], [3], [2], [1], [0]]
 
 
 def _condensation_by_definition(num_nodes, edges):
@@ -207,8 +223,8 @@ def test_condensation_matches_definition(build):
                for _, task, _ in default_task_stream(60)]
     for n, edges, task in graphs:
         components, order, levels = _condensation_by_definition(n, edges)
-        assert {frozenset(c) for c in strongly_connected_components(n, edges)} == components
-        assert closure_prefix_order(n, edges) == order
+        assert {frozenset(c) for c in order_of(n, edges)} == components
+        assert order_of(n, edges) == order
         assert stratify(task, edges).variable_level == tuple(levels)
         ranked = sorted(components, key=lambda c: (levels[min(c)], -min(c)))
         distinct = {v: pos for pos, c in enumerate(ranked, start=1) for v in c}
@@ -219,8 +235,8 @@ def test_condensation_matches_definition(build):
 
 def test_closure_prefix_order_is_closed():
     for task in random_tasks(20):
-        pdg = build_pdg(task, task.initial, potential_masks(task))
-        order = closure_prefix_order(task.num_variables, pdg)
+        pdg = pdg_of(task, task.initial, potential_masks(task))
+        order = order_of(task.num_variables, pdg)
         assert sorted(v for comp in order for v in comp) == list(
             range(task.num_variables)
         )
@@ -382,8 +398,15 @@ def test_v0_edges_always_traversable():
     assert potential_descendants(dtg, 1, goal_value=1)[1] == frozenset({1})
 
 
+def pdg_of(task, state, table):
+    """build_pdg's successor masks as a frozenset of (i, j) pairs."""
+    return pdg_edges(task, state, build_pdg(task, state, table))
+
+
 # The three cases above as tasks. Fact (var, value) has id offset + value,
-# so with a first variable of domain d the next variable's facts start at d.
+# so with a first variable of domain d the next variable's facts start at
+# d. Row f of the potential_masks table holds the facts f_j for which
+# holding f and f_j gives a PDG edge from f's variable to f_j's.
 
 
 def test_potential_masks_linear(build):
@@ -399,12 +422,14 @@ def test_potential_masks_linear(build):
         initial=[0, 0, 0],
         goal=[(0, 2)],
     )
-    masks = potential_masks(task)
-    assert masks.relevant[0:3] == (0b011, 0b010, 0)
-    assert masks.relevant[5:7] == (0b100, 0)
-    # b still lies ahead of x1 = 0 and needs x2 at its current value
-    assert build_pdg(task, State((0, 0, 0)), masks) == {(1, 0)}
-    assert build_pdg(task, State((2, 0, 0)), masks) == frozenset()
+    table = potential_masks(task)
+    # b still lies ahead of x1 = 0 and 1, not of 2, and needs x2 = 0; and
+    # b, moving x1 off 1, needs x2 = 0, a value x2 still holds; c touches
+    # only x3
+    assert table == (0, 1 << 3, 0, 0b011, 0, 0, 0)
+    assert pdg_of(task, State((0, 0, 0)), table) == {(1, 0)}
+    assert pdg_of(task, State((1, 0, 0)), table) == {(0, 1), (1, 0)}
+    assert pdg_of(task, State((2, 0, 0)), table) == frozenset()
 
 
 def test_potential_masks_goal_filter(build):
@@ -421,16 +446,14 @@ def test_potential_masks_goal_filter(build):
         initial=[0, 0],
         goal=[(0, 1)],
     )
-    masks = potential_masks(task)
-    # the back edge lies on a walk to the goal, the edge into 2 does not
-    assert masks.relevant[0:2] == (0b0011, 0b0011)
-    # 2 is reachable but on no such walk, so d is no dependent of x1
-    assert masks.dependent[0] == 0b0111
-    assert build_pdg(task, task.initial, masks) == frozenset()
-    # from 2 the goal is out of reach: nothing of x1 stays relevant, and
-    # x1 = 2 is a precondition of d, which moves x2
-    assert masks.relevant[2] == 0
-    assert build_pdg(task, State((2, 0)), masks) == {(0, 1)}
+    table = potential_masks(task)
+    # 2 is reachable from 0 but on no walk to the goal, so x1 does not
+    # depend on d, the writer of x2: the rows of x2's facts are empty. From
+    # 2 the goal is out of reach, and x1 = 2 is a precondition of d, which
+    # still moves x2 off 0
+    assert table == (0, 0, 1 << 3, 0, 0)
+    assert pdg_of(task, task.initial, table) == frozenset()
+    assert pdg_of(task, State((2, 0)), table) == {(0, 1)}
 
 
 def test_potential_masks_v0_edges(build):
@@ -441,13 +464,13 @@ def test_potential_masks_v0_edges(build):
         initial=[0, 0],
         goal=[(0, 1)],
     )
-    masks = potential_masks(task)
+    table = potential_masks(task)
     # a leaves both values of x1, so it stays relevant at the goal value
-    # and x1 keeps depending on x2 there; a moving x1 needs x2 = 0 too
-    assert masks.relevant[0:2] == (0b1, 0b1)
-    assert masks.dependent[1] == 0b1
+    # and x1 keeps depending on x2 = 0 there; a, moving x1 off either
+    # value, needs x2 = 0 too
+    assert table == (1 << 2, 1 << 2, 0b11, 0)
     for values in [(0, 0), (1, 0)]:
-        assert build_pdg(task, State(values), masks) == {(0, 1), (1, 0)}
+        assert pdg_of(task, State(values), table) == {(0, 1), (1, 0)}
 
 
 def _pdg_scan_oracle(task, state, dtgs):
@@ -486,13 +509,13 @@ def _dtgs(task):
 
 
 def test_pdg_two_switches(two_switches):
-    masks = potential_masks(two_switches)
-    assert build_pdg(two_switches, two_switches.initial, masks) == frozenset()
+    table = potential_masks(two_switches)
+    assert build_pdg(two_switches, two_switches.initial, table) == (0, 0)
 
 
 def test_pdg_enable_chain(enable_chain):
     state = State((0, 0, 2))
-    pdg = build_pdg(enable_chain, state, potential_masks(enable_chain))
+    pdg = pdg_of(enable_chain, state, potential_masks(enable_chain))
     golden = frozenset({(0, 1), (1, 0), (2, 1)})  # frozen from the scan oracle
     assert _pdg_scan_oracle(enable_chain, state, _dtgs(enable_chain)) == golden
     assert pdg == golden
@@ -507,27 +530,168 @@ def test_pdg_single_variable_actions(build):
         initial=[0, 0],
         goal=[(0, 1), (1, 2)],
     )
-    masks = potential_masks(task)
+    table = potential_masks(task)
     for values in [(0, 0), (1, 0), (0, 2), (1, 2)]:
-        assert build_pdg(task, State(values), masks) == frozenset()
+        assert build_pdg(task, State(values), table) == (0, 0)
 
 
-def test_pdg_matches_scan_oracle_random():
-    # every enumerated state of the unit and random-cost task streams and
-    # of the fixtures
+@lru_cache(maxsize=1)
+def pdg_cases():
+    """Every enumerated state of the unit and random-cost task streams and
+    of the fixtures."""
     cases = [(t, g.states) for _, t, g in default_task_stream(PDG_TASKS)]
     cases += [(t, g.states) for _, t, g in default_task_stream(PDG_TASKS, cost_mode="random")]
     for path in sorted(FIXTURES.glob("*.sas")):
         task = parse_sas(path.read_text())
         cases.append((task, enumerate_state_space(task).states))
+    return cases
+
+
+def test_pdg_matches_scan_oracle_random():
     checked = 0
-    for task, states in cases:
-        masks, dtgs = potential_masks(task), _dtgs(task)
+    for task, states in pdg_cases():
+        table, dtgs = potential_masks(task), _dtgs(task)
         for values in states:
             state = State(values)
-            assert build_pdg(task, state, masks) == _pdg_scan_oracle(task, state, dtgs)
+            assert pdg_of(task, state, table) == _pdg_scan_oracle(task, state, dtgs)
             checked += 1
     assert checked > 1000
+
+
+# The PDG and condensation as they were built before the successor table:
+# two action masks per fact, one mask test per variable pair, and a heap
+# over the whole condensation.
+
+
+def reference_masks(task):
+    """Per fact (j, v): relevant, the writers of j on a transition that lies
+    on a walk from v to j's goal value (any walk when j has none), and
+    dependent, the writers of j plus the consumers of every value such a
+    walk visits."""
+    index = task.index
+    relevant, dependent = [], []
+    for j, goal in enumerate(map(task.goal.value_of, range(task.num_variables))):
+        facts = range(index.offsets[j], index.offsets[j + 1])
+        values = range(len(facts))
+        leaving = [index.writer_masks[j] & index.compatible[f] for f in facts]
+        successors = [
+            [w for w in values if leave & index.achiever_masks[facts[w]]] for leave in leaving
+        ]
+        reach = []
+        for v in values:
+            seen = [v]
+            for u in seen:
+                seen += [w for w in successors[u] if w not in seen]
+            reach.append(set(seen))
+        onward = {u for u in values if goal is None or goal in reach[u]}
+        into = reduce(or_, (index.achiever_masks[facts[w]] for w in onward), 0)
+        for v in values:
+            relevant.append(into & reduce(or_, (leaving[u] for u in reach[v])))
+            visited = (index.consumer_masks[facts[w]] for w in reach[v] & onward)
+            dependent.append(reduce(or_, visited, index.writer_masks[j]))
+    return relevant, dependent
+
+
+def reference_pdg(task, state, masks):
+    relevant, dependent = masks
+    index = task.index
+    held = list(map(add, index.offsets, state.values))
+    needs = [index.consumer_masks[f] for f in held]
+    moves = [index.writer_masks[i] & index.compatible[f] for i, f in enumerate(held)]
+    return frozenset(
+        (i, j)
+        for j, f in enumerate(held)
+        for i, (need, move) in enumerate(zip(needs, moves))
+        if i != j and (relevant[f] & need or dependent[f] & move)
+    )
+
+
+def reference_order(num_nodes, edges):
+    """SCCs sinks first; among ready components the one holding the
+    smallest node first."""
+    succ = defaultdict(set)
+    for u, w in edges:
+        succ[u].add(w)
+    reach = []
+    for v in range(num_nodes):
+        seen = [v]
+        for u in seen:
+            seen += [w for w in succ[u] if w not in seen]
+        reach.append(set(seen))
+    sccs = sorted({tuple(w for w in sorted(reach[v]) if v in reach[w]) for v in range(num_nodes)})
+    scc_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    pred = [set() for _ in sccs]
+    remaining = [0] * len(sccs)
+    for u, w in edges:
+        su, sw = scc_of[u], scc_of[w]
+        if su != sw and su not in pred[sw]:
+            pred[sw].add(su)
+            remaining[su] += 1
+    ready = [(comp[0], i) for i, comp in enumerate(sccs) if remaining[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(list(sccs[i]))
+        for p in pred[i]:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                heapq.heappush(ready, (sccs[p][0], p))
+    return order
+
+
+def reference_ec(task, state, masks):
+    unachieved = {v for v, g in task.goal if state[v] != g}
+    writers = 0
+    for component in reference_order(task.num_variables, reference_pdg(task, state, masks)):
+        for v in component:
+            writers |= task.index.writer_masks[v]
+        if unachieved.intersection(component):
+            break
+    return ids(task.index.applicable_mask(state.values) & writers)
+
+
+def test_pdg_and_ec_match_reference():
+    checked = 0
+    for task, states in pdg_cases():
+        table, masks = potential_masks(task), reference_masks(task)
+        for values in states:
+            state = State(values)
+            assert pdg_of(task, state, table) == reference_pdg(task, state, masks)
+            if not task.goal.holds_in(state):
+                assert ec_expansion(task, state, table) == reference_ec(task, state, masks)
+                checked += 1
+    assert checked > 1000
+
+
+def test_ec_prefix_tie_break_and_chain(build):
+    # PDG x1 -> x3 with x2 unachieved: the prefix is [x2] alone, so EC
+    # keeps b; the emission order [x3], [x1], [x2] would add u
+    task = build(
+        domains=[2, 2, 2],
+        actions=[("t", [(2, 1)], [(0, 1)]), ("b", [], [(1, 1)]), ("u", [], [(2, 1)])],
+        initial=[0, 0, 0],
+        goal=[(1, 1)],
+    )
+    table = potential_masks(task)
+    assert pdg_of(task, task.initial, table) == {(0, 2)}
+    assert ec_expansion(task, task.initial, table) == (1,)
+    # t_k needs x(k+2) = 1 to set x(k+1): at the all-zero state the PDG is
+    # the chain x1 -> x2 -> x3 -> x4 and the prefix reaches x1 last
+    chain = build(
+        domains=[2] * 4,
+        actions=[(f"t{k}", [(k + 1, 1)], [(k, 1)]) for k in range(3)] + [("t3", [], [(3, 1)])],
+        initial=[0] * 4,
+        goal=[(0, 1)],
+    )
+    table = potential_masks(chain)
+    assert pdg_of(chain, chain.initial, table) == {(0, 1), (1, 2), (2, 3)}
+    assert ec_expansion(chain, chain.initial, table) == (3,)
+    for task in (task, chain):
+        masks = reference_masks(task)
+        assert ec_expansion(task, task.initial, potential_masks(task)) == reference_ec(
+            task, task.initial, masks
+        )
 
 
 def test_dot_emission(two_switches):

@@ -154,9 +154,9 @@ def test_sac_two_switches(two_switches):
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
-    masks = potential_masks(support_chain)
+    table = potential_masks(support_chain)
     assert sac_expansion(support_chain, support_chain.initial) == (1,)
-    assert ec_expansion(support_chain, support_chain.initial, masks) == (1, 2)
+    assert ec_expansion(support_chain, support_chain.initial, table) == (1, 2)
 
 
 def test_sac_fixpoint_stable():
@@ -269,11 +269,11 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
 
 
 def test_ec_two_switches(two_switches):
-    masks = potential_masks(two_switches)
-    chosen = ec_expansion(two_switches, two_switches.initial, masks)
+    table = potential_masks(two_switches)
+    chosen = ec_expansion(two_switches, two_switches.initial, table)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     with pytest.raises(NoUnachievedGoal):
-        ec_expansion(two_switches, State((1, 1)), masks)
+        ec_expansion(two_switches, State((1, 1)), table)
 
 
 def test_ec_single_scc(build):
@@ -284,8 +284,8 @@ def test_ec_single_scc(build):
         initial=[0, 0],
         goal=[(0, 1), (1, 1)],
     )
-    masks = potential_masks(task)
-    assert ec_expansion(task, task.initial, masks) == (0, 1)
+    table = potential_masks(task)
+    assert ec_expansion(task, task.initial, table) == (0, 1)
 
 
 def test_sp_filter(two_switches, enable_chain):
