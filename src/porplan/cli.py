@@ -131,7 +131,7 @@ def _parse_state(task: Task, text: str) -> State:
     for var, value in zip(task.variables, values):
         if not 0 <= value < var.domain_size:
             raise _InputError(f"value {value} is outside the domain of {var.name!r}")
-    return State(values)
+    return values
 
 
 def _plain_graph(name: str, nodes: list[str], edges, as_json: bool) -> str:

@@ -45,10 +45,6 @@ class DTG:
     domain_size: int
     edges: tuple[DtgEdge, ...]
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return (V0,) + tuple(range(self.domain_size))
-
 
 @dataclass(frozen=True)
 class Stratification:
@@ -97,7 +93,7 @@ def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
 def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
     """Action support graph at the state: edge (a, b) when a is not
     applicable and some effect entry of b is a precondition entry of a."""
-    applicable = task.index.applicable_mask(state.values)
+    applicable = task.index.applicable_mask(state)
     return frozenset(
         (a, b)
         for a, support in enumerate(task.index.support)
@@ -192,14 +188,14 @@ def build_pdg(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]
     co-movement tie an outside writer of G_j breaks the front-swap
     condition, since effects need not carry own-variable preconditions).
     """
-    held = list(map(add, task.index.offsets, state.values))
+    held = list(map(add, task.index.offsets, state))
     mask = sum(map((1).__lshift__, held))
     return tuple([table[f] & mask for f in held])
 
 
 def pdg_edges(task: Task, state: State, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
     """The (i, j) variable pairs of build_pdg's successor masks."""
-    var_of = {task.index.offsets[j] + v: j for j, v in enumerate(state.values)}
+    var_of = {task.index.offsets[j] + v: j for j, v in enumerate(state)}
     return frozenset((i, var_of[f]) for i, mask in enumerate(pdg) for f in ids(mask))
 
 

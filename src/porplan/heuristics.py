@@ -44,7 +44,7 @@ class DeleteRelaxationHeuristic:
     def __call__(self, state: State) -> float:
         index = self.index
         dist: list[float] = [INFINITY] * index.offsets[-1]
-        heap = [(0, f) for f in map(add, index.offsets, state.values)]
+        heap = [(0, f) for f in map(add, index.offsets, state)]
         for _, f in heap:
             dist[f] = 0
         heapq.heapify(heap)

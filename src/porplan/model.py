@@ -1,6 +1,7 @@
 """SAS+ task model: variables, states, actions, plans, the action index.
 
-States are dense value tuples indexed by variable position; equality and
+A state is its dense value tuple: position i holds the value of variable
+i, and State is that tuple type, named for annotations. Equality and
 hashing are plain tuple equality, which keeps the search hot path cheap.
 Partial assignments are sorted (variable, value) pair tuples carrying the
 conflict-freedom algebra everything else builds on. Each Task builds one
@@ -17,6 +18,10 @@ from functools import reduce
 from itertools import accumulate, compress, count
 from operator import add, and_, itemgetter, or_
 from typing import Callable, Iterable, Iterator
+
+
+# a total assignment: position i holds the current value of variable i
+State = tuple[int, ...]
 
 
 class InvalidTask(ValueError):
@@ -68,7 +73,7 @@ class PartialAssignment:
 
     entries: tuple[tuple[int, int], ...]
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # holds_in compares _read(state values) with _values: one bare value
+    # holds_in compares _read(state) with _values: one bare value
     # for a single entry, a tuple otherwise (the empty slice when empty)
     _read: Callable = field(init=False, repr=False, compare=False)
     _values: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -99,7 +104,7 @@ class PartialAssignment:
         return None
 
     def holds_in(self, state: State) -> bool:
-        return self._read(state.values) == self._values
+        return self._read(state) == self._values
 
     def conflicts_with(self, other: PartialAssignment) -> bool:
         """True when some variable receives different values in the two."""
@@ -114,19 +119,6 @@ class PartialAssignment:
 
     def __bool__(self) -> bool:
         return bool(self.entries)
-
-
-@dataclass(frozen=True)
-class State:
-    """A total assignment: position i holds the current value of variable i."""
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, var: int) -> int:
-        return self.values[var]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -257,9 +249,12 @@ class Task:
         for i, var in enumerate(self.variables):
             if var.id != i:
                 raise InvalidTask(f"variable {var.name!r} has id {var.id}, expected {i}")
-        if len(self.initial.values) != n:
+        # the initial state keys the search's records, so it must hash
+        if not isinstance(self.initial, tuple):
+            raise InvalidTask("initial state must be a tuple of values")
+        if len(self.initial) != n:
             raise InvalidTask("initial state length differs from variable count")
-        self._check_assignment(enumerate(self.initial.values), "initial state")
+        self._check_assignment(enumerate(self.initial), "initial state")
         self._check_assignment(self.goal, "goal")
         for i, action in enumerate(self.actions):
             if action.id != i:
@@ -301,10 +296,10 @@ def apply_action(state: State, action: Action) -> State:
     """
     if not applicable(state, action):
         raise NotApplicable(f"action {action.name!r} is not applicable")
-    values = list(state.values)
+    values = list(state)
     for var, val in action.effect:
         values[var] = val
-    return State(tuple(values))
+    return tuple(values)
 
 
 def is_goal(task: Task, state: State) -> bool:
@@ -330,5 +325,5 @@ def validate_plan(task: Task, steps: Iterable[int]) -> Plan:
             raise NotApplicableAt(i, action_id)
         state = apply_action(state, action)
     if not is_goal(task, state):
-        raise GoalNotReached(f"final state {state.values} misses the goal")
+        raise GoalNotReached(f"final state {state} misses the goal")
     return Plan(steps, plan_cost(task, steps))

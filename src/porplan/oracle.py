@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import Action, PartialAssignment, State, Task, Variable
+from .model import Action, PartialAssignment, Task, Variable
 from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
@@ -105,7 +105,7 @@ def enumerate_state_space(
     """BFS over all applicable actions from the root (default: initial)."""
     rows = _rows(task)
     goal = task.goal.entries
-    start = task.initial.values if root is None else tuple(root)
+    start = task.initial if root is None else tuple(root)
     states = [start]
     index = {start: 0}
     successors: list[list[tuple[int, int]]] = []
@@ -205,7 +205,7 @@ class Report:
 
 def check_stubborn_conditions(
     task: Task,
-    state: tuple[int, ...] | State,
+    state: Sequence[int],
     expansion: Iterable[int],
     horizon: int,
     graph: StateSpaceGraph | None = None,
@@ -218,7 +218,7 @@ def check_stubborn_conditions(
     that extends to a goal (extendability judged exactly on the
     enumerated graph), fronting b is valid and lands in the same state.
     """
-    values = state.values if isinstance(state, State) else tuple(state)
+    values = tuple(state)
     rows = _rows(task)
     members = sorted(set(expansion))
     member_set = set(members)
@@ -274,7 +274,7 @@ def _reduced_expansion(
     """Strategy expansion on raw values; goal states are terminal."""
     if _applies(values, task.goal.entries):
         return ()
-    return strategy.expansion(ExpansionContext(State(values), None))
+    return strategy.expansion(ExpansionContext(values, None))
 
 
 def check_action_preserving(
@@ -296,7 +296,7 @@ def check_action_preserving(
     """
     rows = _rows(task)
     goal = task.goal.entries
-    initial = task.initial.values
+    initial = task.initial
     report = Report("action_preserving")
     if _applies(initial, goal):
         return report  # no solution sequences from a goal state
@@ -377,7 +377,7 @@ def check_sp_permutation(
     level = strat.action_level
     follow = _follow_up_matrix(task)
     rows = _rows(task)
-    initial = task.initial.values
+    initial = task.initial
 
     def allowed(prev: int | None, b: int) -> bool:
         return prev is None or level[b] >= level[prev] or follow[prev][b]
@@ -440,7 +440,7 @@ def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[t
     level = strat.action_level
     follow = _follow_up_matrix(task)
     rows = _rows(task)
-    initial = task.initial.values
+    initial = task.initial
     seen_pairs: set[tuple[tuple[int, ...], int | None]] = {(initial, None)}
     values_seen: set[tuple[int, ...]] = {initial}
     queue: deque[tuple[tuple[int, ...], int | None]] = deque([(initial, None)])
@@ -467,10 +467,10 @@ def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) ->
     the semantic both-orders check."""
     rng = random.Random(seed)
     rows = _rows(task)
-    goal_free_pool: list[tuple[int, ...]] = [task.initial.values]
-    pool_set = {task.initial.values}
+    goal_free_pool: list[tuple[int, ...]] = [task.initial]
+    pool_set = {task.initial}
     for _ in range(50):
-        values = task.initial.values
+        values = task.initial
         for _ in range(8):
             moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
             if not moves:
@@ -496,7 +496,7 @@ def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) ->
             continue
         b = rng.choice(second_moves)
 
-        syntactic = is_left_commutative(task, State(values), a, b)
+        syntactic = is_left_commutative(task, values, a, b)
         end_ab = _result(mid, rows[b][1])
         semantic = False
         if _applies(values, rows[b][0]):
@@ -544,7 +544,7 @@ def check_action_core_lemma(task: Task, horizon: int) -> Report:
     """Every valid path from the initial state ending in an action that is
     inapplicable there contains a distinct member of that action's core."""
     rows = _rows(task)
-    initial = task.initial.values
+    initial = task.initial
     inapplicable = {
         a for a, (pre, _, _) in enumerate(rows) if not _applies(initial, pre)
     }
@@ -609,7 +609,7 @@ def default_task_stream(
 def reduced_reachable_values(task: Task, strategy: ExpansionStrategy) -> list[tuple[int, ...]]:
     """States a strategy-driven exhaustive BFS expands (goals terminal)."""
     rows = _rows(task)
-    initial = task.initial.values
+    initial = task.initial
     seen = {initial}
     order = [initial]
     queue = deque([initial])
@@ -689,7 +689,7 @@ def suite_optimality(
             if result.solved != (optimum is not None):
                 report.add(
                     "solvability",
-                    task.initial.values,
+                    task.initial,
                     seed=seed,
                     strategy=kind,
                     oracle=optimum,
@@ -700,7 +700,7 @@ def suite_optimality(
                 if result.plan.cost != optimum:
                     report.add(
                         "optimality",
-                        task.initial.values,
+                        task.initial,
                         seed=seed,
                         strategy=kind,
                         oracle=optimum,
@@ -722,7 +722,7 @@ def suite_sp(
         if reachable != full:
             report.add(
                 "sp_reachability",
-                task.initial.values,
+                task.initial,
                 seed=seed,
                 missing=sorted(full - reachable)[:5],
                 extra=sorted(reachable - full)[:5],
@@ -828,7 +828,7 @@ def generate_random_task(spec: RandomTaskSpec) -> Task:
     return Task(
         variables=variables,
         actions=tuple(actions),
-        initial=State(initial),
+        initial=initial,
         goal=PartialAssignment.of(goal),
         uses_metric=spec.cost_mode == "random",
     )

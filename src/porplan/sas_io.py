@@ -11,7 +11,7 @@ rejected.
 
 from __future__ import annotations
 
-from .model import Action, PartialAssignment, State, Task, Variable
+from .model import Action, PartialAssignment, Task, Variable
 
 
 class SasError(Exception):
@@ -228,7 +228,7 @@ def parse_sas(text: str) -> Task:
     return Task(
         variables=var_tuple,
         actions=tuple(actions),
-        initial=State(tuple(initial)),
+        initial=tuple(initial),
         goal=PartialAssignment.of(goal.items()),
         uses_metric=bool(metric),
     )
@@ -250,7 +250,7 @@ def emit_sas(task: Task) -> str:
         out.append("end_variable")
     out.append("0")  # mutex groups
     out.append("begin_state")
-    out += [str(v) for v in task.initial.values]
+    out += [str(v) for v in task.initial]
     out.append("end_state")
     out.append("begin_goal")
     out.append(str(len(task.goal)))

@@ -11,9 +11,11 @@ duplicates included. Duplicate detection keys come from the strategy
 (SP may fold in the generating action's level); a stored node is only
 rewritten when a strictly smaller g arrives, in which case it is
 reopened. Under BFS's unit costs nodes pop in g order, so nothing is
-ever reopened and the first record of every key wins. Successors are
-built from the task's ActionIndex; an action the strategy returns that
-the state's applicability mask rejects raises NotApplicable.
+ever reopened and the first record of every key wins. States are value
+tuples; a successor is the parent's tuple with the action's effect
+entries from the task's ActionIndex written in. An action the strategy
+returns that the state's applicability mask rejects raises
+NotApplicable.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -131,15 +133,15 @@ def _best_first(
         if is_goal(task, state):
             return result(SOLVED, _extract_plan(task, records, key))
         ctx = ExpansionContext(state, record[2])
-        applicable = index.applicable_mask(state.values)
+        applicable = index.applicable_mask(state)
         for action_id in strategy.expansion(ctx):
             action = task.actions[action_id]
             if not applicable >> action_id & 1:
                 raise NotApplicable(f"action {action.name!r} is not applicable")
-            values = list(state.values)
+            values = list(state)
             for var, val in index.eff[action_id]:
                 values[var] = val
-            succ = State(tuple(values))
+            succ = tuple(values)
             generated += 1
             g2 = record[0] + action.cost
             succ_key = strategy.node_key(succ, action_id)

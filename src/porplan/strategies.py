@@ -1,14 +1,14 @@
 """Per-state expansion-set generators: full, EC, SP filtering, SAC.
 
-Each strategy answers one question at a state s: which applicable actions
-may the search apply. "none" returns all of them, generated from the
-task's ActionIndex (full_expansion). EC keeps the applicable actions that
-write a dependency-closed DTG prefix of the potential dependency graph;
-it looks the PDG up in a per-task fact table and condenses it lazily,
-only up to the prefix. SAC closes a landmark action set under ASG
-support and conflict rules and keeps the applicable members. Both work
-on the index's action bit masks and AND the result with the state's
-applicability mask. SP is a filter over the full set driven by
+Each strategy answers one question at a state s, a value tuple: which
+applicable actions may the search apply. "none" returns all of them,
+generated from the task's ActionIndex (full_expansion). EC keeps the
+applicable actions that write a dependency-closed DTG prefix of the
+potential dependency graph; it looks the PDG up in a per-task fact table
+and condenses it lazily, only up to the prefix. SAC closes a landmark
+action set under ASG support and conflict rules and keeps the applicable
+members. Both work on the index's action bit masks and AND the result
+with the state's applicability mask. SP is a filter over the full set driven by
 causal-graph levels and the action that generated the node; it builds
 the generating action's follow-up mask only when some applicable action
 lies below that action's level.
@@ -71,7 +71,7 @@ class ExpansionContext(NamedTuple):
 
 def full_expansion(task: Task, state: State) -> tuple[int, ...]:
     """All applicable action ids, ascending."""
-    return task.index.applicable_ids(state.values)
+    return task.index.applicable_ids(state)
 
 
 def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
@@ -117,8 +117,8 @@ def sac_fixpoint(
     """
     index = task.index
     if applicable_mask is None:
-        applicable_mask = index.applicable_mask(state.values)
-    held = map(add, index.offsets, state.values)
+        applicable_mask = index.applicable_mask(state)
+    held = map(add, index.offsets, state)
     touching = reduce(or_, map(index.consumer_masks.__getitem__, held), 0)
     members = new = seed_mask
     while new:
@@ -137,7 +137,7 @@ def sac_expansion(task: Task, state: State) -> tuple[int, ...]:
     """Applicable members of the joint closure of a landmark action set,
     ascending."""
     landmarks = landmark_action_set(task, state)
-    applicable = task.index.applicable_mask(state.values)
+    applicable = task.index.applicable_mask(state)
     return ids(applicable & sac_fixpoint(task, state, landmarks, applicable))
 
 
@@ -152,7 +152,7 @@ def ec_expansion(task: Task, state: State, table: Sequence[int]) -> tuple[int, .
     variable. table is the task's potential_masks.
     """
     index = task.index
-    held = list(map(add, index.offsets, state.values))
+    held = list(map(add, index.offsets, state))
     unachieved = sum(1 << held[v] for v in _unachieved_goal_variables(task, state))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
@@ -167,7 +167,7 @@ def ec_expansion(task: Task, state: State, table: Sequence[int]) -> tuple[int, .
     for v, f in enumerate(held):
         if prefix >> f & 1:
             writers |= index.writer_masks[v]
-    return ids(index.applicable_mask(state.values) & writers)
+    return ids(index.applicable_mask(state) & writers)
 
 
 def _follow_ups(task: Task, first: int) -> int:
@@ -178,11 +178,6 @@ def _follow_ups(task: Task, first: int) -> int:
     for f in index.eff_facts[first]:
         mask |= index.consumer_masks[f] | index.achiever_masks[f]
     return mask
-
-
-def is_follow_up(task: Task, first: int, second: int) -> bool:
-    """True when eff(first) shares an entry with pre(second) or eff(second)."""
-    return bool(_follow_ups(task, first) >> second & 1)
 
 
 def sp_filter(
@@ -235,7 +230,7 @@ class ExpansionStrategy(Protocol):
     expansion(ctx) returns the action ids to apply at the node, ascending;
     it is not defined on goal states, which the search tests before
     expanding. node_key(state, generating_action) is the duplicate-
-    detection key, by default the state's values. The classes below
+    detection key, by default the state tuple itself. The classes below
     inherit that default; any object with these members can stand in
     for them.
     """
@@ -245,7 +240,7 @@ class ExpansionStrategy(Protocol):
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]: ...
 
     def node_key(self, state: State, generating_action: int | None) -> Hashable:
-        return state.values
+        return state
 
 
 class FullStrategy(ExpansionStrategy):
@@ -286,10 +281,10 @@ class SpStrategy(ExpansionStrategy):
         """In "state-level" mode the key folds in the generating action's
         level (0 at the root)."""
         if self.config.sp_closed == "state":
-            return state.values
+            return state
         if generating_action is None:
-            return (state.values, 0)
-        return (state.values, self.stratification.action_level[generating_action])
+            return (state, 0)
+        return (state, self.stratification.action_level[generating_action])
 
 
 class SacStrategy(ExpansionStrategy):

@@ -17,10 +17,16 @@ from porplan import (
     Variable,
     applicable,
     apply_action,
+    astar,
     conflict_free,
     is_goal,
+    make_heuristic,
+    make_strategy,
+    parse_sas,
     validate_plan,
 )
+from porplan.strategies import KINDS
+from conftest import FIXTURES
 
 PA = PartialAssignment.of
 
@@ -148,6 +154,39 @@ def test_task_validation():
         Task(v, (Action(1, "o", PA(), PA([(0, 1)])),), State((0,)), PA())
     with pytest.raises(InvalidTask):  # empty effect
         Action(0, "o", PA(), PA())
+
+
+def test_states_are_value_tuples():
+    task = parse_sas((FIXTURES / "enable_chain.sas").read_text())
+    assert type(task.initial) is tuple
+    action = next(a for a in task.actions if applicable(task.initial, a))
+    assert type(apply_action(task.initial, action)) is tuple
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner, self.task, self.seen = inner, inner.task, []
+            self.node_key = inner.node_key
+
+        def expansion(self, ctx):
+            self.seen.append(ctx.state)
+            return self.inner.expansion(ctx)
+
+    for kind in KINDS:
+        recording = Recording(make_strategy(task, kind))
+        assert astar(task, make_heuristic(task, "hmax"), recording).solved
+        assert recording.seen
+        assert {type(state) for state in recording.seen} == {tuple}
+
+    v = (Variable(0, "x", 2),)
+    act = Action(0, "o", PA([(0, 0)]), PA([(0, 1)]))
+    with pytest.raises(InvalidTask):  # one value too many
+        Task(v, (act,), (0, 1), PA())
+    with pytest.raises(InvalidTask):  # value out of domain
+        Task(v, (act,), (2,), PA())
+    with pytest.raises(InvalidTask):  # a list cannot key the search's records
+        Task(v, (act,), [0], PA())
+    copy = pickle.loads(pickle.dumps(task))
+    assert copy == task and type(copy.initial) is tuple
 
 
 def test_variable_value_names_default_and_check():

@@ -207,7 +207,7 @@ def test_validate_plan_matches_independent_stepper():
                 rng.randrange(len(task.actions))
                 for _ in range(rng.randrange(0, 5))
             ]
-            end = _walk(task.initial.values, rows, steps)
+            end = _walk(task.initial, rows, steps)
             oracle_accepts = end is not None and _applies(end, task.goal.entries)
             try:
                 plan = validate_plan(task, steps)

@@ -35,7 +35,7 @@ from porplan.strategies import (
     InvalidPath,
     NoUnachievedGoal,
     StrategyConfig,
-    is_follow_up,
+    _follow_ups,
     sac_fixpoint,
 )
 
@@ -300,7 +300,7 @@ def test_sp_filter(two_switches, enable_chain):
     # follow-up exemption: eff(a) supplies pre(b), so b survives L(b) < L(a)
     chain_strat = stratify(enable_chain)
     assert chain_strat.action_level == (2, 1)
-    assert is_follow_up(enable_chain, 0, 1)
+    assert _follow_ups(enable_chain, 0) >> 1 & 1
     ctx = ExpansionContext(State((0, 1, 2)), 0)
     assert sp_filter(enable_chain, chain_strat, ctx, (0, 1)) == (0, 1)
 
@@ -314,7 +314,7 @@ def test_follow_up_matches_pairwise_definition(build):
         initial=[0, 0],
         goal=[(0, 1)],
     )
-    assert is_follow_up(same, 0, 1) and is_follow_up(same, 1, 0)
+    assert _follow_ups(same, 0) >> 1 & 1 and _follow_ups(same, 1) >> 0 & 1
     tasks = [same] + [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
     tasks += [task for _, task, _ in default_task_stream(60)]
     for task in tasks:
@@ -327,7 +327,7 @@ def test_follow_up_matches_pairwise_definition(build):
                 not eff.isdisjoint(b.precondition.entries + b.effect.entries)
                 for b in task.actions
             ]
-            assert [is_follow_up(task, a.id, b) for b in everything] == expected
+            assert [bool(_follow_ups(task, a.id) >> b & 1) for b in everything] == expected
             ctx = ExpansionContext(task.initial, a.id)
             assert sp_filter(task, strat, ctx, everything) == tuple(
                 b for b in everything if level[b] >= level[a.id] or expected[b]
