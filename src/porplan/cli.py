@@ -66,7 +66,7 @@ def _search_spec(args, por: str) -> SearchSpec:
         heuristic=args.heuristic,
         por=por,
         config=StrategyConfig(sp_closed=args.sp_closed, strat_tie_break=args.strat_tiebreak),
-        limits=Limits(max_expanded=args.max_nodes, max_time=args.max_time),
+        limits=Limits(args.max_nodes, args.max_time, args.max_open),
     )
 
 
@@ -351,6 +351,7 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-nodes", type=_at_least(int, 0), default=None, help="expansion limit"
     )
+    parser.add_argument("--max-open", type=_at_least(int, 0), default=None, help="open-list limit")
     parser.add_argument("--sp-closed", choices=("state", "state-level"), default="state")
     parser.add_argument(
         "--strat-tiebreak", choices=("canonical", "distinct"), default="canonical"

@@ -1,8 +1,8 @@
 """SAS+ task model: variables, states, actions, plans, the action index.
 
 A state is its dense value tuple: position i holds the value of variable
-i, and State is that tuple type, named for annotations. Equality and
-hashing are plain tuple equality, which keeps the search hot path cheap.
+i, and State is that tuple type, named for annotations. The search engine
+keys its records on the state's fact set instead (ActionIndex.fact_set).
 Partial assignments are sorted (variable, value) pair tuples carrying the
 conflict-freedom algebra everything else builds on. Each Task builds one
 ActionIndex at construction; applicability tests, the search engine, the
@@ -170,7 +170,7 @@ def _inverse(size: int, keys_of: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
 
 def _masks(lists: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """The bit mask of each id list."""
-    return tuple(sum(1 << a for a in members) for members in lists)
+    return tuple([sum(map((1).__lshift__, members)) for members in lists])
 
 
 class ActionIndex:
@@ -182,8 +182,12 @@ class ActionIndex:
     effect, pre_count[a] the precondition size. Per fact: consumers, the
     ascending actions whose precondition needs it.
 
-    Action sets are bit masks, bit a for action a; ids() reads one out.
-    Per fact: achiever_masks (the effect sets it), consumer_masks and
+    Fact and action sets are bit masks, bit f for fact f, bit a for
+    action a; ids() reads one out. Per action a: pre_bits[a], adds[a] (its
+    effect facts) and keep[a] (all facts but its effect variables'), so a
+    applies to a state's fact set F iff F & pre_bits[a] == pre_bits[a] and
+    yields F & keep[a] | adds[a]; goal_bits holds the goal facts. Per
+    fact: achiever_masks (the effect sets it), consumer_masks and
     compatible (no precondition entry contradicts it). Per variable:
     writer_masks. Per action a: support (the achievers of a's
     precondition facts), pre_conflicts and eff_conflicts (the actions
@@ -193,40 +197,44 @@ class ActionIndex:
     def __init__(self, task: Task) -> None:
         variables, actions = task.variables, task.actions
         off = self.offsets = tuple(accumulate((v.domain_size for v in variables), initial=0))
-        self.eff = tuple(a.effect.entries for a in actions)
-        self.pre_facts = tuple(tuple(off[v] + x for v, x in a.precondition) for a in actions)
-        self.eff_facts = tuple(tuple(off[v] + x for v, x in eff) for eff in self.eff)
+        var_of = [v for v, var in enumerate(variables) for _ in range(var.domain_size)]
+        self.eff = eff = tuple([a.effect.entries for a in actions])
+        self.pre_facts = tuple([tuple([off[v] + x for v, x in a.precondition]) for a in actions])
+        self.eff_facts = eff_facts = tuple([tuple([off[v] + x for v, x in e]) for e in eff])
         self.pre_count = tuple(map(len, self.pre_facts))
+        self.pre_bits, self.adds = _masks(self.pre_facts), _masks(eff_facts)
+        # per fact, the facts of its variable
+        clear, every_fact = [(1 << off[v + 1]) - (1 << off[v]) for v in var_of], (1 << off[-1]) - 1
+        self.keep = tuple([every_fact ^ sum(map(clear.__getitem__, e)) for e in eff_facts])
+        self.goal_bits = sum(1 << off[v] + x for v, x in task.goal)
         self.consumers = _inverse(off[-1], self.pre_facts)
         self.consumer_masks = needs = _masks(self.consumers)
-        self.achiever_masks = achievers = _masks(_inverse(off[-1], self.eff_facts))
-        self.writer_masks = _masks(_inverse(len(variables), (a.effect.variables for a in actions)))
-        # an action reads a variable at most once, so the OR over the
-        # variable's facts is the actions reading it at all
-        self._all = (1 << len(actions)) - 1
-        self.compatible = tuple(
-            (self._all & ~reduce(or_, needs[off[v] : off[v + 1]])) | needs[f]
-            for v in range(len(variables))
-            for f in range(off[v], off[v + 1])
-        )
-        self.support = tuple(reduce(or_, map(achievers.__getitem__, pre), 0) for pre in self.pre_facts)
+        self.achiever_masks = achievers = _masks(_inverse(off[-1], eff_facts))
+        # per variable, the OR over its facts: the actions writing it, and
+        # the actions reading it, as an action reads a variable at most once
+        slices = list(map(slice, off, off[1:]))
+        self.writer_masks = writers = tuple([reduce(or_, achievers[s]) for s in slices])
+        reads = [reduce(or_, needs[s]) for s in slices]
+        self._all = everything = (1 << len(actions)) - 1
+        self.compatible = tuple([everything & ~reads[v] | needs[f] for f, v in enumerate(var_of)])
+        self.support = tuple([reduce(or_, map(achievers.__getitem__, p), 0) for p in self.pre_facts])
+        # per fact f = (v, x): the actions whose precondition, or effect,
+        # contradicts it, OR-ed over an action's (never empty) effect facts
+        pre_row = [everything ^ c for c in self.compatible]
+        eff_row = [writers[v] & ~achievers[f] for f, v in enumerate(var_of)]
         self.pre_conflicts = tuple(
-            reduce(or_, (self._all ^ self.compatible[f] for f in facts), 0) & ~(1 << a)
-            for a, facts in enumerate(self.eff_facts)
+            [reduce(or_, map(pre_row.__getitem__, e)) & ~(1 << a) for a, e in enumerate(eff_facts)]
         )
-        self.eff_conflicts = tuple(
-            reduce(or_, (self.writer_masks[v] & ~achievers[off[v] + x] for v, x in eff), 0)
-            for eff in self.eff
-        )
+        self.eff_conflicts = tuple([reduce(or_, map(eff_row.__getitem__, e)) for e in eff_facts])
+
+    def fact_set(self, values: tuple[int, ...]) -> int:
+        """The fact set of the state values."""
+        return sum(map((1).__lshift__, map(add, self.offsets, values)))
 
     def applicable_mask(self, values: tuple[int, ...]) -> int:
         """Bit a is set iff action a is applicable in the state values."""
         facts = map(add, self.offsets, values)
         return reduce(and_, map(self.compatible.__getitem__, facts), self._all)
-
-    def applicable_ids(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        """The applicable action ids in the state values, ascending."""
-        return ids(self.applicable_mask(values))
 
 
 @dataclass(frozen=True)
@@ -249,7 +257,7 @@ class Task:
         for i, var in enumerate(self.variables):
             if var.id != i:
                 raise InvalidTask(f"variable {var.name!r} has id {var.id}, expected {i}")
-        # the initial state keys the search's records, so it must hash
+        # the oracle keys its state tables on the value tuple, so it must hash
         if not isinstance(self.initial, tuple):
             raise InvalidTask("initial state must be a tuple of values")
         if len(self.initial) != n:

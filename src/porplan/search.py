@@ -7,15 +7,17 @@ counter appended to every entry alone orders it (FIFO) and BFS runs
 with the zero heuristic. The engine tests the goal when a node is
 popped, never at generation, and counts one expansion per pop (the final
 goal pop included) and one generation per successor produced,
-duplicates included. Duplicate detection keys come from the strategy
-(SP may fold in the generating action's level); a stored node is only
-rewritten when a strictly smaller g arrives, in which case it is
-reopened. Under BFS's unit costs nodes pop in g order, so nothing is
-ever reopened and the first record of every key wins. States are value
-tuples; a successor is the parent's tuple with the action's effect
-entries from the task's ActionIndex written in. An action the strategy
-returns that the state's applicability mask rejects raises
-NotApplicable.
+duplicates included. A node's identity is its fact set F, an int with
+bit f for each fact f (see ActionIndex) its state holds: the successor
+under action a is F & keep[a] | adds[a], an action the strategy returns
+with F & pre_bits[a] != pre_bits[a] raises NotApplicable, and the goal
+test is F & goal_bits == goal_bits. The strategy's node_key of F is the
+duplicate-detection key (SP may fold in the generating action's level);
+a stored node is only rewritten when a strictly smaller g arrives, in
+which case it is reopened. Under BFS's unit costs nodes pop in g order,
+so nothing is ever reopened and the first record of every key wins.
+Heuristics and strategies see the state's value tuple, built from the
+parent's only for a successor that is new or strictly cheaper.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .heuristics import INFINITY, Zero, make_heuristic
-from .model import NotApplicable, Plan, State, Task, is_goal, plan_cost
+from .model import NotApplicable, Plan, State, Task, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
 
 # heap ordering prefix per search, from a node's (g, h)
@@ -69,7 +71,7 @@ class SearchResult:
 def _extract_plan(task: Task, records: dict, key) -> Plan:
     steps: list[int] = []
     while True:
-        _, parent_key, gen_action, _ = records[key]
+        _, parent_key, gen_action, _, _ = records[key]
         if gen_action is None:
             break
         steps.append(gen_action)
@@ -94,12 +96,16 @@ def _best_first(
     limits = limits or Limits()
     start = time.perf_counter()
     index = task.index
+    keep, adds, pre_bits, eff = index.keep, index.adds, index.pre_bits, index.eff
+    costs = [action.cost for action in task.actions]
+    node_key = strategy.node_key
     expanded = generated = 0
     counter = itertools.count()
     root = task.initial
-    root_key = strategy.node_key(root, None)
-    # key -> [g, parent_key, generating_action, state]
-    records: dict = {root_key: [0, None, None, root]}
+    root_facts = index.fact_set(root)
+    root_key = node_key(root_facts, None)
+    # key -> (g, parent_key, generating_action, state, fact set)
+    records: dict = {root_key: (0, None, None, root, root_facts)}
     h0 = heuristic(root)
     open_heap: list = []
     if h0 != INFINITY:
@@ -125,31 +131,29 @@ def _best_first(
         if limits.max_open is not None and len(open_heap) > limits.max_open:
             return result(RESOURCE_LIMIT, limit_kind="memory")
         *_, key, g_pushed = heapq.heappop(open_heap)
-        record = records[key]
-        if g_pushed > record[0]:
+        g, _, gen_action, state, facts = records[key]
+        if g_pushed > g:
             continue  # stale: the key was pushed again with a smaller g
         expanded += 1
-        state = record[3]
-        if is_goal(task, state):
+        if facts & index.goal_bits == index.goal_bits:
             return result(SOLVED, _extract_plan(task, records, key))
-        ctx = ExpansionContext(state, record[2])
-        applicable = index.applicable_mask(state)
-        for action_id in strategy.expansion(ctx):
-            action = task.actions[action_id]
-            if not applicable >> action_id & 1:
-                raise NotApplicable(f"action {action.name!r} is not applicable")
-            values = list(state)
-            for var, val in index.eff[action_id]:
-                values[var] = val
-            succ = tuple(values)
+        for action_id in strategy.expansion(ExpansionContext(state, gen_action)):
+            pre = pre_bits[action_id]
+            if facts & pre != pre:
+                raise NotApplicable(f"action {task.actions[action_id].name!r} is not applicable")
+            succ_facts = facts & keep[action_id] | adds[action_id]
             generated += 1
-            g2 = record[0] + action.cost
-            succ_key = strategy.node_key(succ, action_id)
+            g2 = g + costs[action_id]
+            succ_key = node_key(succ_facts, action_id)
             known = records.get(succ_key)
             if known is not None and g2 >= known[0]:
                 continue  # first-in wins unless strictly cheaper
+            values = list(state)
+            for var, val in eff[action_id]:
+                values[var] = val
+            succ = tuple(values)
             h = heuristic(succ)
-            records[succ_key] = [g2, key, action_id, succ]
+            records[succ_key] = (g2, key, action_id, succ, succ_facts)
             if h == INFINITY:
                 continue  # dead in the relaxation; keep g for reopen checks
             heapq.heappush(open_heap, (*priority(g2, h), next(counter), succ_key, g2))

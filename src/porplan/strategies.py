@@ -71,7 +71,7 @@ class ExpansionContext(NamedTuple):
 
 def full_expansion(task: Task, state: State) -> tuple[int, ...]:
     """All applicable action ids, ascending."""
-    return task.index.applicable_ids(state)
+    return ids(task.index.applicable_mask(state))
 
 
 def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
@@ -229,18 +229,18 @@ class ExpansionStrategy(Protocol):
 
     expansion(ctx) returns the action ids to apply at the node, ascending;
     it is not defined on goal states, which the search tests before
-    expanding. node_key(state, generating_action) is the duplicate-
-    detection key, by default the state tuple itself. The classes below
-    inherit that default; any object with these members can stand in
-    for them.
+    expanding. node_key(facts, generating_action) is the duplicate-
+    detection key of a node whose state holds the fact set facts (an int,
+    see ActionIndex), by default facts itself. The classes below inherit
+    that default; any object with these members can stand in for them.
     """
 
     task: Task
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]: ...
 
-    def node_key(self, state: State, generating_action: int | None) -> Hashable:
-        return state
+    def node_key(self, facts: int, generating_action: int | None) -> Hashable:
+        return facts
 
 
 class FullStrategy(ExpansionStrategy):
@@ -277,14 +277,14 @@ class SpStrategy(ExpansionStrategy):
             self.task, self.stratification, ctx, full_expansion(self.task, ctx.state)
         )
 
-    def node_key(self, state: State, generating_action: int | None) -> Hashable:
+    def node_key(self, facts: int, generating_action: int | None) -> Hashable:
         """In "state-level" mode the key folds in the generating action's
         level (0 at the root)."""
         if self.config.sp_closed == "state":
-            return state
+            return facts
         if generating_action is None:
-            return (state, 0)
-        return (state, self.stratification.action_level[generating_action])
+            return (facts, 0)
+        return (facts, self.stratification.action_level[generating_action])
 
 
 class SacStrategy(ExpansionStrategy):

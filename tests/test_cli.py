@@ -70,6 +70,12 @@ def test_plan_node_limit(tmp_path, two_switches_file):
     assert json.loads(stats.read_text())["outcome"] == "resource_limit"
 
 
+def test_plan_open_limit(tmp_path, two_switches_file):
+    code, _, stats = run_plan(tmp_path, two_switches_file, "--max-open", "0")
+    assert code == 2
+    assert json.loads(stats.read_text())["outcome"] == "resource_limit"
+
+
 def test_plan_unsolvable(tmp_path):
     f = tmp_path / "dead.sas"
     f.write_text(unsolvable_text())
@@ -180,6 +186,7 @@ def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
     [
         ["plan", "F", "--bogus"],
         ["plan", "F", "--max-nodes", "-1"],
+        ["plan", "F", "--max-open", "-1"],
         ["plan", "F", "--max-time", "-0.5"],
         ["plan", "F", "--max-time", "nan"],
         ["bench", "D", "--workers", "0"],
@@ -372,6 +379,7 @@ _FUZZ_OPTIONS = {
         "--por": ["none", "ec", "sp", "sac"],
         "--max-time": ["0", "0.5", "inf"],
         "--max-nodes": ["0", "1", "3"],
+        "--max-open": ["0", "1", "3"],
         "--sp-closed": ["state", "state-level"],
         "--strat-tiebreak": ["canonical", "distinct"],
         "--plan-out": _FUZZ_OUTPUTS,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pickle
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,8 +27,10 @@ from porplan import (
     parse_sas,
     validate_plan,
 )
+from porplan.model import ids
+from porplan.oracle import default_task_stream
 from porplan.strategies import KINDS
-from conftest import FIXTURES
+from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 
 PA = PartialAssignment.of
 
@@ -163,19 +167,31 @@ def test_states_are_value_tuples():
     assert type(apply_action(task.initial, action)) is tuple
 
     class Recording:
-        def __init__(self, inner):
-            self.inner, self.task, self.seen = inner, inner.task, []
-            self.node_key = inner.node_key
+        """Records what the engine hands the strategy and the heuristic."""
+
+        def __init__(self, inner, heuristic):
+            self.inner, self.task, self.heuristic = inner, inner.task, heuristic
+            self.seen, self.keyed, self.evaluated = [], [], []
 
         def expansion(self, ctx):
             self.seen.append(ctx.state)
             return self.inner.expansion(ctx)
 
+        def node_key(self, facts, generating_action):
+            self.keyed.append(facts)
+            return self.inner.node_key(facts, generating_action)
+
+        def evaluate(self, state):
+            self.evaluated.append(state)
+            return self.heuristic(state)
+
     for kind in KINDS:
-        recording = Recording(make_strategy(task, kind))
-        assert astar(task, make_heuristic(task, "hmax"), recording).solved
-        assert recording.seen
-        assert {type(state) for state in recording.seen} == {tuple}
+        recording = Recording(make_strategy(task, kind), make_heuristic(task, "hmax"))
+        assert astar(task, recording.evaluate, recording).solved
+        assert recording.seen and recording.evaluated
+        assert {type(state) for state in recording.seen + recording.evaluated} == {tuple}
+        assert {type(facts) for facts in recording.keyed} == {int}
+        assert task.index.fact_set(task.initial) in recording.keyed
 
     v = (Variable(0, "x", 2),)
     act = Action(0, "o", PA([(0, 0)]), PA([(0, 1)]))
@@ -183,10 +199,67 @@ def test_states_are_value_tuples():
         Task(v, (act,), (0, 1), PA())
     with pytest.raises(InvalidTask):  # value out of domain
         Task(v, (act,), (2,), PA())
-    with pytest.raises(InvalidTask):  # a list cannot key the search's records
+    with pytest.raises(InvalidTask):  # a list cannot key the oracle's state tables
         Task(v, (act,), [0], PA())
     copy = pickle.loads(pickle.dumps(task))
     assert copy == task and type(copy.initial) is tuple
+
+
+def test_fact_set_tables_match_value_semantics():
+    # every reachable state s and action a of the stream tasks: the fact
+    # set F of s decides applicability and the goal, and F & keep[a] |
+    # adds[a] is the fact set of a's successor
+    for _, task, graph in default_task_stream(60):
+        index = task.index
+        for s in graph.states:
+            facts = index.fact_set(s)
+            assert ids(facts) == tuple(index.offsets[v] + x for v, x in enumerate(s))
+            assert (facts & index.goal_bits == index.goal_bits) == is_goal(task, s)
+            for a in task.actions:
+                pre = index.pre_bits[a.id]
+                assert (facts & pre == pre) == applicable(s, a)
+                if applicable(s, a):
+                    succ = facts & index.keep[a.id] | index.adds[a.id]
+                    assert succ == index.fact_set(apply_action(s, a))
+
+
+def reference_index_masks(task):
+    """Reference for ActionIndex's writer_masks, compatible, pre_conflicts
+    and eff_conflicts: the first two from their definitions, the conflict
+    masks as an OR over an action's effect entries, entry by entry."""
+    index, off = task.index, task.index.offsets
+    everything = (1 << len(task.actions)) - 1
+    writer_masks = tuple(
+        sum(1 << a.id for a in task.actions if v in a.effect.variables)
+        for v in range(task.num_variables)
+    )
+    compatible = tuple(
+        sum(1 << a.id for a in task.actions if a.precondition.value_of(v) in (None, x))
+        for v, var in enumerate(task.variables)
+        for x in range(var.domain_size)
+    )
+    pre_conflicts = tuple(
+        reduce(or_, (everything ^ compatible[f] for f in facts), 0) & ~(1 << a)
+        for a, facts in enumerate(index.eff_facts)
+    )
+    eff_conflicts = tuple(
+        reduce(or_, (writer_masks[v] & ~index.achiever_masks[off[v] + x] for v, x in eff), 0)
+        for eff in index.eff
+    )
+    return writer_masks, compatible, pre_conflicts, eff_conflicts
+
+
+def test_index_masks_match_reference():
+    corpus = perfbench_corpus()
+    tasks = [task for _, task, _ in default_task_stream(60)]
+    tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    for workload in BENCH_WORKLOADS:
+        tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
+    for task in tasks:
+        index = task.index
+        assert (
+            index.writer_masks, index.compatible, index.pre_conflicts, index.eff_conflicts
+        ) == reference_index_masks(task)
 
 
 def test_variable_value_names_default_and_check():

@@ -100,16 +100,21 @@ class _Inapplicable(ExpansionStrategy):
 
 
 @pytest.mark.parametrize("search", ["astar", "gbfs", "bfs"])
-def test_engine_rejects_inapplicable_action(two_switches, search):
-    # both actions apply at the initial state; at either successor the
-    # stub offers again the action just applied, whose precondition fails
-    strategy = _Inapplicable(two_switches)
-    with pytest.raises(NotApplicable):
-        if search == "bfs":
-            bfs(two_switches, strategy)
-        else:
-            engine = astar if search == "astar" else gbfs
-            engine(two_switches, make_heuristic(two_switches, "blind"), strategy)
+def test_engine_rejects_inapplicable_action(two_switches, build, search):
+    # two_switches: both actions apply at the initial state; at either
+    # successor the stub offers again the action just applied, whose
+    # precondition fails. half_met: the one action's precondition has two
+    # entries, of which only x2=1 fails at the initial state
+    half_met = build(domains=[2, 2], actions=[("o", [(0, 0), (1, 1)], [(0, 1)])],
+                     initial=[0, 0], goal=[(0, 1)])
+    for task in (two_switches, half_met):
+        strategy = _Inapplicable(task)
+        with pytest.raises(NotApplicable):
+            if search == "bfs":
+                bfs(task, strategy)
+            else:
+                engine = astar if search == "astar" else gbfs
+                engine(task, make_heuristic(task, "blind"), strategy)
 
 
 def test_bfs_requires_unit_costs(build):

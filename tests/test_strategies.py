@@ -386,10 +386,12 @@ def test_strategy_kind_validation(two_switches):
 
 
 def test_sp_node_key_modes(two_switches):
+    facts = two_switches.index.fact_set(two_switches.initial)
     state_only = make_strategy(two_switches, "sp")
-    assert state_only.node_key(two_switches.initial, 0) == (0, 0)
+    assert state_only.node_key(facts, 0) == facts == 0b0101
     leveled = make_strategy(
         two_switches, "sp", StrategyConfig(sp_closed="state-level")
     )
-    key = leveled.node_key(two_switches.initial, 0)
-    assert key == ((0, 0), leveled.stratification.action_level[0])
+    key = leveled.node_key(facts, 0)
+    assert key == (facts, leveled.stratification.action_level[0])
+    assert leveled.node_key(facts, None) == (facts, 0)
