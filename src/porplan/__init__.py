@@ -43,6 +43,7 @@ from .strategies import (
     full_expansion,
     is_left_commutative,
     landmark_action_set,
+    make_bare_strategy,
     make_strategy,
     sac_expansion,
     sp_filter,
@@ -87,6 +88,7 @@ __all__ = [
     "is_goal",
     "is_left_commutative",
     "landmark_action_set",
+    "make_bare_strategy",
     "make_heuristic",
     "make_strategy",
     "parse_sas",

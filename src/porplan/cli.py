@@ -36,7 +36,7 @@ from .heuristics import HEURISTICS
 from .model import State, Task, validate_plan
 from .sas_io import SasError, parse_sas
 from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchResult, SearchSpec, solve
-from .strategies import KINDS, ExpansionContext, StrategyConfig, make_strategy
+from .strategies import KINDS, ExpansionContext, StrategyConfig, make_bare_strategy
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVABLE = 1
@@ -201,7 +201,7 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         ctx = ExpansionContext(state, None)
         sets = {}
         for kind in KINDS:
-            strategy = make_strategy(task, kind)
+            strategy = make_bare_strategy(task, kind)
             sets[kind] = [task.actions[a].name for a in strategy.expansion(ctx)]
         return json.dumps(sets, indent=2)
     raise _InputError(f"unknown inspect target {token!r}")
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
     tasks = oracle.default_task_stream(
         args.seeds, start=args.seed_start, max_states=args.max_states
     )
-    factory = oracle.drop_one_sac if args.inject_fault == "sac-drop" else make_strategy
+    factory = oracle.drop_one_sac if args.inject_fault == "sac-drop" else make_bare_strategy
     chosen = set(args.suites or ["all"])
     try:
         reports = [

@@ -27,7 +27,7 @@ from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
     is_left_commutative,
-    make_strategy,
+    make_bare_strategy,
 )
 
 DEFAULT_MAX_STATES = 2000
@@ -639,10 +639,10 @@ class _DropLast:
 
 
 def drop_one_sac(task: Task, kind: str) -> ExpansionStrategy:
-    """make_strategy with a deliberate fault in SAC, for the suites'
+    """make_bare_strategy with a deliberate fault in SAC, for the suites'
     strategy_factory: every SAC expansion set loses its last action, which
     the stubborn, optimality and action-preserving suites must report."""
-    strategy = make_strategy(task, kind)
+    strategy = make_bare_strategy(task, kind)
     return _DropLast(strategy) if kind == "sac" else strategy
 
 
@@ -650,7 +650,7 @@ def suite_stubborn(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
     kinds: Sequence[str] = ("sac", "ec"),
     horizon: int = 6,
-    strategy_factory=make_strategy,
+    strategy_factory=make_bare_strategy,
 ) -> Report:
     """A1/A2 at every state an exhaustive reduced BFS expands."""
     report = Report("stubborn_suite")
@@ -672,7 +672,7 @@ def suite_stubborn(
 
 def suite_optimality(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    strategy_factory=make_strategy,
+    strategy_factory=make_bare_strategy,
 ) -> Report:
     """A*+hmax cost equality under ec/sac and solvability agreement under
     all four strategies, against the Dijkstra oracle."""
@@ -755,7 +755,7 @@ def suite_action_preserving(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
     kinds: Sequence[str] = ("sac", "ec"),
     horizon: int = 4,
-    strategy_factory=make_strategy,
+    strategy_factory=make_bare_strategy,
 ) -> Report:
     report = Report("action_preserving_suite")
     for seed, task, _ in tasks:

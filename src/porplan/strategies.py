@@ -13,10 +13,14 @@ causal-graph levels and the action that generated the node; it builds
 the generating action's follow-up mask only when some applicable action
 lies below that action's level.
 
-Each kind is one class behind the ExpansionStrategy protocol; build them
-with make_strategy. The none and SAC objects hold only their task, EC
-also its PDG table and SP its stratification; none of them changes
-after construction, so concurrent searches can share one.
+Each kind is one class behind the ExpansionStrategy protocol, built bare
+by make_bare_strategy. The none and SAC objects hold only their task, EC
+also its PDG table and SP its stratification; none of them changes after
+construction, so concurrent searches can share one. make_strategy wraps
+every kind but none in an AdaptiveStrategy, which falls back to full
+expansion for the rest of a search when the bare strategy pruned too
+little in the first few expansions after the root. It holds per-search
+counters, so each concurrent search needs its own wrapper.
 """
 
 from __future__ import annotations
@@ -299,14 +303,72 @@ class SacStrategy(ExpansionStrategy):
 
 _STRATEGIES = {"none": FullStrategy, "ec": EcStrategy, "sp": SpStrategy, "sac": SacStrategy}
 KINDS = tuple(_STRATEGIES)
+ADAPTIVE_WINDOW = 3  # expansions after each search's root that decide the switch-off
+MIN_PRUNING = 0.2  # least pruned share of the window's applicable actions
 
 
-def make_strategy(
+class AdaptiveStrategy:
+    """A bare strategy that falls back to full expansion when it prunes
+    too little.
+
+    For ADAPTIVE_WINDOW expansions after each search's root (the node
+    whose generating action is None; SP keeps every action there, so the
+    root is not measured) it answers with the bare strategy and sums the
+    chosen and applicable counts. If under MIN_PRUNING of the applicable
+    actions were pruned, it answers with full_expansion for the rest of
+    the search, else with the bare strategy. Every expansion set contains
+    the bare one, so A* with ec or sac stays optimal. The counters are per
+    search: one wrapper serves several searches in sequence with the same
+    results, but never two at once.
+    """
+
+    def __init__(self, inner: ExpansionStrategy) -> None:
+        self.inner = inner
+        self.task = inner.task
+        self.node_key = inner.node_key
+        self.full = FullStrategy(inner.task, StrategyConfig())
+        # the decided expansion, None inside the window; never a method of
+        # self, so the wrapper holds no reference cycle
+        self.decided = None
+        self.seen = self.chosen = self.applicable = 0
+
+    def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
+        decided = self.decided
+        if decided is not None and ctx.generating_action is not None:
+            return decided(ctx)
+        chosen = self.inner.expansion(ctx)
+        if ctx.generating_action is None:
+            self.decided = None
+            self.seen = self.chosen = self.applicable = 0
+            return chosen
+        self.seen += 1
+        self.chosen += len(chosen)
+        self.applicable += self.task.index.applicable_mask(ctx.state).bit_count()
+        if self.seen == ADAPTIVE_WINDOW:
+            pruned = self.applicable - self.chosen
+            keep = pruned >= MIN_PRUNING * self.applicable
+            self.decided = self.inner.expansion if keep else self.full.expansion
+        return chosen
+
+
+def make_bare_strategy(
     task: Task, kind: str, config: StrategyConfig | None = None
 ) -> ExpansionStrategy:
-    """The strategy of the given kind, one of KINDS, bound to the task."""
+    """The strategy of the given kind, one of KINDS, bound to the task,
+    without the adaptive switch-off: the object the oracle checks.
+    Immutable, so concurrent searches can share it."""
     try:
         cls = _STRATEGIES[kind]
     except KeyError:
         raise ValueError(f"unknown strategy kind {kind!r}") from None
     return cls(task, config or StrategyConfig())
+
+
+def make_strategy(
+    task: Task, kind: str, config: StrategyConfig | None = None
+) -> ExpansionStrategy:
+    """make_bare_strategy's object, wrapped in an AdaptiveStrategy unless
+    kind is none. The wrapper holds per-search counters: build one per
+    concurrent search."""
+    strategy = make_bare_strategy(task, kind, config)
+    return strategy if kind == "none" else AdaptiveStrategy(strategy)

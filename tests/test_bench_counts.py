@@ -7,9 +7,10 @@ workload, the last JSON line of
 
 for each commit it compares. This test solves the seed-1 corpus of every
 workload under every strategy once, without timing, and requires the
-corpus-summed expanded, generated and peak-open counts to equal every
-recorded run of the newest file. A speed-up that silently changes search
-behaviour fails here.
+corpus-summed expanded, generated and peak-open counts to equal the
+newest file's "change" run; its "parent" run may differ, when the change
+altered counts on purpose and says so. A speed-up that silently changes
+search behaviour fails here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from porplan import Limits, astar, bfs, make_heuristic, make_strategy, parse_sas
+from porplan import (
+    Limits,
+    astar,
+    bfs,
+    make_bare_strategy,
+    make_heuristic,
+    make_strategy,
+    parse_sas,
+)
 from conftest import ROOT, perfbench_corpus
 
 KINDS = ("none", "ec", "sp", "sac")
@@ -45,7 +54,7 @@ def _newest_bench() -> tuple[Path, dict]:
     return path, json.loads(path.read_text())
 
 
-def _corpus_counts(corpus, workload: str) -> dict[str, int]:
+def _corpus_counts(corpus, workload: str, factory=make_strategy) -> dict[str, int]:
     engine, heuristic, max_expanded = WORKLOADS[workload]
     limits = Limits(max_expanded=max_expanded)
     tasks = [parse_sas(instance.text) for instance in corpus.instances(workload, 1)]
@@ -54,7 +63,7 @@ def _corpus_counts(corpus, workload: str) -> dict[str, int]:
     )
     for kind in KINDS:
         for task in tasks:
-            strategy = make_strategy(task, kind)
+            strategy = factory(task, kind)
             if engine == "bfs":
                 result = bfs(task, strategy, limits)
             else:
@@ -70,14 +79,19 @@ def test_counts_match_newest_bench_file():
     path, bench = _newest_bench()
     corpus = perfbench_corpus()
     for workload in WORKLOADS:
-        recorded = {side: runs[workload] for side, runs in bench["runs"].items()}
-        assert recorded, f"{path.name} records no run of {workload}"
-        counts = _corpus_counts(corpus, workload)
-        for side, run in recorded.items():
-            assert run["correct"], f"{path.name} {side} {workload} was not correct"
-            metrics = run["metrics"]
-            for name, value in counts.items():
-                assert metrics[name]["value"] == value, (
-                    f"{workload} {name}: {value} now, {metrics[name]['value']}"
-                    f" in {path.name} ({side})"
-                )
+        run = bench["runs"]["change"][workload]
+        assert run["correct"], f"{path.name} change {workload} was not correct"
+        metrics = run["metrics"]
+        for name, value in _corpus_counts(corpus, workload).items():
+            assert metrics[name]["value"] == value, (
+                f"{workload} {name}: {value} now, {metrics[name]['value']} in {path.name}"
+            )
+
+
+def test_adaptive_switch_off_keeps_counters_counts():
+    # ec and sac prune about two thirds of the applicable actions on
+    # counters and sp prunes none, so the switch-off must leave every
+    # count as the bare strategies have it
+    corpus = perfbench_corpus()
+    adaptive = _corpus_counts(corpus, "counters-bfs")
+    assert adaptive == _corpus_counts(corpus, "counters-bfs", make_bare_strategy)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from porplan import State, make_strategy, sac_expansion
+from porplan import State, make_bare_strategy, make_strategy, sac_expansion
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -13,11 +15,15 @@ from porplan.oracle import (
     check_sp_permutation,
     check_stubborn_conditions,
     default_task_stream,
+    drop_one_sac,
     enumerate_state_space,
     generate_random_task,
     sp_reachable_values,
     suite_action_preserving,
+    suite_optimality,
+    suite_stubborn,
 )
+from porplan.strategies import KINDS, AdaptiveStrategy
 
 
 def test_enumerate_two_switches(two_switches):
@@ -97,7 +103,7 @@ def test_stubborn_a1_violation(build):
 def test_action_preserving(two_switches):
     for kind in ("ec", "sac"):
         assert check_action_preserving(
-            two_switches, make_strategy(two_switches, kind), horizon=4, strict=True
+            two_switches, make_bare_strategy(two_switches, kind), horizon=4, strict=True
         ).ok
 
     class Hopeless:
@@ -113,6 +119,18 @@ def test_action_preserving(two_switches):
 def test_action_preserving_random_seeds():
     tasks = default_task_stream(25)
     assert suite_action_preserving(tasks, horizon=4).ok
+
+
+def test_suites_check_bare_strategies(two_switches):
+    # a switch-off to full expansion would hide an unsound expansion set
+    for suite in (suite_stubborn, suite_optimality, suite_action_preserving):
+        default = inspect.signature(suite).parameters["strategy_factory"].default
+        assert default is make_bare_strategy, suite.__name__
+    for kind in KINDS:
+        for factory in (make_bare_strategy, drop_one_sac):
+            strategy = factory(two_switches, kind)
+            assert not isinstance(strategy, AdaptiveStrategy), (factory.__name__, kind)
+            assert not isinstance(getattr(strategy, "inner", None), AdaptiveStrategy)
 
 
 def test_sp_permutation_two_switches(two_switches):

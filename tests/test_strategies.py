@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from porplan import (
     State,
     applicable,
     apply_action,
+    astar,
     build_dtg,
     ec_expansion,
     full_expansion,
     is_left_commutative,
     landmark_action_set,
+    make_bare_strategy,
+    make_heuristic,
     make_strategy,
     parse_sas,
     potential_masks,
@@ -22,6 +27,7 @@ from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
+    brute_force_optimal_cost,
     default_task_stream,
     enumerate_state_space,
     generate_random_task,
@@ -30,8 +36,11 @@ from porplan import strategies
 from porplan.graphs import V0
 from porplan.model import ids
 from porplan.strategies import (
+    ADAPTIVE_WINDOW,
     KINDS,
+    AdaptiveStrategy,
     ExpansionContext,
+    FullStrategy,
     InvalidPath,
     NoUnachievedGoal,
     StrategyConfig,
@@ -389,9 +398,87 @@ def test_sp_node_key_modes(two_switches):
     facts = two_switches.index.fact_set(two_switches.initial)
     state_only = make_strategy(two_switches, "sp")
     assert state_only.node_key(facts, 0) == facts == 0b0101
-    leveled = make_strategy(
+    leveled = make_bare_strategy(
         two_switches, "sp", StrategyConfig(sp_closed="state-level")
     )
     key = leveled.node_key(facts, 0)
     assert key == (facts, leveled.stratification.action_level[0])
     assert leveled.node_key(facts, None) == (facts, 0)
+    adaptive = make_strategy(two_switches, "sp", StrategyConfig(sp_closed="state-level"))
+    assert adaptive.node_key(facts, 0) == key
+
+
+def test_make_strategy_wraps_every_reducing_kind(two_switches):
+    assert type(make_strategy(two_switches, "none")) is FullStrategy
+    for kind in ("ec", "sp", "sac"):
+        strategy = make_strategy(two_switches, kind)
+        assert isinstance(strategy, AdaptiveStrategy)
+        assert type(strategy.inner) is type(make_bare_strategy(two_switches, kind))
+        assert not isinstance(make_bare_strategy(two_switches, kind), AdaptiveStrategy)
+        # no reference cycle: the wrapper and its bare strategy go with the
+        # last reference, not at the next cyclic collection
+        freed = weakref.ref(strategy)
+        del strategy
+        assert freed() is None
+
+
+class _Recording:
+    """Records each expansion set the wrapped strategy returns."""
+
+    def __init__(self, inner):
+        self.inner, self.task, self.node_key = inner, inner.task, inner.node_key
+        self.calls = []
+
+    def expansion(self, ctx):
+        chosen = self.inner.expansion(ctx)
+        self.calls.append((ctx, chosen))
+        return chosen
+
+
+def _counts(result):
+    return result.expanded, result.generated, result.peak_open_size, result.plan
+
+
+def test_adaptive_falls_back_to_full_expansion_after_the_window():
+    # ec and sac prune nothing on random tasks: past the window after the
+    # root, every expansion set is the full applicable set
+    instance = perfbench_corpus().instances("random-astar-blind", 1)[0]
+    task = parse_sas(instance.text)
+    for kind in ("ec", "sac"):
+        bare = make_bare_strategy(task, kind)
+        recording = _Recording(make_strategy(task, kind))
+        result = astar(task, make_heuristic(task, "blind"), recording)
+        assert result.plan.cost == instance.expected_cost
+        window, rest = recording.calls[: ADAPTIVE_WINDOW + 1], recording.calls[ADAPTIVE_WINDOW + 1 :]
+        assert rest, kind
+        for ctx, chosen in window:
+            assert chosen == bare.expansion(ctx)
+        for ctx, chosen in rest:
+            assert chosen == full_expansion(task, ctx.state)
+
+
+def test_adaptive_strategy_serves_consecutive_searches_alike():
+    # on both tasks the switch fires for all three kinds
+    corpus = perfbench_corpus()
+    for workload, name in (("random-astar-blind", "blind"), ("logistics-astar-hmax", "hmax")):
+        task = parse_sas(corpus.instances(workload, 1)[0].text)
+        heuristic = make_heuristic(task, name)
+        for kind in ("ec", "sp", "sac"):
+            strategy = make_strategy(task, kind)
+            first, second = (_counts(astar(task, heuristic, strategy)) for _ in range(2))
+            fresh = _counts(astar(task, heuristic, make_strategy(task, kind)))
+            assert first == second == fresh, (workload, kind)
+
+
+def test_adaptive_ec_and_sac_stay_optimal():
+    fired = 0
+    for cost_mode in ("unit", "random"):
+        for _, task, _ in default_task_stream(150, cost_mode=cost_mode):
+            optimum = brute_force_optimal_cost(task)
+            for heuristic in ("hmax", "blind"):
+                for kind in ("ec", "sac"):
+                    strategy = make_strategy(task, kind)
+                    result = astar(task, make_heuristic(task, heuristic), strategy)
+                    assert result.plan.cost == optimum, (cost_mode, heuristic, kind)
+                    fired += strategy.decided == strategy.full.expansion
+    assert fired  # the fallback ran on some of these searches
