@@ -8,14 +8,27 @@ the additive estimate. The result is infinity exactly when some goal fact
 is unreachable in the relaxation. Zero-cost actions are fine: fact costs
 are non-negative and monotone, so the pass terminates.
 
-Evaluators hold immutable per-task indexes and are pure per call.
+A fact's relaxed cost depends only on the state's values of its
+variable's causal-graph ancestors, the variables from which it can be
+reached along "an action reads u and writes w" arcs: every achiever of
+an ancestor's fact reads only ancestors. So the relaxation evaluators
+memoise each goal fact's cost on the state's projection onto its
+variable's ancestors, the variable included. A call that finds every goal
+entry memoised skips the pass; a miss runs it once and fills every entry.
+When some goal variable has every variable as an ancestor, nothing could
+hit, and the evaluator builds no memo.
+
+Evaluators hold immutable per-task indexes. The relaxation evaluators
+also hold those per-goal-fact memos, but each entry is a pure function of
+its key, so a call's value depends only on the state, and threads can
+share an evaluator.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from operator import add
+from operator import add, itemgetter
 from typing import Callable
 
 from .model import State, Task, is_goal
@@ -33,15 +46,37 @@ class DeleteRelaxationHeuristic:
         index = self.index = task.index
         self.costs = [action.cost for action in task.actions]
         self.goal_facts = [index.offsets[v] + val for v, val in task.goal]
-        # the effect facts of the actions without a precondition, at their cost
-        self.seeds = [
-            (self.costs[a], f)
-            for a, n in enumerate(index.pre_count)
-            if n == 0
-            for f in index.eff_facts[a]
-        ]
+        # the effect facts of the actions without a precondition, at their
+        # cost; the membership test skips the scan when there are none
+        self.seeds = []
+        if 0 in index.pre_count:
+            self.seeds = [
+                (self.costs[a], f)
+                for a, n in enumerate(index.pre_count)
+                if n == 0
+                for f in index.eff_facts[a]
+            ]
+        # per goal entry, its ancestor projection and its memo; None without a memo
+        self.projections = _goal_projections(task)
+        self.memos = None if self.projections is None else [{} for _ in self.projections]
 
     def __call__(self, state: State) -> float:
+        memos = self.memos
+        if memos is None:
+            values = self._goal_costs(state)
+        else:
+            keys = [read(state) for read in self.projections]
+            values = list(map(dict.get, memos, keys))
+            if None in values:
+                values = self._goal_costs(state)
+                for memo, key, value in zip(memos, keys, values):
+                    memo[key] = value
+        if INFINITY in values:
+            return INFINITY
+        return sum(values) if self.add else max(values, default=0)
+
+    def _goal_costs(self, state: State) -> list[float]:
+        """The relaxed cost of each goal fact, in goal order."""
         index = self.index
         dist: list[float] = [INFINITY] * index.offsets[-1]
         heap = [(0, f) for f in map(add, index.offsets, state)]
@@ -74,10 +109,31 @@ class DeleteRelaxationHeuristic:
                             dist[g] = value
                             push(heap, (value, g))
 
-        values = [dist[f] for f in self.goal_facts]
-        if INFINITY in values:
-            return INFINITY
-        return sum(values) if self.add else max(values, default=0)
+        return [dist[f] for f in self.goal_facts]
+
+
+def _goal_projections(task: Task) -> list[itemgetter] | None:
+    """Per goal entry, the itemgetter that reads its variable's causal-graph
+    ancestors, the variable included, from a state; None when some goal
+    variable has every variable as an ancestor."""
+    reads, writes = task.index.reader_masks, task.index.writer_masks
+    n = len(writes)
+    projections = []
+    for v, _ in task.goal:
+        # sweep the variables until none is added: u is an ancestor when
+        # some action writing an ancestor reads it
+        members, writers, added = [v], writes[v], True
+        while added:
+            added = False
+            for u, readers in enumerate(reads):
+                if readers & writers and u not in members:
+                    members.append(u)
+                    writers |= writes[u]
+                    added = True
+        if len(members) == n:
+            return None
+        projections.append(itemgetter(*members))
+    return projections
 
 
 class Blind:

@@ -189,7 +189,7 @@ class ActionIndex:
     yields F & keep[a] | adds[a]; goal_bits holds the goal facts. Per
     fact: achiever_masks (the effect sets it), consumer_masks and
     compatible (no precondition entry contradicts it). Per variable:
-    writer_masks. Per action a: support (the achievers of a's
+    writer_masks and reader_masks. Per action a: support (the achievers of a's
     precondition facts), pre_conflicts and eff_conflicts (the actions
     b != a whose precondition, or effect, contradicts eff(a)).
     """
@@ -214,7 +214,7 @@ class ActionIndex:
         # the actions reading it, as an action reads a variable at most once
         slices = list(map(slice, off, off[1:]))
         self.writer_masks = writers = tuple([reduce(or_, achievers[s]) for s in slices])
-        reads = [reduce(or_, needs[s]) for s in slices]
+        self.reader_masks = reads = tuple([reduce(or_, needs[s]) for s in slices])
         self._all = everything = (1 << len(actions)) - 1
         self.compatible = tuple([everything & ~reads[v] | needs[f] for f, v in enumerate(var_of)])
         self.support = tuple([reduce(or_, map(achievers.__getitem__, p), 0) for p in self.pre_facts])

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import heapq
 import random
+import sys
+import threading
+from functools import cache
+from operator import add
 
-from porplan import State, is_goal, make_heuristic
+from porplan import State, astar, is_goal, make_heuristic, make_strategy, parse_sas
 from porplan.heuristics import INFINITY, DeleteRelaxationHeuristic
 from porplan.oracle import (
     RandomTaskSpec,
@@ -11,6 +16,8 @@ from porplan.oracle import (
     enumerate_state_space,
     generate_random_task,
 )
+
+from conftest import FIXTURES, perfbench_corpus
 
 
 def relaxed_costs_naive(task, state, combine):
@@ -39,12 +46,16 @@ def relaxed_costs_naive(task, state, combine):
     return sum(goal) if combine == "add" else max(goal)
 
 
-def small_tasks(count, cost_mode="unit"):
+def small_tasks(count, cost_mode="unit", keep=lambda task: True):
+    """The first count seeds' tasks that keep accepts and whose state
+    space is small enough to enumerate, with their state-space graphs."""
     out = []
     seed = 0
     while len(out) < count:
         task = generate_random_task(RandomTaskSpec(seed=seed, cost_mode=cost_mode))
         seed += 1
+        if not keep(task):
+            continue
         try:
             graph = enumerate_state_space(task)
         except TooLarge:
@@ -151,3 +162,166 @@ def test_hmax_consistency_unit_costs():
 def test_make_heuristic_names(two_switches):
     for name, value in [("blind", 1), ("goalcount", 2), ("hmax", 1), ("hadd", 2), ("zero", 0)]:
         assert make_heuristic(two_switches, name)(two_switches.initial) == value
+
+
+# The relaxation evaluator as it was before it memoised goal-fact costs:
+# one Dijkstra pass over all facts per call.
+
+
+def reference_relaxed_cost(task, state, combine):
+    index = task.index
+    costs = [action.cost for action in task.actions]
+    dist = [INFINITY] * index.offsets[-1]
+    heap = [(0, f) for f in map(add, index.offsets, state)]
+    for _, f in heap:
+        dist[f] = 0
+    heapq.heapify(heap)
+    for a, n in enumerate(index.pre_count):
+        if n == 0:
+            for f in index.eff_facts[a]:
+                if costs[a] < dist[f]:
+                    dist[f] = costs[a]
+                    heapq.heappush(heap, (costs[a], f))
+    remaining, acc = list(index.pre_count), list(costs)
+    while heap:
+        d, f = heapq.heappop(heap)
+        if d > dist[f]:
+            continue
+        for a in index.consumers[f]:
+            remaining[a] -= 1
+            acc[a] += d
+            if remaining[a] == 0:
+                value = acc[a] if combine == "add" else costs[a] + d
+                for g in index.eff_facts[a]:
+                    if value < dist[g]:
+                        dist[g] = value
+                        heapq.heappush(heap, (value, g))
+    values = [dist[index.offsets[v] + x] for v, x in task.goal]
+    if INFINITY in values:
+        return INFINITY
+    return sum(values) if combine == "add" else max(values, default=0)
+
+
+def reference_ancestors(task, var):
+    """The variables from which var is reached along "an action reads u and
+    writes w" arcs, var included, read off the actions themselves."""
+    parents = {v: set() for v in range(task.num_variables)}
+    for action in task.actions:
+        for w in action.effect.variables:
+            parents[w].update(action.precondition.variables)
+    seen = [var]
+    for w in seen:
+        seen += sorted(parents[w].difference(seen))
+    return set(seen)
+
+
+@cache
+def logistics_evaluations():
+    """Per seed-1 logistics benchmark task, the states A* with hmax
+    evaluates, in evaluation order."""
+    out = []
+    for instance in perfbench_corpus().instances("logistics-astar-hmax", 1):
+        task = parse_sas(instance.text)
+        hmax, states = make_heuristic(task, "hmax"), []
+
+        def recording(state, hmax=hmax, states=states):
+            states.append(state)
+            return hmax(state)
+
+        assert astar(task, recording, make_strategy(task, "none")).solved
+        out.append((task, tuple(states)))
+    return tuple(out)
+
+
+def assert_memo_matches_reference(task, states, order_seed=0):
+    """One shared evaluator per combiner, walked over the states in their
+    order and then shuffled, returns the reference value at every call,
+    and each memo ends up holding its projection of every walked state
+    and no more entries than calls."""
+    shuffled = list(states)
+    random.Random(order_seed).shuffle(shuffled)
+    for combine in ("max", "add"):
+        evaluator = DeleteRelaxationHeuristic(task, combine)
+        calls = 0
+        for walk in (states, shuffled):
+            for values in walk:
+                assert evaluator(values) == reference_relaxed_cost(task, values, combine)
+                calls += 1
+        for read, memo in zip(evaluator.projections or (), evaluator.memos or ()):
+            assert set(memo) == set(map(read, states)) and len(memo) <= calls
+
+
+def test_memo_matches_reference_on_random_tasks():
+    for cost_mode in ("unit", "random"):
+        memoised = small_tasks(
+            50, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
+        )
+        for i, (task, graph) in enumerate(memoised):
+            assert_memo_matches_reference(task, graph.states, i)
+
+
+def test_memo_matches_reference_on_two_switches():
+    task = parse_sas((FIXTURES / "two_switches.sas").read_text())
+    assert DeleteRelaxationHeuristic(task, "add").memos is not None
+    assert_memo_matches_reference(task, enumerate_state_space(task).states)
+
+
+def test_memo_matches_reference_on_logistics_evaluations():
+    evaluations = logistics_evaluations()
+    assert sum(len(states) for _, states in evaluations) > 5000
+    for i, (task, states) in enumerate(evaluations):
+        assert_memo_matches_reference(task, states, i)
+
+
+def test_memo_selection():
+    # every seed-1 random benchmark task and enable_chain.sas have a goal
+    # variable with every variable as an ancestor: no memo could hit
+    unmemoised = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
+    unmemoised.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
+    memoised = [task for task, _ in logistics_evaluations()]
+    memoised.append(parse_sas((FIXTURES / "two_switches.sas").read_text()))
+    for combine in ("max", "add"):
+        for task in unmemoised:
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            assert evaluator.memos is None and evaluator.projections is None
+        for task in memoised:
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            assert evaluator.memos == [{}] * len(task.goal)
+            # each projection reads exactly its goal variable's ancestors
+            for (var, _), read in zip(task.goal, evaluator.projections):
+                read_off = read(tuple(range(task.num_variables)))
+                read_off = set(read_off) if isinstance(read_off, tuple) else {read_off}
+                assert read_off == reference_ancestors(task, var)
+                assert len(read_off) < task.num_variables
+
+
+def test_threads_share_one_memoised_evaluator():
+    task, states = logistics_evaluations()[0]
+    expected = [reference_relaxed_cost(task, values, "max") for values in states]
+    hmax = make_heuristic(task, "hmax")
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def walk(k):
+        start.wait(timeout=60)
+        # each thread starts its walk at another quarter of the states
+        shift = k * len(states) // 4
+        order = list(range(shift, len(states))) + list(range(shift))
+        results[k] = {i: hmax(states[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so calls interleave
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for found in results:
+        assert [found[i] for i in range(len(states))] == expected
+    # every call leaves all of its state's goal entries memoised
+    for read, memo in zip(hmax.projections, hmax.memos):
+        assert set(memo) == set(map(read, states))
