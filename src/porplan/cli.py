@@ -174,12 +174,12 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
     if token == "cg":
         return _plain_graph("causal_graph", var_names, build_causal_graph(task), as_json)
     if token.startswith("asg@"):
-        edges = build_asg(task, _parse_state(task, token[4:]))
+        edges = build_asg(task, task.index.fact_set(_parse_state(task, token[4:])))
         names = [a.name for a in task.actions]
         return _plain_graph("action_support_graph", names, edges, as_json)
     if token.startswith("pdg@"):
-        state = _parse_state(task, token[4:])
-        edges = pdg_edges(task, state, build_pdg(task, state, potential_masks(task)))
+        facts = task.index.fact_set(_parse_state(task, token[4:]))
+        edges = pdg_edges(facts, build_pdg(task, facts, potential_masks(task)))
         return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
         strat = stratify(task)
@@ -198,7 +198,7 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         state = _parse_state(task, token[10:])
         if task.goal.holds_in(state):
             raise _InputError("the state satisfies the goal; no expansion set is defined")
-        ctx = ExpansionContext(state, None)
+        ctx = ExpansionContext(task.index.fact_set(state), None)
         sets = {}
         for kind in KINDS:
             strategy = make_bare_strategy(task, kind)

@@ -22,10 +22,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .model import State, Task, ids
+from .model import Task, bit_flags, ids
 
 V0 = -1  # sentinel DTG vertex for effects without an own-variable precondition
 
@@ -90,10 +91,11 @@ def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
     return frozenset(edges)
 
 
-def build_asg(task: Task, state: State) -> frozenset[tuple[int, int]]:
-    """Action support graph at the state: edge (a, b) when a is not
-    applicable and some effect entry of b is a precondition entry of a."""
-    applicable = task.index.applicable_mask(state)
+def build_asg(task: Task, facts: int) -> frozenset[tuple[int, int]]:
+    """Action support graph at the state with fact set facts: edge (a, b)
+    when a is not applicable and some effect entry of b is a precondition
+    entry of a."""
+    applicable = task.index.applicable_mask(facts)
     return frozenset(
         (a, b)
         for a, support in enumerate(task.index.support)
@@ -175,11 +177,14 @@ def potential_masks(task: Task) -> tuple[int, ...]:
     )
 
 
-def build_pdg(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]:
-    """Potential dependency graph over DTG indices at the state, as one
-    successor mask per variable i over the held facts: bit f_j = (j,
-    state[j]) is set when PDG(s) has the edge (i, j). table is the task's
-    potential_masks; pdg_edges reads the masks out as (i, j) pairs.
+def build_pdg(
+    task: Task, facts: int, table: Sequence[int], held: bytes | None = None
+) -> tuple[int, ...]:
+    """Potential dependency graph over DTG indices at the state with fact
+    set facts, as one successor mask per variable i over the held facts:
+    bit f_j, j's fact in facts, is set when PDG(s) has the edge (i, j).
+    table is the task's potential_masks, held is bit_flags(facts) if known;
+    pdg_edges reads the masks out as (i, j) pairs.
 
     Edge (i, j), i != j: an action on a still-relevant transition of
     G_j requires variable i at its current value (potential precondition),
@@ -188,14 +193,12 @@ def build_pdg(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]
     co-movement tie an outside writer of G_j breaks the front-swap
     condition, since effects need not carry own-variable preconditions).
     """
-    held = list(map(add, task.index.offsets, state))
-    mask = sum(map((1).__lshift__, held))
-    return tuple([table[f] & mask for f in held])
+    return tuple([row & facts for row in compress(table, held or bit_flags(facts))])
 
 
-def pdg_edges(task: Task, state: State, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """The (i, j) variable pairs of build_pdg's successor masks."""
-    var_of = {task.index.offsets[j] + v: j for j, v in enumerate(state)}
+def pdg_edges(facts: int, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The (i, j) variable pairs of build_pdg's successor masks at facts."""
+    var_of = {f: j for j, f in enumerate(ids(facts))}
     return frozenset((i, var_of[f]) for i, mask in enumerate(pdg) for f in ids(mask))
 
 

@@ -1,7 +1,8 @@
 """Forward-search guidance: blind, goal count, and delete-relaxation costs.
 
+Every evaluator takes a state as its fact set F (ActionIndex.fact_set).
 The relaxation heuristics run a Dijkstra pass over (variable, value)
-facts: a fact costs 0 when true in the evaluated state, otherwise the
+facts: a fact costs 0 when held in the evaluated state, otherwise the
 cheapest achiever's cost plus the combined cost of its precondition
 facts. Combining with max gives the admissible bound, combining with sum
 the additive estimate. The result is infinity exactly when some goal fact
@@ -12,11 +13,11 @@ A fact's relaxed cost depends only on the state's values of its
 variable's causal-graph ancestors, the variables from which it can be
 reached along "an action reads u and writes w" arcs: every achiever of
 an ancestor's fact reads only ancestors. So the relaxation evaluators
-memoise each goal fact's cost on the state's projection onto its
-variable's ancestors, the variable included. A call that finds every goal
-entry memoised skips the pass; a miss runs it once and fills every entry.
-When some goal variable has every variable as an ancestor, nothing could
-hit, and the evaluator builds no memo.
+memoise each goal fact's cost on F & the facts of its variable's
+ancestors, the variable included. A call that finds every goal entry
+memoised skips the pass; a miss runs it once and fills every entry. When
+some goal variable has every variable as an ancestor, nothing could hit,
+and the evaluator builds no memo.
 
 Evaluators hold immutable per-task indexes. The relaxation evaluators
 also hold those per-goal-fact memos, but each entry is a pure function of
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import add, itemgetter
 from typing import Callable
 
-from .model import State, Task, is_goal
+from .model import Task, ids
 
 INFINITY = math.inf
 
@@ -56,30 +56,30 @@ class DeleteRelaxationHeuristic:
                 if n == 0
                 for f in index.eff_facts[a]
             ]
-        # per goal entry, its ancestor projection and its memo; None without a memo
+        # per goal entry, its ancestor fact mask and its memo; None without a memo
         self.projections = _goal_projections(task)
         self.memos = None if self.projections is None else [{} for _ in self.projections]
 
-    def __call__(self, state: State) -> float:
+    def __call__(self, facts: int) -> float:
         memos = self.memos
         if memos is None:
-            values = self._goal_costs(state)
+            values = self._goal_costs(facts)
         else:
-            keys = [read(state) for read in self.projections]
+            keys = [facts & mask for mask in self.projections]
             values = list(map(dict.get, memos, keys))
             if None in values:
-                values = self._goal_costs(state)
+                values = self._goal_costs(facts)
                 for memo, key, value in zip(memos, keys, values):
                     memo[key] = value
         if INFINITY in values:
             return INFINITY
         return sum(values) if self.add else max(values, default=0)
 
-    def _goal_costs(self, state: State) -> list[float]:
+    def _goal_costs(self, facts: int) -> list[float]:
         """The relaxed cost of each goal fact, in goal order."""
         index = self.index
         dist: list[float] = [INFINITY] * index.offsets[-1]
-        heap = [(0, f) for f in map(add, index.offsets, state)]
+        heap = [(0, f) for f in ids(facts)]
         for _, f in heap:
             dist[f] = 0
         heapq.heapify(heap)
@@ -112,10 +112,10 @@ class DeleteRelaxationHeuristic:
         return [dist[f] for f in self.goal_facts]
 
 
-def _goal_projections(task: Task) -> list[itemgetter] | None:
-    """Per goal entry, the itemgetter that reads its variable's causal-graph
-    ancestors, the variable included, from a state; None when some goal
-    variable has every variable as an ancestor."""
+def _goal_projections(task: Task) -> list[int] | None:
+    """Per goal entry, the mask of the facts of its variable's causal-graph
+    ancestors, the variable included; None when some goal variable has
+    every variable as an ancestor."""
     reads, writes = task.index.reader_masks, task.index.writer_masks
     n = len(writes)
     projections = []
@@ -132,7 +132,7 @@ def _goal_projections(task: Task) -> list[itemgetter] | None:
                     added = True
         if len(members) == n:
             return None
-        projections.append(itemgetter(*members))
+        projections.append(sum(map(task.index.variable_facts.__getitem__, members)))
     return projections
 
 
@@ -140,22 +140,21 @@ class Blind:
     """0 on goal states, else the smallest positive action cost."""
 
     def __init__(self, task: Task) -> None:
-        self.task = task
-        positive = [a.cost for a in task.actions if a.cost > 0]
-        self.step = min(positive) if positive else 0
+        self.goal_bits = task.index.goal_bits
+        self.step = min((a.cost for a in task.actions if a.cost > 0), default=0)
 
-    def __call__(self, state: State) -> float:
-        return 0 if is_goal(self.task, state) else self.step
+    def __call__(self, facts: int) -> float:
+        return 0 if facts & self.goal_bits == self.goal_bits else self.step
 
 
 class GoalCount:
     """Number of violated goal entries."""
 
     def __init__(self, task: Task) -> None:
-        self.task = task
+        self.goal_bits = task.index.goal_bits
 
-    def __call__(self, state: State) -> float:
-        return sum(1 for v, g in self.task.goal if state[v] != g)
+    def __call__(self, facts: int) -> float:
+        return (self.goal_bits & ~facts).bit_count()
 
 
 class Zero:
@@ -164,11 +163,11 @@ class Zero:
     def __init__(self, task: Task) -> None:
         pass
 
-    def __call__(self, state: State) -> float:
+    def __call__(self, facts: int) -> float:
         return 0
 
 
-_HEURISTICS: dict[str, Callable[[Task], Callable[[State], float]]] = {
+_HEURISTICS: dict[str, Callable[[Task], Callable[[int], float]]] = {
     "blind": Blind,
     "goalcount": GoalCount,
     "hmax": lambda task: DeleteRelaxationHeuristic(task, "max"),
@@ -178,8 +177,9 @@ _HEURISTICS: dict[str, Callable[[Task], Callable[[State], float]]] = {
 HEURISTICS = tuple(_HEURISTICS)
 
 
-def make_heuristic(task: Task, name: str) -> Callable[[State], float]:
-    """The heuristic of the given name, one of HEURISTICS, bound to the task."""
+def make_heuristic(task: Task, name: str) -> Callable[[int], float]:
+    """The heuristic of the given name, one of HEURISTICS, bound to the task;
+    call it on a state's fact set, task.index.fact_set(values)."""
     try:
         make = _HEURISTICS[name]
     except KeyError:

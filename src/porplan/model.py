@@ -1,14 +1,15 @@
 """SAS+ task model: variables, states, actions, plans, the action index.
 
-A state is its dense value tuple: position i holds the value of variable
-i, and State is that tuple type, named for annotations. The search engine
-keys its records on the state's fact set instead (ActionIndex.fact_set).
-Partial assignments are sorted (variable, value) pair tuples carrying the
-conflict-freedom algebra everything else builds on. Each Task builds one
-ActionIndex at construction; applicability tests, the search engine, the
-heuristics, the graph builders and the strategies all read it. All types
-are immutable after construction and safe to share across threads; the
-operations below are pure functions.
+Off the search path a state is its dense value tuple: position i holds
+the value of variable i, and State is that tuple type, named for
+annotations. The engine, the heuristics, the strategies and the
+per-state graph builders take its fact set (ActionIndex.fact_set).
+Partial assignments are sorted (variable, value) pair tuples carrying
+the conflict-freedom algebra everything else builds on. Each Task builds
+one ActionIndex at construction; applicability tests, the search engine,
+the heuristics, the graph builders and the strategies all read it. All
+types are immutable after construction and safe to share across threads;
+the operations below are pure functions.
 """
 
 from __future__ import annotations
@@ -150,13 +151,18 @@ class Plan:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def bit_flags(mask: int) -> bytes:
+    """Byte i is 1 iff bit i of the non-negative mask is set, up to its highest
+    set bit: compress(table, bit_flags(mask)) picks a per-bit table's entries."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
 def ids(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of a non-negative mask, ascending."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
     # a list first: a tuple grown from an iterator is resized, and CPython
     # then parks it in the free list of its final size instead of reusing
     # it (about 1 MB more peak memory over a SAC corpus run)
-    return tuple([*compress(count(), bits)])
+    return tuple([*compress(count(), bit_flags(mask))])
 
 
 def _inverse(size: int, keys_of: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -177,10 +183,10 @@ class ActionIndex:
     """The action tables of one task, built once with the Task.
 
     Fact (var, value) has the dense id offsets[var] + value; offsets[-1]
-    is the number of facts. Per action a: eff[a] holds its effect entries,
-    pre_facts[a] and eff_facts[a] the fact ids of its precondition and
-    effect, pre_count[a] the precondition size. Per fact: consumers, the
-    ascending actions whose precondition needs it.
+    is the number of facts, and variable_facts[var] the mask of var's
+    facts. Per action a: pre_facts[a] and eff_facts[a] hold the fact ids of
+    its precondition and effect, pre_count[a] the precondition size. Per
+    fact: consumers, the ascending actions whose precondition needs it.
 
     Fact and action sets are bit masks, bit f for fact f, bit a for
     action a; ids() reads one out. Per action a: pre_bits[a], adds[a] (its
@@ -198,14 +204,13 @@ class ActionIndex:
         variables, actions = task.variables, task.actions
         off = self.offsets = tuple(accumulate((v.domain_size for v in variables), initial=0))
         var_of = [v for v, var in enumerate(variables) for _ in range(var.domain_size)]
-        self.eff = eff = tuple([a.effect.entries for a in actions])
+        self.variable_facts = own = tuple([(1 << b) - (1 << a) for a, b in zip(off, off[1:])])
         self.pre_facts = tuple([tuple([off[v] + x for v, x in a.precondition]) for a in actions])
-        self.eff_facts = eff_facts = tuple([tuple([off[v] + x for v, x in e]) for e in eff])
-        self.pre_count = tuple(map(len, self.pre_facts))
+        eff_facts = tuple([tuple([off[v] + x for v, x in a.effect]) for a in actions])
+        self.eff_facts, self.pre_count = eff_facts, tuple(map(len, self.pre_facts))
         self.pre_bits, self.adds = _masks(self.pre_facts), _masks(eff_facts)
-        # per fact, the facts of its variable
-        clear, every_fact = [(1 << off[v + 1]) - (1 << off[v]) for v in var_of], (1 << off[-1]) - 1
-        self.keep = tuple([every_fact ^ sum(map(clear.__getitem__, e)) for e in eff_facts])
+        every = (1 << off[-1]) - 1  # the mask of all facts
+        self.keep = tuple([every ^ sum(map(own.__getitem__, a.effect.variables)) for a in actions])
         self.goal_bits = sum(1 << off[v] + x for v, x in task.goal)
         self.consumers = _inverse(off[-1], self.pre_facts)
         self.consumer_masks = needs = _masks(self.consumers)
@@ -231,10 +236,10 @@ class ActionIndex:
         """The fact set of the state values."""
         return sum(map((1).__lshift__, map(add, self.offsets, values)))
 
-    def applicable_mask(self, values: tuple[int, ...]) -> int:
-        """Bit a is set iff action a is applicable in the state values."""
-        facts = map(add, self.offsets, values)
-        return reduce(and_, map(self.compatible.__getitem__, facts), self._all)
+    def applicable_mask(self, facts: int, held: bytes | None = None) -> int:
+        """Bit a is set iff action a is applicable in the state with fact
+        set facts; held is bit_flags(facts), when the caller already has it."""
+        return reduce(and_, compress(self.compatible, held or bit_flags(facts)), self._all)
 
 
 @dataclass(frozen=True)

@@ -271,10 +271,10 @@ def check_stubborn_conditions(
 def _reduced_expansion(
     task: Task, strategy: ExpansionStrategy, values: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Strategy expansion on raw values; goal states are terminal."""
+    """Strategy expansion on raw values, as their fact set; goal states are terminal."""
     if _applies(values, task.goal.entries):
         return ()
-    return strategy.expansion(ExpansionContext(values, None))
+    return strategy.expansion(ExpansionContext(task.index.fact_set(values), None))
 
 
 def check_action_preserving(

@@ -16,8 +16,8 @@ duplicate-detection key (SP may fold in the generating action's level);
 a stored node is only rewritten when a strictly smaller g arrives, in
 which case it is reopened. Under BFS's unit costs nodes pop in g order,
 so nothing is ever reopened and the first record of every key wins.
-Heuristics and strategies see the state's value tuple, built from the
-parent's only for a successor that is new or strictly cheaper.
+F is the only state form the engine holds: the heuristic and the
+strategy (ExpansionContext.state) receive it too.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .heuristics import INFINITY, Zero, make_heuristic
-from .model import NotApplicable, Plan, State, Task, plan_cost
+from .model import NotApplicable, Plan, Task, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
 
 # heap ordering prefix per search, from a node's (g, h)
@@ -71,7 +71,7 @@ class SearchResult:
 def _extract_plan(task: Task, records: dict, key) -> Plan:
     steps: list[int] = []
     while True:
-        _, parent_key, gen_action, _, _ = records[key]
+        _, parent_key, gen_action, _ = records[key]
         if gen_action is None:
             break
         steps.append(gen_action)
@@ -84,7 +84,7 @@ def _best_first(
     task: Task,
     strategy: ExpansionStrategy,
     priority: Callable[[float, float], tuple],
-    heuristic: Callable[[State], float],
+    heuristic: Callable[[int], float],
     limits: Limits | None,
 ) -> SearchResult:
     """The engine behind astar, gbfs and bfs.
@@ -96,16 +96,15 @@ def _best_first(
     limits = limits or Limits()
     start = time.perf_counter()
     index = task.index
-    keep, adds, pre_bits, eff = index.keep, index.adds, index.pre_bits, index.eff
+    keep, adds, pre_bits = index.keep, index.adds, index.pre_bits
     costs = [action.cost for action in task.actions]
     node_key = strategy.node_key
     expanded = generated = 0
     counter = itertools.count()
-    root = task.initial
-    root_facts = index.fact_set(root)
-    root_key = node_key(root_facts, None)
-    # key -> (g, parent_key, generating_action, state, fact set)
-    records: dict = {root_key: (0, None, None, root, root_facts)}
+    root = index.fact_set(task.initial)
+    root_key = node_key(root, None)
+    # key -> (g, parent_key, generating_action, fact set)
+    records: dict = {root_key: (0, None, None, root)}
     h0 = heuristic(root)
     open_heap: list = []
     if h0 != INFINITY:
@@ -131,13 +130,13 @@ def _best_first(
         if limits.max_open is not None and len(open_heap) > limits.max_open:
             return result(RESOURCE_LIMIT, limit_kind="memory")
         *_, key, g_pushed = heapq.heappop(open_heap)
-        g, _, gen_action, state, facts = records[key]
+        g, _, gen_action, facts = records[key]
         if g_pushed > g:
             continue  # stale: the key was pushed again with a smaller g
         expanded += 1
         if facts & index.goal_bits == index.goal_bits:
             return result(SOLVED, _extract_plan(task, records, key))
-        for action_id in strategy.expansion(ExpansionContext(state, gen_action)):
+        for action_id in strategy.expansion(ExpansionContext(facts, gen_action)):
             pre = pre_bits[action_id]
             if facts & pre != pre:
                 raise NotApplicable(f"action {task.actions[action_id].name!r} is not applicable")
@@ -148,12 +147,8 @@ def _best_first(
             known = records.get(succ_key)
             if known is not None and g2 >= known[0]:
                 continue  # first-in wins unless strictly cheaper
-            values = list(state)
-            for var, val in eff[action_id]:
-                values[var] = val
-            succ = tuple(values)
-            h = heuristic(succ)
-            records[succ_key] = (g2, key, action_id, succ, succ_facts)
+            h = heuristic(succ_facts)
+            records[succ_key] = (g2, key, action_id, succ_facts)
             if h == INFINITY:
                 continue  # dead in the relaxation; keep g for reopen checks
             heapq.heappush(open_heap, (*priority(g2, h), next(counter), succ_key, g2))
@@ -164,7 +159,7 @@ def _best_first(
 
 def astar(
     task: Task,
-    heuristic: Callable[[State], float],
+    heuristic: Callable[[int], float],
     strategy: ExpansionStrategy,
     limits: Limits | None = None,
 ) -> SearchResult:
@@ -175,7 +170,7 @@ def astar(
 
 def gbfs(
     task: Task,
-    heuristic: Callable[[State], float],
+    heuristic: Callable[[int], float],
     strategy: ExpansionStrategy,
     limits: Limits | None = None,
 ) -> SearchResult:

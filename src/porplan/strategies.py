@@ -1,17 +1,19 @@
 """Per-state expansion-set generators: full, EC, SP filtering, SAC.
 
-Each strategy answers one question at a state s, a value tuple: which
-applicable actions may the search apply. "none" returns all of them,
-generated from the task's ActionIndex (full_expansion). EC keeps the
-applicable actions that write a dependency-closed DTG prefix of the
-potential dependency graph; it looks the PDG up in a per-task fact table
-and condenses it lazily, only up to the prefix. SAC closes a landmark
-action set under ASG support and conflict rules and keeps the applicable
-members. Both work on the index's action bit masks and AND the result
-with the state's applicability mask. SP is a filter over the full set driven by
+Each strategy answers one question at a state s, given as its fact set F
+(ActionIndex.fact_set): which applicable actions may the search apply.
+"none" returns all of them, generated from the task's ActionIndex
+(full_expansion). EC keeps the applicable actions that write a
+dependency-closed DTG prefix of the potential dependency graph; it looks
+the PDG up in a per-task fact table and condenses it lazily, only up to
+the prefix. SAC closes a landmark action set under ASG support and
+conflict rules and keeps the applicable members. Both work on the
+index's action bit masks and AND the result with the state's
+applicability mask. SP is a filter over the full set driven by
 causal-graph levels and the action that generated the node; it builds
 the generating action's follow-up mask only when some applicable action
-lies below that action's level.
+lies below that action's level. Each expansion set reads F out at most
+once, as bit_flags(F), and hands that to its helpers (held).
 
 Each kind is one class behind the ExpansionStrategy protocol, built bare
 by make_bare_strategy. The none and SAC objects hold only their task, EC
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_
+from itertools import compress, count
+from operator import or_
 from typing import Hashable, NamedTuple, Protocol, Sequence
 
 from .graphs import (
@@ -37,7 +40,7 @@ from .graphs import (
     potential_masks,
     stratify,
 )
-from .model import State, Task, applicable, apply_action, conflict_free, ids
+from .model import State, Task, applicable, apply_action, bit_flags, conflict_free, ids
 
 
 class NoUnachievedGoal(Exception):
@@ -65,24 +68,28 @@ class StrategyConfig:
 class ExpansionContext(NamedTuple):
     """A node the search is about to expand.
 
-    generating_action is the action that produced the node; None exactly
-    at the search root.
+    state is the node's fact set (ActionIndex.fact_set); generating_action
+    is the action that produced the node, None exactly at the search root.
     """
 
-    state: State
+    state: int
     generating_action: int | None = None
 
 
-def full_expansion(task: Task, state: State) -> tuple[int, ...]:
+def full_expansion(task: Task, facts: int) -> tuple[int, ...]:
     """All applicable action ids, ascending."""
-    return ids(task.index.applicable_mask(state))
+    return ids(task.index.applicable_mask(facts))
 
 
-def _unachieved_goal_variables(task: Task, state: State) -> list[int]:
-    return [v for v, g in task.goal if state[v] != g]
+def _unachieved_goal_variables(task: Task, facts: int) -> list[tuple[int, int]]:
+    """(v, the fact of v in facts) per goal variable v off its goal value."""
+    own, off = task.index.variable_facts, task.index.offsets
+    return [
+        (v, (facts & own[v]).bit_length() - 1) for v, x in task.goal if not facts >> off[v] + x & 1
+    ]
 
 
-def landmark_action_set(task: Task, state: State) -> int:
+def landmark_action_set(task: Task, facts: int) -> int:
     """Mask of actions of which every solution from the state must use one.
 
     Picks one unachieved goal-related DTG and takes the actions on its
@@ -93,20 +100,15 @@ def landmark_action_set(task: Task, state: State) -> int:
     """
     index = task.index
     leaving = [
-        index.writer_masks[v] & index.compatible[index.offsets[v] + state[v]]
-        for v in _unachieved_goal_variables(task, state)
+        index.writer_masks[v] & index.compatible[f]
+        for v, f in _unachieved_goal_variables(task, facts)
     ]
     if not leaving:
         raise NoUnachievedGoal("state satisfies the goal")
     return min(leaving, key=int.bit_count)
 
 
-def sac_fixpoint(
-    task: Task,
-    state: State,
-    seed_mask: int,
-    applicable_mask: int | None = None,
-) -> int:
+def sac_fixpoint(task: Task, facts: int, seed_mask: int, held: bytes | None = None) -> int:
     """Joint support/conflict closure of a seed action mask.
 
     Two rules, each applied once per member when it enters the set: an
@@ -116,14 +118,12 @@ def sac_fixpoint(
     precondition both conflicts with eff(a) and has an entry holding in
     the state (conflict closure). Both rules depend only on the member and
     the state, so closing in rounds reaches the unique least fixpoint.
-    applicable_mask is the task index's mask at the state, when the caller
-    already has it.
+    held is bit_flags(facts), when the caller already has it.
     """
     index = task.index
-    if applicable_mask is None:
-        applicable_mask = index.applicable_mask(state)
-    held = map(add, index.offsets, state)
-    touching = reduce(or_, map(index.consumer_masks.__getitem__, held), 0)
+    held = held or bit_flags(facts)
+    applicable_mask = index.applicable_mask(facts, held)
+    touching = reduce(or_, compress(index.consumer_masks, held), 0)
     members = new = seed_mask
     while new:
         pulled = 0
@@ -137,15 +137,16 @@ def sac_fixpoint(
     return members
 
 
-def sac_expansion(task: Task, state: State) -> tuple[int, ...]:
+def sac_expansion(task: Task, facts: int) -> tuple[int, ...]:
     """Applicable members of the joint closure of a landmark action set,
     ascending."""
-    landmarks = landmark_action_set(task, state)
-    applicable = task.index.applicable_mask(state)
-    return ids(applicable & sac_fixpoint(task, state, landmarks, applicable))
+    landmarks = landmark_action_set(task, facts)
+    held = bit_flags(facts)
+    closure = sac_fixpoint(task, facts, landmarks, held)
+    return ids(task.index.applicable_mask(facts, held) & closure)
 
 
-def ec_expansion(task: Task, state: State, table: Sequence[int]) -> tuple[int, ...]:
+def ec_expansion(task: Task, facts: int, table: Sequence[int]) -> tuple[int, ...]:
     """Applicable actions of a minimal dependency-closed DTG prefix,
     ascending.
 
@@ -153,25 +154,21 @@ def ec_expansion(task: Task, state: State, table: Sequence[int]) -> tuple[int, .
     dependency closure); the prefix stops at the first component holding
     an unachieved goal-related DTG, and the rest of the condensation is
     never computed. The condensation's nodes are the held facts, one per
-    variable. table is the task's potential_masks.
+    variable, in variable order. table is the task's potential_masks.
     """
     index = task.index
-    held = list(map(add, index.offsets, state))
-    unachieved = sum(1 << held[v] for v in _unachieved_goal_variables(task, state))
+    unachieved = sum(1 << f for _, f in _unachieved_goal_variables(task, facts))
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
-    pdg = build_pdg(task, state, table)
+    held = bit_flags(facts)
+    successors = dict(zip(compress(count(), held), build_pdg(task, facts, table, held)))
     prefix = 0
-    nodes = sum(map((1).__lshift__, held))
-    for component in closure_prefix_order(dict(zip(held, pdg)), nodes):
+    for component in closure_prefix_order(successors, facts):
         prefix |= component
         if component & unachieved:
             break
-    writers = 0
-    for v, f in enumerate(held):
-        if prefix >> f & 1:
-            writers |= index.writer_masks[v]
-    return ids(index.applicable_mask(state) & writers)
+    writers = reduce(or_, compress(index.writer_masks, [prefix >> f & 1 for f in successors]), 0)
+    return ids(index.applicable_mask(facts, held) & writers)
 
 
 def _follow_ups(task: Task, first: int) -> int:

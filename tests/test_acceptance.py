@@ -82,13 +82,14 @@ def test_criterion_02_golden_expansion_sets():
     task = two_switches_task()
     table = potential_masks(task)
     strat = stratify(task, tie_break="distinct")
-    ec_expansion(task, task.initial, table)  # warm
+    initial, one_zero = task.index.fact_set(task.initial), task.index.fact_set(State((1, 0)))
+    ec_expansion(task, initial, table)  # warm
     timings = []
     for _ in range(3):
         start = time.perf_counter()
-        chosen = ec_expansion(task, task.initial, table)
-        after_a = sp_filter(task, strat, ExpansionContext(State((1, 0)), 0), (1,))
-        landmark_core = sac_expansion(task, task.initial)
+        chosen = ec_expansion(task, initial, table)
+        after_a = sp_filter(task, strat, ExpansionContext(one_zero, 0), (1,))
+        landmark_core = sac_expansion(task, initial)
         timings.append(time.perf_counter() - start)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     assert strat.action_level[0] > strat.action_level[1]
@@ -156,7 +157,7 @@ def test_criterion_08_heuristic_properties():
     for _, task, _ in ALL_TASKS:
         optimum = brute_force_optimal_cost(task)
         assert optimum is not None  # walk goals are solvable
-        assert make_heuristic(task, "hmax")(task.initial) <= optimum
+        assert make_heuristic(task, "hmax")(task.index.fact_set(task.initial)) <= optimum
 
     rng = random.Random(0)
     sampled = 0
@@ -166,8 +167,8 @@ def test_criterion_08_heuristic_properties():
     ]
     while sampled < 10_000:
         task, hmax, hadd, graph = evaluators[rng.randrange(len(evaluators))]
-        state = State(graph.states[rng.randrange(len(graph.states))])
-        assert hmax(state) <= hadd(state)
+        facts = task.index.fact_set(State(graph.states[rng.randrange(len(graph.states))]))
+        assert hmax(facts) <= hadd(facts)
         sampled += 1
 
     for _, task, graph in UNIT_TASKS:
@@ -175,9 +176,10 @@ def test_criterion_08_heuristic_properties():
         hadd = DeleteRelaxationHeuristic(task, "add")
         for values in graph.states:
             state = State(values)
+            facts = task.index.fact_set(state)
             on_goal = task.goal.holds_in(state)
-            assert (hmax(state) == 0) == on_goal
-            assert (hadd(state) == 0) == on_goal
+            assert (hmax(facts) == 0) == on_goal
+            assert (hadd(facts) == 0) == on_goal
     elapsed = time.perf_counter() - start
     assert elapsed < 30, elapsed
     _pass(8, f"hmax admissible on 200 tasks, hmax <= hadd on {sampled} states, "

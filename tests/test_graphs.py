@@ -254,8 +254,9 @@ def test_closure_prefix_order_is_closed():
 
 
 def test_asg(two_switches, enable_chain):
-    assert build_asg(two_switches, two_switches.initial) == frozenset()
-    asg = build_asg(enable_chain, State((0, 0, 2)))
+    initial = two_switches.index.fact_set(two_switches.initial)
+    assert build_asg(two_switches, initial) == frozenset()
+    asg = build_asg(enable_chain, enable_chain.index.fact_set(State((0, 0, 2))))
     assert asg == frozenset({(1, 0)})  # b unsupported, a supplies x2=1
 
 
@@ -281,7 +282,8 @@ def test_action_core(two_switches, enable_chain, support_chain, build):
     for task, state, seed, expected in cases:
         assert brute_force_core(task, state, seed) == frozenset(expected)
         seed_mask = sum(1 << a for a in seed)
-        assert ids(sac_fixpoint(task, state, seed_mask)) == tuple(sorted(expected))
+        facts = task.index.fact_set(state)
+        assert ids(sac_fixpoint(task, facts, seed_mask)) == tuple(sorted(expected))
 
 
 def test_action_core_monotone_idempotent():
@@ -295,14 +297,15 @@ def test_action_core_monotone_idempotent():
 
 
 def test_action_closure(two_switches, build):
-    assert ids(sac_fixpoint(two_switches, two_switches.initial, 0b1)) == (0,)
+    initial = two_switches.index.fact_set(two_switches.initial)
+    assert ids(sac_fixpoint(two_switches, initial, 0b1)) == (0,)
     clash = build(
         domains=[2, 3],
         actions=[("one", [], [(1, 1)]), ("two", [], [(1, 2)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert ids(sac_fixpoint(clash, clash.initial, 0b1)) == (0, 1)
+    assert ids(sac_fixpoint(clash, clash.index.fact_set(clash.initial), 0b1)) == (0, 1)
     # an inapplicable seed without supporters pulls in nothing
     blocked = build(
         domains=[2, 2],
@@ -310,12 +313,12 @@ def test_action_closure(two_switches, build):
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert ids(sac_fixpoint(blocked, blocked.initial, 0b1)) == (0,)
+    assert ids(sac_fixpoint(blocked, blocked.index.fact_set(blocked.initial), 0b1)) == (0,)
 
 
 def test_action_closure_superset_idempotent():
     for task in random_tasks(15):
-        state = task.initial
+        state = task.index.fact_set(task.initial)
         first = 0b1 if task.actions else 0
         small = sac_fixpoint(task, state, first)
         large = sac_fixpoint(task, state, 0b111 & (1 << len(task.actions)) - 1)
@@ -399,8 +402,10 @@ def test_v0_edges_always_traversable():
 
 
 def pdg_of(task, state, table):
-    """build_pdg's successor masks as a frozenset of (i, j) pairs."""
-    return pdg_edges(task, state, build_pdg(task, state, table))
+    """build_pdg's successor masks at the state values as a frozenset of
+    (i, j) pairs."""
+    facts = task.index.fact_set(state)
+    return pdg_edges(facts, build_pdg(task, facts, table))
 
 
 # The three cases above as tasks. Fact (var, value) has id offset + value,
@@ -510,7 +515,8 @@ def _dtgs(task):
 
 def test_pdg_two_switches(two_switches):
     table = potential_masks(two_switches)
-    assert build_pdg(two_switches, two_switches.initial, table) == (0, 0)
+    initial = two_switches.index.fact_set(two_switches.initial)
+    assert build_pdg(two_switches, initial, table) == (0, 0)
 
 
 def test_pdg_enable_chain(enable_chain):
@@ -532,7 +538,7 @@ def test_pdg_single_variable_actions(build):
     )
     table = potential_masks(task)
     for values in [(0, 0), (1, 0), (0, 2), (1, 2)]:
-        assert build_pdg(task, State(values), table) == (0, 0)
+        assert build_pdg(task, task.index.fact_set(State(values)), table) == (0, 0)
 
 
 @lru_cache(maxsize=1)
@@ -648,7 +654,7 @@ def reference_ec(task, state, masks):
             writers |= task.index.writer_masks[v]
         if unachieved.intersection(component):
             break
-    return ids(task.index.applicable_mask(state) & writers)
+    return ids(task.index.applicable_mask(task.index.fact_set(state)) & writers)
 
 
 def test_pdg_and_ec_match_reference():
@@ -659,7 +665,8 @@ def test_pdg_and_ec_match_reference():
             state = State(values)
             assert pdg_of(task, state, table) == reference_pdg(task, state, masks)
             if not task.goal.holds_in(state):
-                assert ec_expansion(task, state, table) == reference_ec(task, state, masks)
+                facts = task.index.fact_set(state)
+                assert ec_expansion(task, facts, table) == reference_ec(task, state, masks)
                 checked += 1
     assert checked > 1000
 
@@ -675,7 +682,7 @@ def test_ec_prefix_tie_break_and_chain(build):
     )
     table = potential_masks(task)
     assert pdg_of(task, task.initial, table) == {(0, 2)}
-    assert ec_expansion(task, task.initial, table) == (1,)
+    assert ec_expansion(task, task.index.fact_set(task.initial), table) == (1,)
     # t_k needs x(k+2) = 1 to set x(k+1): at the all-zero state the PDG is
     # the chain x1 -> x2 -> x3 -> x4 and the prefix reaches x1 last
     chain = build(
@@ -686,10 +693,11 @@ def test_ec_prefix_tie_break_and_chain(build):
     )
     table = potential_masks(chain)
     assert pdg_of(chain, chain.initial, table) == {(0, 1), (1, 2), (2, 3)}
-    assert ec_expansion(chain, chain.initial, table) == (3,)
+    assert ec_expansion(chain, chain.index.fact_set(chain.initial), table) == (3,)
     for task in (task, chain):
         masks = reference_masks(task)
-        assert ec_expansion(task, task.initial, potential_masks(task)) == reference_ec(
+        initial = task.index.fact_set(task.initial)
+        assert ec_expansion(task, initial, potential_masks(task)) == reference_ec(
             task, task.initial, masks
         )
 

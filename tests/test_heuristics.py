@@ -9,10 +9,12 @@ from operator import add
 
 from porplan import State, astar, is_goal, make_heuristic, make_strategy, parse_sas
 from porplan.heuristics import INFINITY, DeleteRelaxationHeuristic
+from porplan.model import ids
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
     brute_force_optimal_cost,
+    default_task_stream,
     enumerate_state_space,
     generate_random_task,
 )
@@ -65,8 +67,9 @@ def small_tasks(count, cost_mode="unit", keep=lambda task: True):
 
 
 def test_h_blind(two_switches, build):
-    assert make_heuristic(two_switches, "blind")(State((1, 1))) == 0
-    assert make_heuristic(two_switches, "blind")(two_switches.initial) == 1
+    facts = two_switches.index.fact_set
+    assert make_heuristic(two_switches, "blind")(facts(State((1, 1)))) == 0
+    assert make_heuristic(two_switches, "blind")(facts(two_switches.initial)) == 1
     pricey = build(
         domains=[2],
         actions=[("o", [(0, 0)], [(0, 1)], 5)],
@@ -74,7 +77,7 @@ def test_h_blind(two_switches, build):
         goal=[(0, 1)],
         uses_metric=True,
     )
-    assert make_heuristic(pricey, "blind")(pricey.initial) == 5
+    assert make_heuristic(pricey, "blind")(pricey.index.fact_set(pricey.initial)) == 5
     free = build(
         domains=[2],
         actions=[("o", [(0, 0)], [(0, 1)], 0)],
@@ -82,30 +85,52 @@ def test_h_blind(two_switches, build):
         goal=[(0, 1)],
         uses_metric=True,
     )
-    assert make_heuristic(free, "blind")(free.initial) == 0  # stays admissible at optimum 0
+    # stays admissible at optimum 0
+    assert make_heuristic(free, "blind")(free.index.fact_set(free.initial)) == 0
 
 
 def test_h_goal_count(two_switches):
-    assert make_heuristic(two_switches, "goalcount")(two_switches.initial) == 2
-    assert make_heuristic(two_switches, "goalcount")(State((1, 0))) == 1
-    assert make_heuristic(two_switches, "goalcount")(State((1, 1))) == 0
+    facts = two_switches.index.fact_set
+    assert make_heuristic(two_switches, "goalcount")(facts(two_switches.initial)) == 2
+    assert make_heuristic(two_switches, "goalcount")(facts(State((1, 0)))) == 1
+    assert make_heuristic(two_switches, "goalcount")(facts(State((1, 1)))) == 0
+
+
+def test_blind_and_goal_count_match_value_definitions():
+    # on every enumerated state: blind is 0 exactly on goals, else the
+    # least positive action cost (the random cost mode draws zero costs
+    # too), and goal count is the number of violated goal entries
+    checked = zero_costs = 0
+    for cost_mode in ("unit", "random"):
+        for _, task, graph in default_task_stream(60, cost_mode=cost_mode):
+            blind, goalcount = make_heuristic(task, "blind"), make_heuristic(task, "goalcount")
+            step = min((a.cost for a in task.actions if a.cost > 0), default=0)
+            zero_costs += any(a.cost == 0 for a in task.actions)
+            for values in graph.states:
+                facts = task.index.fact_set(values)
+                assert blind(facts) == (0 if is_goal(task, values) else step)
+                assert goalcount(facts) == sum(values[v] != x for v, x in task.goal)
+                checked += 1
+    assert zero_costs and checked > 1000
 
 
 def test_relaxation_two_switches(two_switches):
     # frozen from the naive fixpoint: each goal fact costs 1
     assert relaxed_costs_naive(two_switches, two_switches.initial, "max") == 1
     assert relaxed_costs_naive(two_switches, two_switches.initial, "add") == 2
-    assert make_heuristic(two_switches, "hmax")(two_switches.initial) == 1
-    assert make_heuristic(two_switches, "hadd")(two_switches.initial) == 2
-    assert make_heuristic(two_switches, "hmax")(State((1, 1))) == 0
-    assert make_heuristic(two_switches, "hadd")(State((1, 1))) == 0
+    facts = two_switches.index.fact_set
+    assert make_heuristic(two_switches, "hmax")(facts(two_switches.initial)) == 1
+    assert make_heuristic(two_switches, "hadd")(facts(two_switches.initial)) == 2
+    assert make_heuristic(two_switches, "hmax")(facts(State((1, 1)))) == 0
+    assert make_heuristic(two_switches, "hadd")(facts(State((1, 1)))) == 0
 
 
 def test_relaxation_unreachable(build):
     task = build(domains=[2, 2], actions=[("o", [(0, 0)], [(0, 1)])],
                  initial=[0, 0], goal=[(1, 1)])
-    assert make_heuristic(task, "hmax")(task.initial) == INFINITY
-    assert make_heuristic(task, "hadd")(task.initial) == INFINITY
+    initial = task.index.fact_set(task.initial)
+    assert make_heuristic(task, "hmax")(initial) == INFINITY
+    assert make_heuristic(task, "hadd")(initial) == INFINITY
 
 
 def test_relaxation_matches_naive_oracle():
@@ -118,8 +143,9 @@ def test_relaxation_matches_naive_oracle():
                       rng.sample(range(len(graph.states)), min(8, len(graph.states)))]
             for values in sample:
                 state = State(values)
-                assert hmax(state) == relaxed_costs_naive(task, state, "max")
-                assert hadd(state) == relaxed_costs_naive(task, state, "add")
+                facts = task.index.fact_set(state)
+                assert hmax(facts) == relaxed_costs_naive(task, state, "max")
+                assert hadd(facts) == relaxed_costs_naive(task, state, "add")
 
 
 def test_admissibility_and_dominance():
@@ -127,12 +153,12 @@ def test_admissibility_and_dominance():
         for task, graph in small_tasks(25, cost_mode):
             optimum = brute_force_optimal_cost(task)
             if optimum is not None:
-                assert make_heuristic(task, "hmax")(task.initial) <= optimum
+                assert make_heuristic(task, "hmax")(task.index.fact_set(task.initial)) <= optimum
             hmax = DeleteRelaxationHeuristic(task, "max")
             hadd = DeleteRelaxationHeuristic(task, "add")
             for values in graph.states:
-                state = State(values)
-                assert hmax(state) <= hadd(state)
+                facts = task.index.fact_set(values)
+                assert hmax(facts) <= hadd(facts)
 
 
 def test_zero_exactly_on_goals_unit_costs():
@@ -141,9 +167,10 @@ def test_zero_exactly_on_goals_unit_costs():
         hadd = DeleteRelaxationHeuristic(task, "add")
         for values in graph.states:
             state = State(values)
+            facts = task.index.fact_set(state)
             expected = is_goal(task, state)
-            assert (hmax(state) == 0) == expected
-            assert (hadd(state) == 0) == expected
+            assert (hmax(facts) == 0) == expected
+            assert (hadd(facts) == 0) == expected
 
 
 def test_hmax_consistency_unit_costs():
@@ -151,17 +178,19 @@ def test_hmax_consistency_unit_costs():
 
     for task, graph in small_tasks(15, "unit"):
         hmax = DeleteRelaxationHeuristic(task, "max")
+        facts = task.index.fact_set
         for values in graph.states:
             state = State(values)
-            h = hmax(state)
+            h = hmax(facts(state))
             for action in task.actions:
                 if applicable(state, action):
-                    assert h <= 1 + hmax(apply_action(state, action))
+                    assert h <= 1 + hmax(facts(apply_action(state, action)))
 
 
 def test_make_heuristic_names(two_switches):
     for name, value in [("blind", 1), ("goalcount", 2), ("hmax", 1), ("hadd", 2), ("zero", 0)]:
-        assert make_heuristic(two_switches, name)(two_switches.initial) == value
+        initial = two_switches.index.fact_set(two_switches.initial)
+        assert make_heuristic(two_switches, name)(initial) == value
 
 
 # The relaxation evaluator as it was before it memoised goal-fact costs:
@@ -217,18 +246,21 @@ def reference_ancestors(task, var):
 
 @cache
 def logistics_evaluations():
-    """Per seed-1 logistics benchmark task, the states A* with hmax
-    evaluates, in evaluation order."""
+    """Per seed-1 logistics benchmark task, the value tuples of the states
+    A* with hmax evaluates, in evaluation order."""
     out = []
     for instance in perfbench_corpus().instances("logistics-astar-hmax", 1):
         task = parse_sas(instance.text)
-        hmax, states = make_heuristic(task, "hmax"), []
+        hmax, evaluated = make_heuristic(task, "hmax"), []
 
-        def recording(state, hmax=hmax, states=states):
-            states.append(state)
-            return hmax(state)
+        def recording(facts, hmax=hmax, evaluated=evaluated):
+            evaluated.append(facts)
+            return hmax(facts)
 
         assert astar(task, recording, make_strategy(task, "none")).solved
+        off = task.index.offsets
+        states = [tuple(f - off[v] for v, f in enumerate(ids(F))) for F in evaluated]
+        assert list(map(task.index.fact_set, states)) == evaluated
         out.append((task, tuple(states)))
     return tuple(out)
 
@@ -240,15 +272,17 @@ def assert_memo_matches_reference(task, states, order_seed=0):
     and no more entries than calls."""
     shuffled = list(states)
     random.Random(order_seed).shuffle(shuffled)
+    fact_sets = list(map(task.index.fact_set, states))
     for combine in ("max", "add"):
         evaluator = DeleteRelaxationHeuristic(task, combine)
         calls = 0
         for walk in (states, shuffled):
             for values in walk:
-                assert evaluator(values) == reference_relaxed_cost(task, values, combine)
+                expected = reference_relaxed_cost(task, values, combine)
+                assert evaluator(task.index.fact_set(values)) == expected
                 calls += 1
-        for read, memo in zip(evaluator.projections or (), evaluator.memos or ()):
-            assert set(memo) == set(map(read, states)) and len(memo) <= calls
+        for mask, memo in zip(evaluator.projections or (), evaluator.memos or ()):
+            assert set(memo) == {F & mask for F in fact_sets} and len(memo) <= calls
 
 
 def test_memo_matches_reference_on_random_tasks():
@@ -287,10 +321,11 @@ def test_memo_selection():
         for task in memoised:
             evaluator = DeleteRelaxationHeuristic(task, combine)
             assert evaluator.memos == [{}] * len(task.goal)
-            # each projection reads exactly its goal variable's ancestors
-            for (var, _), read in zip(task.goal, evaluator.projections):
-                read_off = read(tuple(range(task.num_variables)))
-                read_off = set(read_off) if isinstance(read_off, tuple) else {read_off}
+            # each projection masks exactly its goal variable's ancestors' facts
+            own = task.index.variable_facts
+            for (var, _), mask in zip(task.goal, evaluator.projections):
+                read_off = {v for v in range(task.num_variables) if mask & own[v]}
+                assert mask == sum(own[v] for v in read_off)
                 assert read_off == reference_ancestors(task, var)
                 assert len(read_off) < task.num_variables
 
@@ -298,6 +333,7 @@ def test_memo_selection():
 def test_threads_share_one_memoised_evaluator():
     task, states = logistics_evaluations()[0]
     expected = [reference_relaxed_cost(task, values, "max") for values in states]
+    states = list(map(task.index.fact_set, states))
     hmax = make_heuristic(task, "hmax")
     start = threading.Barrier(4)
     results = [None] * 4
@@ -323,5 +359,5 @@ def test_threads_share_one_memoised_evaluator():
     for found in results:
         assert [found[i] for i in range(len(states))] == expected
     # every call leaves all of its state's goal entries memoised
-    for read, memo in zip(hmax.projections, hmax.memos):
-        assert set(memo) == set(map(read, states))
+    for mask, memo in zip(hmax.projections, hmax.memos):
+        assert set(memo) == {F & mask for F in states}

@@ -161,10 +161,20 @@ def test_task_validation():
 
 
 def test_states_are_value_tuples():
+    # off the search path a state is its value tuple; on it, the strategy
+    # (ctx.state), node_key and the heuristic receive the int fact_set of
+    # the node's values
     task = parse_sas((FIXTURES / "enable_chain.sas").read_text())
     assert type(task.initial) is tuple
     action = next(a for a in task.actions if applicable(task.initial, a))
     assert type(apply_action(task.initial, action)) is tuple
+    reachable = [task.initial]
+    for values in reachable:
+        for a in task.actions:
+            if applicable(values, a) and apply_action(values, a) not in reachable:
+                reachable.append(apply_action(values, a))
+    fact_sets = set(map(task.index.fact_set, reachable))
+    initial = task.index.fact_set(task.initial)
 
     class Recording:
         """Records what the engine hands the strategy and the heuristic."""
@@ -189,9 +199,10 @@ def test_states_are_value_tuples():
         recording = Recording(make_strategy(task, kind), make_heuristic(task, "hmax"))
         assert astar(task, recording.evaluate, recording).solved
         assert recording.seen and recording.evaluated
-        assert {type(state) for state in recording.seen + recording.evaluated} == {tuple}
-        assert {type(facts) for facts in recording.keyed} == {int}
-        assert task.index.fact_set(task.initial) in recording.keyed
+        received = recording.seen + recording.evaluated + recording.keyed
+        assert {type(facts) for facts in received} == {int}
+        assert set(received) <= fact_sets
+        assert recording.seen[0] == recording.evaluated[0] == recording.keyed[0] == initial
 
     v = (Variable(0, "x", 2),)
     act = Action(0, "o", PA([(0, 0)]), PA([(0, 1)]))
@@ -243,8 +254,8 @@ def reference_index_masks(task):
         for a, facts in enumerate(index.eff_facts)
     )
     eff_conflicts = tuple(
-        reduce(or_, (writer_masks[v] & ~index.achiever_masks[off[v] + x] for v, x in eff), 0)
-        for eff in index.eff
+        reduce(or_, (writer_masks[v] & ~index.achiever_masks[off[v] + x] for v, x in a.effect), 0)
+        for a in task.actions
     )
     return writer_masks, compatible, pre_conflicts, eff_conflicts
 

@@ -77,7 +77,7 @@ def test_stubborn_conditions_two_switches(two_switches):
     ok = check_stubborn_conditions(
         two_switches,
         init,
-        sac_expansion(two_switches, init),
+        sac_expansion(two_switches, two_switches.index.fact_set(init)),
         horizon=4,
     )
     assert ok.ok

@@ -65,10 +65,11 @@ def solvable_tasks(count, **kw):
 
 
 def test_full_expansion(two_switches, build):
-    assert full_expansion(two_switches, two_switches.initial) == (0, 1)
-    assert full_expansion(two_switches, State((1, 1))) == ()
+    facts = two_switches.index.fact_set
+    assert full_expansion(two_switches, facts(two_switches.initial)) == (0, 1)
+    assert full_expansion(two_switches, facts(State((1, 1)))) == ()
     empty = build(domains=[2], actions=[], initial=[0], goal=[])
-    assert full_expansion(empty, empty.initial) == ()
+    assert full_expansion(empty, empty.index.fact_set(empty.initial)) == ()
 
 
 def _scan(task, state):
@@ -108,28 +109,29 @@ def test_full_expansion_matches_scan(build):
     checked = 0
     for task in tasks:
         for state in _reachable(task, 1000):
-            assert full_expansion(task, state) == _scan(task, state)
+            assert full_expansion(task, task.index.fact_set(state)) == _scan(task, state)
             checked += 1
     for _, task, graph in default_task_stream(60):
         for values in graph.states:
             state = State(values)
-            assert full_expansion(task, state) == _scan(task, state)
+            assert full_expansion(task, task.index.fact_set(state)) == _scan(task, state)
             checked += 1
     corpus = perfbench_corpus()
     for workload in BENCH_WORKLOADS:
         for instance in corpus.instances(workload, 1)[:2]:
             task = parse_sas(instance.text)
             for state in _reachable(task, 150):
-                assert full_expansion(task, state) == _scan(task, state)
+                assert full_expansion(task, task.index.fact_set(state)) == _scan(task, state)
                 checked += 1
     assert checked > 1000
 
 
 def test_landmark_action_set(two_switches):
-    assert ids(landmark_action_set(two_switches, two_switches.initial)) == (0,)
-    assert ids(landmark_action_set(two_switches, State((1, 0)))) == (1,)
+    facts = two_switches.index.fact_set
+    assert ids(landmark_action_set(two_switches, facts(two_switches.initial))) == (0,)
+    assert ids(landmark_action_set(two_switches, facts(State((1, 0))))) == (1,)
     with pytest.raises(NoUnachievedGoal):
-        landmark_action_set(two_switches, State((1, 1)))
+        landmark_action_set(two_switches, facts(State((1, 1))))
 
 
 def test_landmark_set_is_a_landmark():
@@ -140,7 +142,7 @@ def test_landmark_set_is_a_landmark():
         initial = task.initial
         if task.goal.holds_in(initial):
             continue
-        landmarks = ids(landmark_action_set(task, initial))
+        landmarks = ids(landmark_action_set(task, task.index.fact_set(initial)))
         report = check_stubborn_conditions(
             task, initial, landmarks, horizon=6, graph=graph
         )
@@ -151,21 +153,24 @@ def test_landmark_includes_v0_movers(build):
     # the only goal mover carries no precondition on the goal variable
     task = build(domains=[2], actions=[("free", [], [(0, 1)])],
                  initial=[0], goal=[(0, 1)])
-    assert ids(landmark_action_set(task, task.initial)) == (0,)
-    assert sac_expansion(task, task.initial) == (0,)
+    initial = task.index.fact_set(task.initial)
+    assert ids(landmark_action_set(task, initial)) == (0,)
+    assert sac_expansion(task, initial) == (0,)
 
 
 def test_sac_two_switches(two_switches):
-    assert sac_expansion(two_switches, two_switches.initial) == (0,)
-    assert sac_expansion(two_switches, State((1, 0))) == (1,)
+    facts = two_switches.index.fact_set
+    assert sac_expansion(two_switches, facts(two_switches.initial)) == (0,)
+    assert sac_expansion(two_switches, facts(State((1, 0)))) == (1,)
 
 
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
     table = potential_masks(support_chain)
-    assert sac_expansion(support_chain, support_chain.initial) == (1,)
-    assert ec_expansion(support_chain, support_chain.initial, table) == (1, 2)
+    initial = support_chain.index.fact_set(support_chain.initial)
+    assert sac_expansion(support_chain, initial) == (1,)
+    assert ec_expansion(support_chain, initial, table) == (1, 2)
 
 
 def test_sac_fixpoint_stable():
@@ -179,8 +184,9 @@ def test_sac_fixpoint_stable():
             state = State(values)
             if task.goal.holds_in(state):
                 continue
-            landmarks = landmark_action_set(task, state)
-            fixpoint = set(ids(sac_fixpoint(task, state, landmarks)))
+            facts = task.index.fact_set(state)
+            landmarks = landmark_action_set(task, facts)
+            fixpoint = set(ids(sac_fixpoint(task, facts, landmarks)))
             assert set(ids(landmarks)) <= fixpoint
             for a in (task.actions[i] for i in fixpoint):
                 pre_a = set(a.precondition.entries)
@@ -197,7 +203,7 @@ def test_sac_fixpoint_stable():
                             clash(pre_b, eff_a) and any(values[v] == x for v, x in pre_b)
                         )
                     assert b.id in fixpoint or not pulled
-            expansion = sac_expansion(task, state)
+            expansion = sac_expansion(task, facts)
             assert expansion == tuple(
                 a for a in sorted(fixpoint) if applicable(state, task.actions[a])
             )
@@ -250,7 +256,7 @@ def test_landmark_matches_dtg_definition():
         for state in states:
             if not task.goal.holds_in(state):
                 expected = from_dtgs(task, dtgs, state)
-                assert ids(landmark_action_set(task, state)) == expected
+                assert ids(landmark_action_set(task, task.index.fact_set(state))) == expected
                 checked += 1
     assert checked > 300
 
@@ -271,7 +277,7 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
 
     for name in ("sac_fixpoint", "build_pdg"):
         monkeypatch.setattr(strategies, name, counting(name, getattr(strategies, name)))
-    ctx = ExpansionContext(two_switches.initial, None)
+    ctx = ExpansionContext(two_switches.index.fact_set(two_switches.initial), None)
     sac.expansion(ctx)
     ec.expansion(ctx)
     assert calls == ["sac_fixpoint", "build_pdg"]
@@ -279,10 +285,11 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
 
 def test_ec_two_switches(two_switches):
     table = potential_masks(two_switches)
-    chosen = ec_expansion(two_switches, two_switches.initial, table)
+    facts = two_switches.index.fact_set
+    chosen = ec_expansion(two_switches, facts(two_switches.initial), table)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     with pytest.raises(NoUnachievedGoal):
-        ec_expansion(two_switches, State((1, 1)), table)
+        ec_expansion(two_switches, facts(State((1, 1))), table)
 
 
 def test_ec_single_scc(build):
@@ -294,23 +301,24 @@ def test_ec_single_scc(build):
         goal=[(0, 1), (1, 1)],
     )
     table = potential_masks(task)
-    assert ec_expansion(task, task.initial, table) == (0, 1)
+    assert ec_expansion(task, task.index.fact_set(task.initial), table) == (0, 1)
 
 
 def test_sp_filter(two_switches, enable_chain):
     strat = stratify(two_switches, tie_break="distinct")
-    root = ExpansionContext(two_switches.initial, None)
+    facts = two_switches.index.fact_set
+    root = ExpansionContext(facts(two_switches.initial), None)
     assert sp_filter(two_switches, strat, root, (0, 1)) == (0, 1)
-    after_a = ExpansionContext(State((1, 0)), 0)
+    after_a = ExpansionContext(facts(State((1, 0))), 0)
     assert sp_filter(two_switches, strat, after_a, (1,)) == ()  # b pruned
-    after_b = ExpansionContext(State((0, 1)), 1)
+    after_b = ExpansionContext(facts(State((0, 1))), 1)
     assert sp_filter(two_switches, strat, after_b, (0,)) == (0,)
 
     # follow-up exemption: eff(a) supplies pre(b), so b survives L(b) < L(a)
     chain_strat = stratify(enable_chain)
     assert chain_strat.action_level == (2, 1)
     assert _follow_ups(enable_chain, 0) >> 1 & 1
-    ctx = ExpansionContext(State((0, 1, 2)), 0)
+    ctx = ExpansionContext(enable_chain.index.fact_set(State((0, 1, 2))), 0)
     assert sp_filter(enable_chain, chain_strat, ctx, (0, 1)) == (0, 1)
 
 
@@ -337,7 +345,7 @@ def test_follow_up_matches_pairwise_definition(build):
                 for b in task.actions
             ]
             assert [bool(_follow_ups(task, a.id) >> b & 1) for b in everything] == expected
-            ctx = ExpansionContext(task.initial, a.id)
+            ctx = ExpansionContext(task.index.fact_set(task.initial), a.id)
             assert sp_filter(task, strat, ctx, everything) == tuple(
                 b for b in everything if level[b] >= level[a.id] or expected[b]
             )
@@ -377,9 +385,10 @@ def test_stubborn_strategies_nonempty_on_solvable_states():
             state = State(graph.states[i])
             if task.goal.holds_in(state):
                 continue
-            moves = set(full_expansion(task, state))
+            facts = task.index.fact_set(state)
+            moves = set(full_expansion(task, facts))
             for kind, strategy in strategies.items():
-                chosen = set(strategy.expansion(ExpansionContext(state, None)))
+                chosen = set(strategy.expansion(ExpansionContext(facts, None)))
                 assert chosen, (kind, state)
                 assert chosen <= moves
 
