@@ -80,15 +80,11 @@ def build_dtg(task: Task, var: int) -> DTG:
 
 def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
     """Edge (x, y): some action writes x and reads or writes y."""
-    edges: set[tuple[int, int]] = set()
-    for action in task.actions:
-        eff_vars = action.effect.variables
-        dep_vars = set(action.precondition.variables) | set(eff_vars)
-        for x in eff_vars:
-            for y in dep_vars:
-                if x != y:
-                    edges.add((x, y))
-    return frozenset(edges)
+    writers = task.index.writer_masks
+    touches = list(map(or_, task.index.reader_masks, writers))
+    return frozenset(
+        (x, y) for x, w in enumerate(writers) for y, t in enumerate(touches) if w & t and x != y
+    )
 
 
 def build_asg(task: Task, facts: int) -> frozenset[tuple[int, int]]:
@@ -121,7 +117,7 @@ def potential_masks(task: Task) -> tuple[int, ...]:
     fact of a, and dependent into the row of each fact of a written
     variable that a is compatible with.
     """
-    off = task.index.offsets
+    off, own = task.index.offsets, task.index.variable_facts
     n = task.num_variables
     everything = (1 << off[-1]) - 1
     pres = [dict(action.precondition.entries) for action in task.actions]
@@ -136,10 +132,8 @@ def potential_masks(task: Task) -> tuple[int, ...]:
                 free[j] |= 1 << w
     reached_from = [0] * off[-1]  # fact (j, w): the facts (j, v) with w in reach[v]
     onward = [False] * off[-1]
-    own = []  # variable j: the mask of its facts
     for j, goal in enumerate(map(task.goal.value_of, range(n))):
         o, d = off[j], off[j + 1] - off[j]
-        own.append(((1 << d) - 1) << o)
         reach = [1 << v | step[o + v] | free[j] for v in range(d)]
         for k in range(d):  # Warshall: what reaches k reaches all k reaches
             for v in range(d):

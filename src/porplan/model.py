@@ -4,12 +4,12 @@ Off the search path a state is its dense value tuple: position i holds
 the value of variable i, and State is that tuple type, named for
 annotations. The engine, the heuristics, the strategies and the
 per-state graph builders take its fact set (ActionIndex.fact_set).
-Partial assignments are sorted (variable, value) pair tuples carrying
-the conflict-freedom algebra everything else builds on. Each Task builds
-one ActionIndex at construction; applicability tests, the search engine,
-the heuristics, the graph builders and the strategies all read it. All
-types are immutable after construction and safe to share across threads;
-the operations below are pure functions.
+Partial assignments are sorted (variable, value) pair tuples. Each Task
+builds one ActionIndex at construction, which holds the action relations
+(applicability, support, conflicts, readers and writers) as bit masks;
+the search engine, the heuristics, the graph builders and the strategies
+all read it. All types are immutable after construction and safe to
+share across threads; the operations below are pure functions.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import add, and_, itemgetter, or_
-from typing import Callable, Iterable, Iterator
+from operator import add, and_, or_
+from typing import Iterable, Iterator
 
 
 # a total assignment: position i holds the current value of variable i
@@ -74,10 +74,6 @@ class PartialAssignment:
 
     entries: tuple[tuple[int, int], ...]
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # holds_in compares _read(state) with _values: one bare value
-    # for a single entry, a tuple otherwise (the empty slice when empty)
-    _read: Callable = field(init=False, repr=False, compare=False)
-    _values: int | tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_var: dict[int, int] = {}
@@ -89,10 +85,6 @@ class PartialAssignment:
             by_var[var] = val
         object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
         object.__setattr__(self, "variables", tuple(v for v, _ in self.entries))
-        values = tuple(val for _, val in self.entries)
-        read = itemgetter(*self.variables) if values else itemgetter(slice(0))
-        object.__setattr__(self, "_read", read)
-        object.__setattr__(self, "_values", values[0] if len(values) == 1 else values)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> PartialAssignment:
@@ -105,12 +97,10 @@ class PartialAssignment:
         return None
 
     def holds_in(self, state: State) -> bool:
-        return self._read(state) == self._values
-
-    def conflicts_with(self, other: PartialAssignment) -> bool:
-        """True when some variable receives different values in the two."""
-        mine = dict(self.entries)
-        return any(mine.get(v, val) != val for v, val in other.entries)
+        for v, val in self.entries:
+            if state[v] != val:
+                return False
+        return True
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.entries)
@@ -294,7 +284,8 @@ class Task:
 
 def conflict_free(p: PartialAssignment, q: PartialAssignment) -> bool:
     """True iff no variable receives different values in p and q."""
-    return not p.conflicts_with(q)
+    mine = dict(p.entries)
+    return all(mine.get(v, val) == val for v, val in q.entries)
 
 
 def applicable(state: State, action: Action) -> bool:

@@ -35,7 +35,7 @@ from porplan.oracle import (
     enumerate_state_space,
     generate_random_task,
 )
-from conftest import FIXTURES
+from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.model import ids
 from porplan.strategies import ec_expansion, sac_fixpoint
 
@@ -97,6 +97,26 @@ def test_causal_graph(two_switches, enable_chain, build):
     task = build(domains=[2, 2], actions=[("o", [], [(0, 1), (1, 1)])],
                  initial=[0, 0], goal=[(0, 1)])
     assert build_causal_graph(task) == frozenset({(0, 1), (1, 0)})
+
+
+def test_causal_graph_matches_action_entries():
+    # reference: walk each action's entries, joining every effect variable
+    # to every other variable the action reads or writes
+    def per_action(task):
+        edges = set()
+        for action in task.actions:
+            touched = set(action.precondition.variables) | set(action.effect.variables)
+            edges |= {(x, y) for x in action.effect.variables for y in touched if x != y}
+        return frozenset(edges)
+
+    corpus = perfbench_corpus()
+    tasks = [task for _, task, _ in default_task_stream(200)]
+    tasks += [task for _, task, _ in default_task_stream(100, cost_mode="random")]
+    tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    for workload in BENCH_WORKLOADS:
+        tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
+    for task in tasks:
+        assert build_causal_graph(task) == per_action(task)
 
 
 def test_stratify_enable_chain(enable_chain):

@@ -58,7 +58,7 @@ def test_conflict_free_reflexive(p):
 
 
 def test_holds_in_matches_entrywise_definition():
-    # 0, 1 and 3 entries: the empty, bare-value and tuple comparisons
+    # 0, 1 and 3 entries, the last given out of variable order
     cases = [PA(), PA([(1, 2)]), PA([(3, 1), (0, 2), (2, 0)])]
     states = [State((a, b, c, d)) for a in range(3) for b in range(3)
               for c in range(2) for d in range(2)]
@@ -67,7 +67,7 @@ def test_holds_in_matches_entrywise_definition():
             assert p.holds_in(state) == all(state[v] == x for v, x in p.entries)
     assert sum(cases[1].holds_in(s) for s in states) == 12
     assert sum(cases[2].holds_in(s) for s in states) == 3
-    # the precomputed reader survives a pickle round trip
+    # a pickled copy answers as the original does
     assert [pickle.loads(pickle.dumps(p)).holds_in(states[-1]) for p in cases] == [
         True, True, False
     ]

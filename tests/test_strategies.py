@@ -10,6 +10,7 @@ from porplan import (
     apply_action,
     astar,
     build_dtg,
+    conflict_free,
     ec_expansion,
     full_expansion,
     is_left_commutative,
@@ -218,10 +219,10 @@ def test_action_relations_match_pairwise_definition(two_switches, enable_chain, 
         for a in task.actions:
             others = [b for b in task.actions if b.id != a.id]
             assert ids(index.pre_conflicts[a.id]) == tuple(
-                b.id for b in others if b.precondition.conflicts_with(a.effect)
+                b.id for b in others if not conflict_free(b.precondition, a.effect)
             )
             assert ids(index.eff_conflicts[a.id]) == tuple(
-                b.id for b in others if b.effect.conflicts_with(a.effect)
+                b.id for b in others if not conflict_free(b.effect, a.effect)
             )
             # support: the actions sharing an entry of pre(a) in their effect
             pre = set(a.precondition.entries)
