@@ -179,7 +179,7 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         return _plain_graph("action_support_graph", names, edges, as_json)
     if token.startswith("pdg@"):
         facts = task.index.fact_set(_parse_state(task, token[4:]))
-        edges = pdg_edges(facts, build_pdg(task, facts, potential_masks(task)))
+        edges = pdg_edges(facts, build_pdg(facts, potential_masks(task)))
         return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
         strat = stratify(task)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import accumulate, compress
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -53,6 +53,7 @@ class Stratification:
 
     variable_level: tuple[int, ...]
     action_level: tuple[int, ...]
+    at_or_above: tuple[int, ...]  # per level l from 0 up: the actions of level >= l
 
 
 class MixedEffectLevels(Exception):
@@ -171,9 +172,7 @@ def potential_masks(task: Task) -> tuple[int, ...]:
     )
 
 
-def build_pdg(
-    task: Task, facts: int, table: Sequence[int], held: bytes | None = None
-) -> tuple[int, ...]:
+def build_pdg(facts: int, table: Sequence[int], held: bytes | None = None) -> tuple[int, ...]:
     """Potential dependency graph over DTG indices at the state with fact
     set facts, as one successor mask per variable i over the held facts:
     bit f_j, j's fact in facts, is set when PDG(s) has the edge (i, j).
@@ -240,7 +239,11 @@ def stratify(
         if len(levels) != 1:
             raise MixedEffectLevels(action.id)
         action_level.append(levels.pop())
-    return Stratification(tuple(variable_level), tuple(action_level))
+    by_level = [0] * (max(action_level, default=0) + 1)
+    for a, level in enumerate(action_level):
+        by_level[level] |= 1 << a
+    at_or_above = tuple(accumulate(reversed(by_level), or_))[::-1]
+    return Stratification(tuple(variable_level), tuple(action_level), at_or_above)
 
 
 def closure_prefix_order(

@@ -182,10 +182,14 @@ class ActionIndex:
     action a; ids() reads one out. Per action a: pre_bits[a], adds[a] (its
     effect facts) and keep[a] (all facts but its effect variables'), so a
     applies to a state's fact set F iff F & pre_bits[a] == pre_bits[a] and
-    yields F & keep[a] | adds[a]; goal_bits holds the goal facts. Per
-    fact: achiever_masks (the effect sets it), consumer_masks and
-    compatible (no precondition entry contradicts it). Per variable:
-    writer_masks and reader_masks. Per action a: support (the achievers of a's
+    yields F & keep[a] | adds[a]; goal_bits holds the goal facts and
+    goal_variable_facts every fact of a goal variable, so F &
+    goal_variable_facts & ~goal_bits is the held fact of each unachieved
+    goal variable. Per fact: achiever_masks (the effect sets it),
+    consumer_masks and compatible (no precondition entry contradicts it).
+    Per variable: writer_masks and reader_masks. leaving[f], f = (v, x),
+    is v's writers compatible with f: the DTG transitions leaving x, V0
+    ones included. Per action a: support (the achievers of a's
     precondition facts), pre_conflicts and eff_conflicts (the actions
     b != a whose precondition, or effect, contradicts eff(a)).
     """
@@ -202,6 +206,7 @@ class ActionIndex:
         every = (1 << off[-1]) - 1  # the mask of all facts
         self.keep = tuple([every ^ sum(map(own.__getitem__, a.effect.variables)) for a in actions])
         self.goal_bits = sum(1 << off[v] + x for v, x in task.goal)
+        self.goal_variable_facts = sum(own[v] for v in task.goal.variables)
         self.consumers = _inverse(off[-1], self.pre_facts)
         self.consumer_masks = needs = _masks(self.consumers)
         self.achiever_masks = achievers = _masks(_inverse(off[-1], eff_facts))
@@ -212,6 +217,7 @@ class ActionIndex:
         self.reader_masks = reads = tuple([reduce(or_, needs[s]) for s in slices])
         self._all = everything = (1 << len(actions)) - 1
         self.compatible = tuple([everything & ~reads[v] | needs[f] for f, v in enumerate(var_of)])
+        self.leaving = tuple([writers[v] & c for v, c in zip(var_of, self.compatible)])
         self.support = tuple([reduce(or_, map(achievers.__getitem__, p), 0) for p in self.pre_facts])
         # per fact f = (v, x): the actions whose precondition, or effect,
         # contradicts it, OR-ed over an action's (never empty) effect facts
@@ -324,10 +330,10 @@ def validate_plan(task: Task, steps: Iterable[int]) -> Plan:
     steps = tuple(steps)
     state = task.initial
     for i, action_id in enumerate(steps):
-        action = task.actions[action_id]
-        if not applicable(state, action):
-            raise NotApplicableAt(i, action_id)
-        state = apply_action(state, action)
+        try:
+            state = apply_action(state, task.actions[action_id])
+        except NotApplicable:
+            raise NotApplicableAt(i, action_id) from None
     if not is_goal(task, state):
         raise GoalNotReached(f"final state {state} misses the goal")
     return Plan(steps, plan_cost(task, steps))

@@ -7,13 +7,13 @@ Each strategy answers one question at a state s, given as its fact set F
 dependency-closed DTG prefix of the potential dependency graph; it looks
 the PDG up in a per-task fact table and condenses it lazily, only up to
 the prefix. SAC closes a landmark action set under ASG support and
-conflict rules and keeps the applicable members. Both work on the
-index's action bit masks and AND the result with the state's
-applicability mask. SP is a filter over the full set driven by
-causal-graph levels and the action that generated the node; it builds
-the generating action's follow-up mask only when some applicable action
-lies below that action's level. Each expansion set reads F out at most
-once, as bit_flags(F), and hands that to its helpers (held).
+conflict rules and keeps the applicable members. SP filters the
+applicable set by causal-graph levels and the action that generated the
+node; it builds the generating action's follow-up mask only when some
+applicable action lies below that action's level. Each expansion set is
+one expression over the index's action bit masks: it computes the
+state's applicability mask once and reads the chosen ids out of the
+result once, with ids().
 
 Each kind is one class behind the ExpansionStrategy protocol, built bare
 by make_bare_strategy. The none and SAC objects hold only their task, EC
@@ -81,14 +81,6 @@ def full_expansion(task: Task, facts: int) -> tuple[int, ...]:
     return ids(task.index.applicable_mask(facts))
 
 
-def _unachieved_goal_variables(task: Task, facts: int) -> list[tuple[int, int]]:
-    """(v, the fact of v in facts) per goal variable v off its goal value."""
-    own, off = task.index.variable_facts, task.index.offsets
-    return [
-        (v, (facts & own[v]).bit_length() - 1) for v, x in task.goal if not facts >> off[v] + x & 1
-    ]
-
-
 def landmark_action_set(task: Task, facts: int) -> int:
     """Mask of actions of which every solution from the state must use one.
 
@@ -99,16 +91,14 @@ def landmark_action_set(task: Task, facts: int) -> int:
     DTG with the fewest such actions wins, ties to the lowest variable id.
     """
     index = task.index
-    leaving = [
-        index.writer_masks[v] & index.compatible[f]
-        for v, f in _unachieved_goal_variables(task, facts)
-    ]
-    if not leaving:
+    unachieved = facts & index.goal_variable_facts & ~index.goal_bits
+    if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
-    return min(leaving, key=int.bit_count)
+    # ascending fact ids are ascending variables, and min keeps the first
+    return min(compress(index.leaving, bit_flags(unachieved)), key=int.bit_count)
 
 
-def sac_fixpoint(task: Task, facts: int, seed_mask: int, held: bytes | None = None) -> int:
+def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int | None = None) -> int:
     """Joint support/conflict closure of a seed action mask.
 
     Two rules, each applied once per member when it enters the set: an
@@ -118,17 +108,19 @@ def sac_fixpoint(task: Task, facts: int, seed_mask: int, held: bytes | None = No
     precondition both conflicts with eff(a) and has an entry holding in
     the state (conflict closure). Both rules depend only on the member and
     the state, so closing in rounds reaches the unique least fixpoint.
-    held is bit_flags(facts), when the caller already has it.
+    applicable is the state's applicability mask, when the caller already
+    has it.
     """
     index = task.index
-    held = held or bit_flags(facts)
-    applicable_mask = index.applicable_mask(facts, held)
+    held = bit_flags(facts)
+    if applicable is None:
+        applicable = index.applicable_mask(facts, held)
     touching = reduce(or_, compress(index.consumer_masks, held), 0)
     members = new = seed_mask
     while new:
         pulled = 0
         for a in ids(new):
-            if applicable_mask >> a & 1:
+            if applicable >> a & 1:
                 pulled |= index.eff_conflicts[a] | index.pre_conflicts[a] & touching
             else:
                 pulled |= index.support[a]
@@ -141,9 +133,8 @@ def sac_expansion(task: Task, facts: int) -> tuple[int, ...]:
     """Applicable members of the joint closure of a landmark action set,
     ascending."""
     landmarks = landmark_action_set(task, facts)
-    held = bit_flags(facts)
-    closure = sac_fixpoint(task, facts, landmarks, held)
-    return ids(task.index.applicable_mask(facts, held) & closure)
+    applicable = task.index.applicable_mask(facts)
+    return ids(applicable & sac_fixpoint(task, facts, landmarks, applicable))
 
 
 def ec_expansion(task: Task, facts: int, table: Sequence[int]) -> tuple[int, ...]:
@@ -157,18 +148,20 @@ def ec_expansion(task: Task, facts: int, table: Sequence[int]) -> tuple[int, ...
     variable, in variable order. table is the task's potential_masks.
     """
     index = task.index
-    unachieved = sum(1 << f for _, f in _unachieved_goal_variables(task, facts))
+    unachieved = facts & index.goal_variable_facts & ~index.goal_bits
     if not unachieved:
         raise NoUnachievedGoal("state satisfies the goal")
     held = bit_flags(facts)
-    successors = dict(zip(compress(count(), held), build_pdg(task, facts, table, held)))
+    successors = dict(zip(compress(count(), held), build_pdg(facts, table, held)))
     prefix = 0
     for component in closure_prefix_order(successors, facts):
         prefix |= component
         if component & unachieved:
             break
-    writers = reduce(or_, compress(index.writer_masks, [prefix >> f & 1 for f in successors]), 0)
-    return ids(index.applicable_mask(facts, held) & writers)
+    # an applicable action is compatible with every held fact, so the ones
+    # writing a prefix variable are exactly the applicable ones in leaving
+    leaving = reduce(or_, compress(index.leaving, bit_flags(prefix)), 0)
+    return ids(index.applicable_mask(facts, held) & leaving)
 
 
 def _follow_ups(task: Task, first: int) -> int:
@@ -182,26 +175,20 @@ def _follow_ups(task: Task, first: int) -> int:
 
 
 def sp_filter(
-    task: Task,
-    stratification: Stratification,
-    ctx: ExpansionContext,
-    applicable_ids: Sequence[int],
-) -> tuple[int, ...]:
+    task: Task, stratification: Stratification, ctx: ExpansionContext, applicable: int
+) -> int:
     """Drop lower-level non-follow-up actions after the generating action.
 
-    At the root every applicable action is kept. The follow-up mask is
-    built only when some applicable action lies below gen's level.
+    applicable is the state's applicability mask; the result is the mask
+    of the kept actions. At the root every applicable action is kept. The
+    follow-up mask is built only when some applicable action lies below
+    gen's level.
     """
     gen = ctx.generating_action
     if gen is None:
-        return tuple(applicable_ids)
-    level = stratification.action_level
-    floor = level[gen]
-    kept = tuple([b for b in applicable_ids if level[b] >= floor])
-    if len(kept) == len(applicable_ids):
-        return kept  # nothing lies below gen's level
-    follow_ups = _follow_ups(task, gen)
-    return tuple([b for b in applicable_ids if level[b] >= floor or follow_ups >> b & 1])
+        return applicable
+    below = applicable & ~stratification.at_or_above[stratification.action_level[gen]]
+    return applicable ^ below & ~_follow_ups(task, gen) if below else applicable
 
 
 def is_left_commutative(task: Task, state: State, first: int, second: int) -> bool:
@@ -274,9 +261,8 @@ class SpStrategy(ExpansionStrategy):
         self.stratification = stratify(task, tie_break=config.strat_tie_break)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return sp_filter(
-            self.task, self.stratification, ctx, full_expansion(self.task, ctx.state)
-        )
+        applicable = self.task.index.applicable_mask(ctx.state)
+        return ids(sp_filter(self.task, self.stratification, ctx, applicable))
 
     def node_key(self, facts: int, generating_action: int | None) -> Hashable:
         """In "state-level" mode the key folds in the generating action's

@@ -26,6 +26,7 @@ from porplan import (
 )
 from porplan.cli import main
 from porplan.heuristics import DeleteRelaxationHeuristic
+from porplan.model import ids
 from porplan.oracle import (
     RandomTaskSpec,
     default_task_stream,
@@ -88,7 +89,7 @@ def test_criterion_02_golden_expansion_sets():
     for _ in range(3):
         start = time.perf_counter()
         chosen = ec_expansion(task, initial, table)
-        after_a = sp_filter(task, strat, ExpansionContext(one_zero, 0), (1,))
+        after_a = ids(sp_filter(task, strat, ExpansionContext(one_zero, 0), 0b10))
         landmark_core = sac_expansion(task, initial)
         timings.append(time.perf_counter() - start)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}

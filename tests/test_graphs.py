@@ -157,6 +157,21 @@ def test_stratify_invariant_random():
                 assert levels == {strat.action_level[action.id]}
 
 
+def test_stratify_at_or_above_matches_action_levels():
+    corpus = perfbench_corpus()
+    tasks = [task for _, task, _ in default_task_stream(60)]
+    tasks += [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    for workload in BENCH_WORKLOADS:
+        tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
+    for task in tasks:
+        for tie_break in ("canonical", "distinct"):
+            strat = stratify(task, tie_break=tie_break)
+            level = strat.action_level
+            assert len(strat.at_or_above) == max(level, default=0) + 1
+            for floor, mask in enumerate(strat.at_or_above):
+                assert mask == sum(1 << a for a, x in enumerate(level) if x >= floor)
+
+
 def test_mixed_effect_levels(build):
     task = build(domains=[2, 2], actions=[("o", [], [(0, 1), (1, 1)])],
                  initial=[0, 0], goal=[(0, 1)])
@@ -425,7 +440,7 @@ def pdg_of(task, state, table):
     """build_pdg's successor masks at the state values as a frozenset of
     (i, j) pairs."""
     facts = task.index.fact_set(state)
-    return pdg_edges(facts, build_pdg(task, facts, table))
+    return pdg_edges(facts, build_pdg(facts, table))
 
 
 # The three cases above as tasks. Fact (var, value) has id offset + value,
@@ -536,7 +551,7 @@ def _dtgs(task):
 def test_pdg_two_switches(two_switches):
     table = potential_masks(two_switches)
     initial = two_switches.index.fact_set(two_switches.initial)
-    assert build_pdg(two_switches, initial, table) == (0, 0)
+    assert build_pdg(initial, table) == (0, 0)
 
 
 def test_pdg_enable_chain(enable_chain):
@@ -558,7 +573,7 @@ def test_pdg_single_variable_actions(build):
     )
     table = potential_masks(task)
     for values in [(0, 0), (1, 0), (0, 2), (1, 2)]:
-        assert build_pdg(task, task.index.fact_set(State(values)), table) == (0, 0)
+        assert build_pdg(task.index.fact_set(State(values)), table) == (0, 0)
 
 
 @lru_cache(maxsize=1)

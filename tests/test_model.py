@@ -104,8 +104,15 @@ def test_is_goal(two_switches):
     assert is_goal(no_goal, State((1, 0)))
 
 
-def test_validate_plan(two_switches):
+def test_validate_plan(two_switches, monkeypatch):
+    # each step's precondition is tested once, and the goal once at the end
+    holds_in = PartialAssignment.holds_in
+    calls = []
+    monkeypatch.setattr(
+        PartialAssignment, "holds_in", lambda p, state: calls.append(p) or holds_in(p, state)
+    )
     assert validate_plan(two_switches, [0, 1]).cost == 2
+    assert len(calls) == 2 + 1
     assert validate_plan(two_switches, [1, 0]).cost == 2
     with pytest.raises(NotApplicableAt) as err:
         validate_plan(two_switches, [0, 0])
@@ -235,9 +242,10 @@ def test_fact_set_tables_match_value_semantics():
 
 
 def reference_index_masks(task):
-    """Reference for ActionIndex's writer_masks, compatible, pre_conflicts
-    and eff_conflicts: the first two from their definitions, the conflict
-    masks as an OR over an action's effect entries, entry by entry."""
+    """Reference for ActionIndex's writer_masks, compatible, leaving,
+    goal_variable_facts, pre_conflicts and eff_conflicts: the first four
+    from their definitions, the conflict masks as an OR over an action's
+    effect entries, entry by entry."""
     index, off = task.index, task.index.offsets
     everything = (1 << len(task.actions)) - 1
     writer_masks = tuple(
@@ -249,6 +257,18 @@ def reference_index_masks(task):
         for v, var in enumerate(task.variables)
         for x in range(var.domain_size)
     )
+    leaving = tuple(
+        sum(
+            1 << a.id
+            for a in task.actions
+            if v in a.effect.variables and a.precondition.value_of(v) in (None, x)
+        )
+        for v, var in enumerate(task.variables)
+        for x in range(var.domain_size)
+    )
+    goal_variable_facts = sum(
+        1 << off[v] + x for v, _ in task.goal for x in range(task.variables[v].domain_size)
+    )
     pre_conflicts = tuple(
         reduce(or_, (everything ^ compatible[f] for f in facts), 0) & ~(1 << a)
         for a, facts in enumerate(index.eff_facts)
@@ -257,7 +277,7 @@ def reference_index_masks(task):
         reduce(or_, (writer_masks[v] & ~index.achiever_masks[off[v] + x] for v, x in a.effect), 0)
         for a in task.actions
     )
-    return writer_masks, compatible, pre_conflicts, eff_conflicts
+    return writer_masks, compatible, leaving, goal_variable_facts, pre_conflicts, eff_conflicts
 
 
 def test_index_masks_match_reference():
@@ -269,7 +289,12 @@ def test_index_masks_match_reference():
     for task in tasks:
         index = task.index
         assert (
-            index.writer_masks, index.compatible, index.pre_conflicts, index.eff_conflicts
+            index.writer_masks,
+            index.compatible,
+            index.leaving,
+            index.goal_variable_facts,
+            index.pre_conflicts,
+            index.eff_conflicts,
         ) == reference_index_masks(task)
 
 

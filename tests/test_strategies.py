@@ -35,7 +35,7 @@ from porplan.oracle import (
 )
 from porplan import strategies
 from porplan.graphs import V0
-from porplan.model import ids
+from porplan.model import ActionIndex, ids
 from porplan.strategies import (
     ADAPTIVE_WINDOW,
     KINDS,
@@ -284,6 +284,37 @@ def test_expansion_calls_hook_points_per_call(monkeypatch, two_switches):
     assert calls == ["sac_fixpoint", "build_pdg"]
 
 
+def test_bare_expansion_builds_one_applicability_mask(monkeypatch):
+    # at every successor of the initial state, each bare expansion set is
+    # one mask expression over a single applicability mask
+    tasks = [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
+    corpus = perfbench_corpus()
+    tasks += [parse_sas(corpus.instances(w, 1)[0].text) for w in BENCH_WORKLOADS]
+    applicable_mask = ActionIndex.applicable_mask
+    calls = []
+
+    def counting(index, facts, held=None):
+        calls.append(facts)
+        return applicable_mask(index, facts, held)
+
+    monkeypatch.setattr(ActionIndex, "applicable_mask", counting)
+    checked = set()
+    for task in tasks:
+        index = task.index
+        bare = [make_bare_strategy(task, kind) for kind in KINDS]
+        initial = index.fact_set(task.initial)
+        for a in ids(applicable_mask(index, initial)):
+            facts = initial & index.keep[a] | index.adds[a]
+            if facts & index.goal_bits == index.goal_bits:
+                continue
+            for strategy in bare:
+                calls.clear()
+                strategy.expansion(ExpansionContext(facts, a))
+                assert calls == [facts], type(strategy).__name__
+                checked.add(type(strategy))
+    assert len(checked) == len(KINDS)
+
+
 def test_ec_two_switches(two_switches):
     table = potential_masks(two_switches)
     facts = two_switches.index.fact_set
@@ -309,18 +340,18 @@ def test_sp_filter(two_switches, enable_chain):
     strat = stratify(two_switches, tie_break="distinct")
     facts = two_switches.index.fact_set
     root = ExpansionContext(facts(two_switches.initial), None)
-    assert sp_filter(two_switches, strat, root, (0, 1)) == (0, 1)
+    assert ids(sp_filter(two_switches, strat, root, 0b11)) == (0, 1)
     after_a = ExpansionContext(facts(State((1, 0))), 0)
-    assert sp_filter(two_switches, strat, after_a, (1,)) == ()  # b pruned
+    assert ids(sp_filter(two_switches, strat, after_a, 0b10)) == ()  # b pruned
     after_b = ExpansionContext(facts(State((0, 1))), 1)
-    assert sp_filter(two_switches, strat, after_b, (0,)) == (0,)
+    assert ids(sp_filter(two_switches, strat, after_b, 0b01)) == (0,)
 
     # follow-up exemption: eff(a) supplies pre(b), so b survives L(b) < L(a)
     chain_strat = stratify(enable_chain)
     assert chain_strat.action_level == (2, 1)
     assert _follow_ups(enable_chain, 0) >> 1 & 1
     ctx = ExpansionContext(enable_chain.index.fact_set(State((0, 1, 2))), 0)
-    assert sp_filter(enable_chain, chain_strat, ctx, (0, 1)) == (0, 1)
+    assert ids(sp_filter(enable_chain, chain_strat, ctx, 0b11)) == (0, 1)
 
 
 def test_follow_up_matches_pairwise_definition(build):
@@ -339,6 +370,7 @@ def test_follow_up_matches_pairwise_definition(build):
         strat = stratify(task)
         level = strat.action_level
         everything = tuple(range(len(task.actions)))
+        every_mask = (1 << len(task.actions)) - 1
         for a in task.actions:
             eff = set(a.effect.entries)
             expected = [
@@ -347,7 +379,7 @@ def test_follow_up_matches_pairwise_definition(build):
             ]
             assert [bool(_follow_ups(task, a.id) >> b & 1) for b in everything] == expected
             ctx = ExpansionContext(task.index.fact_set(task.initial), a.id)
-            assert sp_filter(task, strat, ctx, everything) == tuple(
+            assert ids(sp_filter(task, strat, ctx, every_mask)) == tuple(
                 b for b in everything if level[b] >= level[a.id] or expected[b]
             )
 
