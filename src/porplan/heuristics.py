@@ -15,21 +15,27 @@ reached along "an action reads u and writes w" arcs: every achiever of
 an ancestor's fact reads only ancestors. So the relaxation evaluators
 memoise each goal fact's cost on F & the facts of its variable's
 ancestors, the variable included. A call that finds every goal entry
-memoised skips the pass; a miss runs it once and fills every entry. When
-some goal variable has every variable as an ancestor, nothing could hit,
-and the evaluator builds no memo.
+memoised skips the pass. A miss runs the pass for the missing entries
+only: it seeds and pushes only their ancestors' facts, and it stops as
+soon as each missing goal fact is popped, since a popped fact's cost is
+final. When some goal variable has every variable as an ancestor,
+nothing could hit, and the evaluator builds no memo; every call then
+runs the pass for all goal entries over all facts, with the same stop.
 
 Evaluators hold immutable per-task indexes. The relaxation evaluators
-also hold those per-goal-fact memos, but each entry is a pure function of
-its key, so a call's value depends only on the state, and threads can
-share an evaluator.
+also hold those per-goal-fact memos and the pass's starting costs per
+fact mask, but each entry of either is a pure function of its key, so a
+call's value depends only on the state, and threads can share an
+evaluator.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from functools import reduce
+from operator import or_
+from typing import Callable, Sequence
 
 from .model import Task, ids
 
@@ -59,44 +65,71 @@ class DeleteRelaxationHeuristic:
         # per goal entry, its ancestor fact mask and its memo; None without a memo
         self.projections = _goal_projections(task)
         self.memos = None if self.projections is None else [{} for _ in self.projections]
+        # the memo-less pass's mask; per mask, the pass's starting costs
+        self.all_facts = (1 << index.offsets[-1]) - 1
+        self.templates: dict[int, list[float]] = {}
 
     def __call__(self, facts: int) -> float:
         memos = self.memos
         if memos is None:
-            values = self._goal_costs(facts)
+            values = self._goal_costs(facts, range(len(self.goal_facts)), self.all_facts)
         else:
             keys = [facts & mask for mask in self.projections]
             values = list(map(dict.get, memos, keys))
             if None in values:
-                values = self._goal_costs(facts)
-                for memo, key, value in zip(memos, keys, values):
-                    memo[key] = value
+                missing = [i for i, value in enumerate(values) if value is None]
+                mask = reduce(or_, map(self.projections.__getitem__, missing))
+                for i, value in zip(missing, self._goal_costs(facts, missing, mask)):
+                    values[i] = memos[i][keys[i]] = value
         if INFINITY in values:
             return INFINITY
         return sum(values) if self.add else max(values, default=0)
 
-    def _goal_costs(self, facts: int) -> list[float]:
-        """The relaxed cost of each goal fact, in goal order."""
-        index = self.index
-        dist: list[float] = [INFINITY] * index.offsets[-1]
-        heap = [(0, f) for f in ids(facts)]
+    def _goal_costs(self, facts: int, missing: Sequence[int], mask: int) -> list[float]:
+        """The relaxed costs of the goal entries missing names, in its order.
+
+        A Dijkstra pass over the facts in mask, which must hold the facts of
+        those entries' variables' ancestors: an achiever of such a fact reads
+        only such facts, so the facts outside mask are never pushed. The
+        pass stops once every missing entry's goal fact is popped; a popped
+        fact is final, as every value pushed after it, zero costs included,
+        is at least its cost.
+        """
+        index, goal_facts = self.index, self.goal_facts
+        template = self.templates.get(mask)
+        if template is None:
+            # 0 outside the mask: no pushed value is smaller
+            template = [0] * index.offsets[-1]
+            for f in ids(mask):
+                template[f] = INFINITY
+            self.templates[mask] = template
+        dist = template[:]
+        heap = [(0, f) for f in ids(facts & mask)]
         for _, f in heap:
             dist[f] = 0
         heapq.heapify(heap)
+        pending = {goal_facts[i] for i in missing}
 
         remaining = list(index.pre_count)
-        acc = list(self.costs)  # running cost + sum of finalized pre facts
-        eff_facts, costs, additive, push = index.eff_facts, self.costs, self.add, heapq.heappush
+        additive = self.add
+        if additive:
+            acc = list(self.costs)  # running cost + sum of finalized pre facts
+        eff_facts, consumers, costs = index.eff_facts, index.consumers, self.costs
+        pop, push = heapq.heappop, heapq.heappush
 
         for value, f in self.seeds:
             if value < dist[f]:
                 dist[f] = value
                 push(heap, (value, f))
         while heap:
-            d, f = heapq.heappop(heap)
+            d, f = pop(heap)
             if d > dist[f]:
                 continue  # stale; a fact is pushed once per strictly smaller value
-            for a in index.consumers[f]:
+            if f in pending:
+                pending.remove(f)
+                if not pending:
+                    break
+            for a in consumers[f]:
                 remaining[a] -= 1
                 if additive:
                     acc[a] += d
@@ -109,7 +142,7 @@ class DeleteRelaxationHeuristic:
                             dist[g] = value
                             push(heap, (value, g))
 
-        return [dist[f] for f in self.goal_facts]
+        return [dist[goal_facts[i]] for i in missing]
 
 
 def _goal_projections(task: Task) -> list[int] | None:

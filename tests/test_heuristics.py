@@ -194,10 +194,11 @@ def test_make_heuristic_names(two_switches):
 
 
 # The relaxation evaluator as it was before it memoised goal-fact costs:
-# one Dijkstra pass over all facts per call.
+# one Dijkstra pass over all facts to exhaustion per call.
 
 
-def reference_relaxed_cost(task, state, combine):
+def reference_goal_costs(task, state, combine):
+    """The relaxed cost of each goal fact, in goal order."""
     index = task.index
     costs = [action.cost for action in task.actions]
     dist = [INFINITY] * index.offsets[-1]
@@ -225,7 +226,11 @@ def reference_relaxed_cost(task, state, combine):
                     if value < dist[g]:
                         dist[g] = value
                         heapq.heappush(heap, (value, g))
-    values = [dist[index.offsets[v] + x] for v, x in task.goal]
+    return [dist[index.offsets[v] + x] for v, x in task.goal]
+
+
+def reference_relaxed_cost(task, state, combine):
+    values = reference_goal_costs(task, state, combine)
     if INFINITY in values:
         return INFINITY
     return sum(values) if combine == "add" else max(values, default=0)
@@ -361,3 +366,187 @@ def test_threads_share_one_memoised_evaluator():
     # every call leaves all of its state's goal entries memoised
     for mask, memo in zip(hmax.projections, hmax.memos):
         assert set(memo) == {F & mask for F in states}
+
+
+class RecordingMemo(dict):
+    """A memo that logs every write, as (goal entry, key)."""
+
+    def __init__(self, entry, log):
+        super().__init__()
+        self.entry, self.log = entry, log
+
+    def __setitem__(self, key, value):
+        self.log.append((self.entry, key))
+        super().__setitem__(key, value)
+
+
+def assert_miss_writes_only_missing(task, states):
+    """Walking the states, each call writes exactly its missing entries to
+    the memos, each at its reference goal-fact cost, and leaves the entries
+    it hit as they were; returns the number of calls that missed some but
+    not all entries."""
+    partial = 0
+    for combine in ("max", "add"):
+        evaluator = DeleteRelaxationHeuristic(task, combine)
+        log = []
+        evaluator.memos = [RecordingMemo(i, log) for i in range(len(task.goal))]
+        for values in states:
+            facts = task.index.fact_set(values)
+            keys = [facts & mask for mask in evaluator.projections]
+            before = [memo.get(key) for memo, key in zip(evaluator.memos, keys)]
+            missing = [i for i, value in enumerate(before) if value is None]
+            partial += 0 < len(missing) < len(keys)
+            log.clear()
+            assert evaluator(facts) == reference_relaxed_cost(task, values, combine)
+            assert log == [(i, keys[i]) for i in missing]
+            expected = reference_goal_costs(task, values, combine)
+            for i, (memo, key) in enumerate(zip(evaluator.memos, keys)):
+                assert memo[key] == expected[i]
+                if i not in missing:
+                    assert memo[key] is before[i]
+    return partial
+
+
+def test_partial_miss_writes_only_missing_entries_on_logistics():
+    partial = sum(
+        assert_miss_writes_only_missing(task, states) for task, states in logistics_evaluations()
+    )
+    assert partial > 1000
+
+
+def test_partial_miss_writes_only_missing_entries_on_random_tasks():
+    # the random cost mode draws costs from 0-3, so zero-cost ties occur
+    partial = 0
+    for cost_mode in ("unit", "random"):
+        memoised = small_tasks(
+            30, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
+        )
+        for task, graph in memoised:
+            partial += assert_miss_writes_only_missing(task, graph.states)
+    assert partial > 100
+
+
+def test_one_entry_miss_pushes_only_that_entrys_ancestor_facts(monkeypatch):
+    # on every call that misses exactly one goal entry, every fact the pass
+    # puts on its heap lies in that entry's projection; on the random tasks,
+    # some actions that read only those facts also write other variables
+    pushed = []
+
+    def heapify(heap):
+        pushed.extend(f for _, f in heap)
+        heapify_(heap)
+
+    def heappush(heap, item):
+        pushed.append(item[1])
+        heappush_(heap, item)
+
+    heapify_, heappush_ = heapq.heapify, heapq.heappush
+    monkeypatch.setattr(heapq, "heapify", heapify)
+    monkeypatch.setattr(heapq, "heappush", heappush)
+    walks = [logistics_evaluations()[0]]
+    for cost_mode in ("unit", "random"):
+        memoised = small_tasks(
+            30, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
+        )
+        walks += [(task, graph.states) for task, graph in memoised]
+    one_entry_misses = pushes = 0
+    for task, states in walks:
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            projections, memos = evaluator.projections, evaluator.memos
+            for values in states:
+                facts = task.index.fact_set(values)
+                keys = [facts & mask for mask in projections]
+                missing = [i for i, (memo, key) in enumerate(zip(memos, keys)) if key not in memo]
+                pushed.clear()
+                evaluator(facts)
+                if len(missing) == 1:
+                    one_entry_misses += 1
+                    pushes += len(pushed)
+                    assert not [f for f in pushed if not projections[missing[0]] >> f & 1]
+    assert one_entry_misses > 500 and pushes > one_entry_misses
+
+
+def sampled_states(task, count, seed=0):
+    """The value tuples of count states met on random walks from the
+    initial state, restarting at the initial state at dead ends."""
+    from porplan import applicable, apply_action
+
+    rng = random.Random(seed)
+    state, out = task.initial, []
+    while len(out) < count:
+        out.append(state)
+        moves = [a for a in task.actions if applicable(state, a)]
+        state = apply_action(state, rng.choice(moves)) if moves else task.initial
+    return out
+
+
+def test_memo_less_pass_matches_reference():
+    # the pass without a memo computes every goal entry over all facts and
+    # stops once the last goal fact is popped
+    tasks = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
+    tasks.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
+    for k, task in enumerate(tasks):
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            assert evaluator.memos is None
+            for values in sampled_states(task, 40, k):
+                expected = reference_relaxed_cost(task, values, combine)
+                assert evaluator(task.index.fact_set(values)) == expected
+
+
+def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
+    # goal x1=1 is reachable; goal x2=1 needs x2=2, which nothing achieves.
+    # In the first task x2's ancestors are every variable, so there is no
+    # memo; in the second x2 has no writer, so both entries are memoised
+    unmemoised = build(
+        domains=[2, 3],
+        actions=[("o", [(0, 0)], [(0, 1)]), ("q", [(0, 1), (1, 2)], [(1, 1)])],
+        initial=[0, 0],
+        goal=[(0, 1), (1, 1)],
+    )
+    memoised = build(
+        domains=[2, 2], actions=[("o", [(0, 0)], [(0, 1)])], initial=[0, 0], goal=[(0, 1), (1, 1)]
+    )
+    heaps = []
+
+    def heapify(heap):
+        heaps.append(heap)
+        heapify_(heap)
+
+    heapify_ = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", heapify)
+    for task, has_memo in ((unmemoised, False), (memoised, True)):
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            assert (evaluator.memos is not None) == has_memo
+            heaps.clear()
+            assert evaluator(task.index.fact_set(task.initial)) == INFINITY
+            assert len(heaps) == 1 and heaps[0] == []
+            assert reference_goal_costs(task, task.initial, combine) == [1, INFINITY]
+
+
+def test_state_holding_every_goal_fact_costs_zero(monkeypatch):
+    # the pass stops once the goal facts, all held at cost 0, are popped, so
+    # it pops no fact at a positive cost
+    popped = []
+
+    def heappop(heap):
+        item = heappop_(heap)
+        popped.append(item[0])
+        return item
+
+    heappop_ = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", heappop)
+    tasks = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
+    tasks.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
+    tasks += [task for task, _ in logistics_evaluations()]
+    for task in tasks:
+        values = list(task.initial)
+        for v, x in task.goal:
+            values[v] = x
+        facts = task.index.fact_set(tuple(values))
+        for combine in ("max", "add"):
+            popped.clear()
+            assert DeleteRelaxationHeuristic(task, combine)(facts) == 0
+            assert popped and not any(popped)
