@@ -8,6 +8,12 @@ semantic both-orders reading. A seeded generator supplies small random
 tasks whose goals are sampled from a random walk, so solvability is by
 construction.
 
+Each enumeration exists once, as a private helper the checkers share: the
+successor step `_successors` (over `_applicable`), the path DFS `_paths`, the
+(end, multiset) enumeration `_multisets`, the reordering search `_reordering`
+under a given move rule, SP's step rule `_sp_rule` and the Dijkstra
+`_optimal_cost`.
+
 Applicability and application are re-implemented here on raw value
 tuples, deliberately on a separate code path from the model module, so a
 shared bug cannot vouch for itself. Checks are pure per task; distinct
@@ -20,9 +26,12 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
+from .graphs import stratify
+from .heuristics import make_heuristic
 from .model import Action, PartialAssignment, Task, Variable
+from .search import astar
 from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
@@ -48,7 +57,11 @@ def _rows(task: Task) -> list[Row]:
 
 
 def _applies(values: tuple[int, ...], pre: tuple[tuple[int, int], ...]) -> bool:
-    return all(values[v] == x for v, x in pre)
+    # a loop, not all() over a generator: this is every enumeration's inner test
+    for v, x in pre:
+        if values[v] != x:
+            return False
+    return True
 
 
 def _result(values: tuple[int, ...], eff: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -68,6 +81,120 @@ def _walk(
             return None
         values = _result(values, eff)
     return values
+
+
+def _applicable(
+    values: tuple[int, ...], rows: Sequence[Row], among: Iterable[int] | None = None
+) -> list[int]:
+    """The applicable actions, in the order of `among` (default: all, ascending)."""
+    if among is None:
+        among = range(len(rows))
+    return [a for a in among if _applies(values, rows[a][0])]
+
+
+def _successors(
+    values: tuple[int, ...], rows: Sequence[Row], among: Iterable[int] | None = None
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(action, successor) per applicable action; a list, as searches call it per node."""
+    return [(a, _result(values, rows[a][1])) for a in _applicable(values, rows, among)]
+
+
+def _paths(
+    start: tuple[int, ...],
+    rows: Sequence[Row],
+    horizon: int,
+    among: Sequence[int] | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(end, path) for every non-empty path of length <= horizon from start,
+    depth first, its steps drawn from `among` (default: all actions)."""
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(start, ())]
+    explored = 0
+    while stack:
+        values, path = stack.pop()
+        explored += 1
+        if explored > _DFS_CAP:
+            raise TooLarge("path enumeration exceeded the budget")
+        if path:
+            yield values, path
+        if len(path) < horizon:
+            stack.extend([(succ, path + (a,)) for a, succ in _successors(values, rows, among)])
+
+
+def _multisets(
+    start: tuple[int, ...],
+    rows: Sequence[Row],
+    horizon: int,
+    stop: Callable[[tuple[int, ...]], bool] | None = None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Distinct (end, sorted action multiset) pairs of the paths of length
+    <= horizon from start, the empty path included, in depth-first order.
+    A path goes no further from a state where `stop` holds."""
+    seen = {(start, ())}
+    stack = [(start, ())]
+    while stack:
+        key = stack.pop()
+        if len(seen) > _DFS_CAP:
+            raise TooLarge("path enumeration exceeded the budget")
+        yield key
+        values, multiset = key
+        if len(multiset) < horizon and not (stop is not None and stop(values)):
+            for a, succ in _successors(values, rows):
+                key = (succ, tuple(sorted(multiset + (a,))))
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(key)
+
+
+def _reordering(
+    start: tuple[int, ...],
+    multiset: tuple[int, ...],
+    rows: Sequence[Row],
+    moves: Callable[[tuple[int, ...], int | None], Collection[int]],
+    accept: Callable[[tuple[int, ...], tuple[int, ...]], bool],
+) -> bool:
+    """Whether some ordering of the sorted multiset, applied from start,
+    passes a (state, unused actions) node that `accept` holds at.
+
+    `moves(state, last action or None)` names the actions that may come
+    next; a node is memoised with the moves it allows.
+    """
+    memo: set[tuple[tuple[int, ...], tuple[int, ...], Collection[int]]] = set()
+    frames: list[tuple[tuple[int, ...], tuple[int, ...], int | None]] = [(start, multiset, None)]
+    while frames:
+        values, remaining, last = frames.pop()
+        if accept(values, remaining):
+            return True
+        if not remaining:
+            continue
+        allowed = moves(values, last)
+        node = (values, remaining, allowed)
+        if node in memo:
+            continue
+        memo.add(node)
+        for i, a in enumerate(remaining):
+            if (i > 0 and remaining[i - 1] == a) or a not in allowed:
+                continue
+            pre, eff, _ = rows[a]
+            if _applies(values, pre):
+                frames.append((_result(values, eff), remaining[:i] + remaining[i + 1 :], a))
+    return False
+
+
+def _sp_rule(task: Task, tie_break: str) -> dict[int | None, tuple[int, ...]]:
+    """SP's step rule: the actions b that may follow `last` on an SP-path
+    (any action first, keyed None). b may follow a iff level(b) >= level(a)
+    or eff(a) shares an entry with pre(b) or eff(b)."""
+    level = stratify(task, tie_break=tie_break).action_level
+    rows = _rows(task)
+    rule: dict[int | None, tuple[int, ...]] = {None: tuple(range(len(rows)))}
+    for a, (_, eff, _) in enumerate(rows):
+        written = set(eff)
+        rule[a] = tuple(
+            b
+            for b, (pre_b, eff_b, _) in enumerate(rows)
+            if level[b] >= level[a] or not written.isdisjoint(pre_b + eff_b)
+        )
+    return rule
 
 
 @dataclass
@@ -108,18 +235,12 @@ def enumerate_state_space(
     start = task.initial if root is None else tuple(root)
     states = [start]
     index = {start: 0}
-    successors: list[list[tuple[int, int]]] = []
+    successors: list[list[tuple[int, int]]] = [[]]
     edges: list[tuple[int, int, int]] = []
     frontier = deque([0])
     while frontier:
         si = frontier.popleft()
-        while len(successors) <= si:
-            successors.append([])
-        values = states[si]
-        for a, (pre, eff, _) in enumerate(rows):
-            if not _applies(values, pre):
-                continue
-            succ = _result(values, eff)
+        for a, succ in _successors(states[si], rows):
             ti = index.get(succ)
             if ti is None:
                 if len(states) >= max_states:
@@ -127,11 +248,10 @@ def enumerate_state_space(
                 ti = len(states)
                 index[succ] = ti
                 states.append(succ)
+                successors.append([])
                 frontier.append(ti)
             successors[si].append((a, ti))
             edges.append((si, ti, a))
-    while len(successors) < len(states):
-        successors.append([])
     goal_states = frozenset(
         i for i, values in enumerate(states) if _applies(values, goal)
     )
@@ -142,8 +262,11 @@ def brute_force_optimal_cost(
     task: Task, max_states: int = DEFAULT_MAX_STATES
 ) -> int | None:
     """Dijkstra over the full reachable graph; None when unsolvable."""
-    graph = enumerate_state_space(task, max_states)
-    rows = _rows(task)
+    return _optimal_cost(enumerate_state_space(task, max_states), _rows(task))
+
+
+def _optimal_cost(graph: StateSpaceGraph, rows: Sequence[Row]) -> int | None:
+    """Dijkstra from the graph's initial state to its nearest goal state."""
     dist = {graph.initial: 0}
     heap = [(0, graph.initial)]
     while heap:
@@ -221,36 +344,24 @@ def check_stubborn_conditions(
     values = tuple(state)
     rows = _rows(task)
     members = sorted(set(expansion))
-    member_set = set(members)
-    outside = [a for a in range(len(rows)) if a not in member_set]
+    outside = [a for a in range(len(rows)) if a not in members]
     if goal_reachable is None:
         if graph is None:
             graph = enumerate_state_space(task, root=values)
         goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
-    reach_goal = goal_reachable
 
     report = Report("stubborn_conditions")
-    explored = 0
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(values, ())]
-    while stack:
-        current, path = stack.pop()
-        explored += 1
-        if explored > _DFS_CAP:
-            raise TooLarge("path enumeration exceeded the budget")
-        if path and _applies(current, task.goal.entries):
+    for current, path in _paths(values, rows, horizon, outside):
+        if _applies(current, task.goal.entries):
             if len(report.violations) < _MAX_WITNESSES:
                 report.add("A2", values, path=list(path))
-        if len(path) <= horizon - 1:
-            for b in members:
-                pre, eff, _ = rows[b]
-                if not path or not _applies(current, pre):
-                    continue
-                tail_end = _result(current, eff)
-                if tail_end not in reach_goal:
+        if len(path) < horizon:
+            for b, tail_end in _successors(current, rows, members):
+                if tail_end not in goal_reachable:
                     continue  # not a prefix of any goal path
                 report.checked += 1
                 fronted = _walk(values, rows, (b, *path))
-                if fronted is None or fronted != tail_end:
+                if fronted != tail_end:
                     if len(report.violations) < _MAX_WITNESSES:
                         report.add(
                             "A1",
@@ -260,11 +371,6 @@ def check_stubborn_conditions(
                             fronted_end=fronted,
                             original_end=tail_end,
                         )
-        if len(path) < horizon:
-            for o in outside:
-                pre, eff, _ = rows[o]
-                if _applies(current, pre):
-                    stack.append((_result(current, eff), path + (o,)))
     return report
 
 
@@ -295,73 +401,33 @@ def check_action_preserving(
     exact multiset and final state.
     """
     rows = _rows(task)
-    goal = task.goal.entries
     initial = task.initial
     report = Report("action_preserving")
-    if _applies(initial, goal):
+
+    def is_goal(values: tuple[int, ...]) -> bool:
+        return _applies(values, task.goal.entries)
+
+    if is_goal(initial):
         return report  # no solution sequences from a goal state
+    expansions: dict[tuple[int, ...], frozenset[int]] = {}
 
-    # collect minimal solution (multiset, end) pairs, deduplicating subtrees
-    targets: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    stack = [(initial, ())]
-    while stack:
-        values, multiset = stack.pop()
-        if len(seen) > _DFS_CAP:
-            raise TooLarge("solution enumeration exceeded the budget")
-        if multiset and _applies(values, goal):
-            targets.setdefault((multiset, values), multiset)
-            continue
-        if len(multiset) < horizon:
-            for a, (pre, eff, _) in enumerate(rows):
-                if _applies(values, pre):
-                    key = (_result(values, eff), tuple(sorted(multiset + (a,))))
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append((key[0], key[1]))
-    expansions: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def reduced_moves(values: tuple[int, ...]) -> tuple[int, ...]:
+    def reduced_moves(values: tuple[int, ...], last: int | None) -> frozenset[int]:
         if values not in expansions:
-            expansions[values] = _reduced_expansion(task, strategy, values)
+            expansions[values] = frozenset(_reduced_expansion(task, strategy, values))
         return expansions[values]
 
-    for (multiset, end), _ in targets.items():
+    for end, multiset in _multisets(initial, rows, horizon, stop=is_goal):
+        if not is_goal(end):
+            continue
         report.checked += 1
-        memo: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        found = False
-        frames = [(initial, multiset)]
-        while frames and not found:
-            values, remaining = frames.pop()
-            if _applies(values, goal):  # terminal in the reduced graph
-                found = (not remaining and values == end) if strict else True
-                continue
-            if not remaining or (values, remaining) in memo:
-                continue
-            memo.add((values, remaining))
-            moves = set(reduced_moves(values))
-            for i, a in enumerate(remaining):
-                if i > 0 and remaining[i - 1] == a:
-                    continue
-                if a not in moves:
-                    continue
-                pre, eff, _ = rows[a]
-                if _applies(values, pre):
-                    frames.append(
-                        (_result(values, eff), remaining[:i] + remaining[i + 1 :])
-                    )
-        if not found and len(report.violations) < _MAX_WITNESSES:
-            report.add("action_preserving", initial, multiset=list(multiset), end=end)
+
+        def accept(values: tuple[int, ...], remaining: tuple[int, ...]) -> bool:
+            return (not remaining and values == end) if strict else is_goal(values)
+
+        if not _reordering(initial, multiset, rows, reduced_moves, accept):
+            if len(report.violations) < _MAX_WITNESSES:
+                report.add("action_preserving", initial, multiset=list(multiset), end=end)
     return report
-
-
-def _follow_up_matrix(task: Task) -> list[list[bool]]:
-    """follow[a][b]: eff(a) shares an entry with pre(b) or eff(b)."""
-    rows = _rows(task)
-    return [
-        [not set(eff).isdisjoint(pre_b + eff_b) for pre_b, eff_b, _ in rows]
-        for _, eff, _ in rows
-    ]
 
 
 def check_sp_permutation(
@@ -371,74 +437,32 @@ def check_sp_permutation(
 ) -> Report:
     """Every valid path from the initial state has an SP-path permutation
     to the same state (consecutive pairs survive the level filter)."""
-    from .graphs import stratify
-
-    strat = stratify(task, tie_break=tie_break)
-    level = strat.action_level
-    follow = _follow_up_matrix(task)
+    rule = _sp_rule(task, tie_break)
     rows = _rows(task)
     initial = task.initial
 
-    def allowed(prev: int | None, b: int) -> bool:
-        return prev is None or level[b] >= level[prev] or follow[prev][b]
-
-    # all reachable (multiset, end) pairs within the horizon
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = {(initial, ())}
-    stack = [(initial, ())]
-    while stack:
-        values, multiset = stack.pop()
-        if len(seen) > _DFS_CAP:
-            raise TooLarge("path enumeration exceeded the budget")
-        if len(multiset) < horizon:
-            for a, (pre, eff, _) in enumerate(rows):
-                if _applies(values, pre):
-                    key = (_result(values, eff), tuple(sorted(multiset + (a,))))
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(key)
+    def may_follow(values: tuple[int, ...], last: int | None) -> tuple[int, ...]:
+        return rule[last]
 
     report = Report("sp_permutation")
-    for end, multiset in sorted(seen):
+    for end, multiset in sorted(_multisets(initial, rows, horizon)):
         if not multiset:
             continue
         report.checked += 1
-        memo: set[tuple[tuple[int, ...], tuple[int, ...], int | None]] = set()
-        frames: list[tuple[tuple[int, ...], tuple[int, ...], int | None]] = [
-            (initial, multiset, None)
-        ]
-        found = False
-        while frames and not found:
-            values, remaining, last = frames.pop()
-            if not remaining:
-                found = values == end
-                continue
-            state_key = (values, remaining, last)
-            if state_key in memo:
-                continue
-            memo.add(state_key)
-            for i, a in enumerate(remaining):
-                if i > 0 and remaining[i - 1] == a:
-                    continue
-                if not allowed(last, a):
-                    continue
-                pre, eff, _ = rows[a]
-                if _applies(values, pre):
-                    frames.append(
-                        (_result(values, eff), remaining[:i] + remaining[i + 1 :], a)
-                    )
-        if not found and len(report.violations) < _MAX_WITNESSES:
-            report.add("sp_permutation", initial, multiset=list(multiset), end=end)
+
+        def reaches_end(values: tuple[int, ...], remaining: tuple[int, ...]) -> bool:
+            return not remaining and values == end
+
+        if not _reordering(initial, multiset, rows, may_follow, reaches_end):
+            if len(report.violations) < _MAX_WITNESSES:
+                report.add("sp_permutation", initial, multiset=list(multiset), end=end)
     return report
 
 
 def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[tuple[int, ...]]:
     """States reachable via SP-paths, explored exactly over
     (state, last action) pairs; closed-list policy plays no role here."""
-    from .graphs import stratify
-
-    strat = stratify(task, tie_break=tie_break)
-    level = strat.action_level
-    follow = _follow_up_matrix(task)
+    rule = _sp_rule(task, tie_break)
     rows = _rows(task)
     initial = task.initial
     seen_pairs: set[tuple[tuple[int, ...], int | None]] = {(initial, None)}
@@ -446,12 +470,7 @@ def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[t
     queue: deque[tuple[tuple[int, ...], int | None]] = deque([(initial, None)])
     while queue:
         values, last = queue.popleft()
-        for a, (pre, eff, _) in enumerate(rows):
-            if last is not None and level[a] < level[last] and not follow[last][a]:
-                continue
-            if not _applies(values, pre):
-                continue
-            succ = _result(values, eff)
+        for a, succ in _successors(values, rows, rule[last]):
             pair = (succ, a)
             if pair not in seen_pairs:
                 if len(values_seen) > DEFAULT_MAX_STATES:
@@ -467,42 +486,36 @@ def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) ->
     the semantic both-orders check."""
     rng = random.Random(seed)
     rows = _rows(task)
-    goal_free_pool: list[tuple[int, ...]] = [task.initial]
-    pool_set = {task.initial}
+    walked: list[tuple[int, ...]] = [task.initial]  # goal states included
+    walked_set = {task.initial}
     for _ in range(50):
         values = task.initial
         for _ in range(8):
-            moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
+            moves = _applicable(values, rows)
             if not moves:
                 break
-            _, eff, _ = rows[rng.choice(moves)]
-            values = _result(values, eff)
-            if values not in pool_set:
-                pool_set.add(values)
-                goal_free_pool.append(values)
+            values = _result(values, rows[rng.choice(moves)][1])
+            if values not in walked_set:
+                walked_set.add(values)
+                walked.append(values)
 
     report = Report("left_commutativity_equivalence")
     attempts = 0
     while report.checked < samples and attempts < samples * 20:
         attempts += 1
-        values = rng.choice(goal_free_pool)
-        first_moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
+        values = rng.choice(walked)
+        first_moves = _applicable(values, rows)
         if not first_moves:
             continue
         a = rng.choice(first_moves)
         mid = _result(values, rows[a][1])
-        second_moves = [b for b, (pre, _, _) in enumerate(rows) if _applies(mid, pre)]
+        second_moves = _applicable(mid, rows)
         if not second_moves:
             continue
         b = rng.choice(second_moves)
 
         syntactic = is_left_commutative(task, values, a, b)
-        end_ab = _result(mid, rows[b][1])
-        semantic = False
-        if _applies(values, rows[b][0]):
-            swapped_mid = _result(values, rows[b][1])
-            if _applies(swapped_mid, rows[a][0]):
-                semantic = _result(swapped_mid, rows[a][1]) == end_ab
+        semantic = _walk(values, rows, (b, a)) == _result(mid, rows[b][1])
         report.checked += 1
         if syntactic != semantic:
             if len(report.violations) < _MAX_WITNESSES:
@@ -545,27 +558,15 @@ def check_action_core_lemma(task: Task, horizon: int) -> Report:
     inapplicable there contains a distinct member of that action's core."""
     rows = _rows(task)
     initial = task.initial
-    inapplicable = {
-        a for a, (pre, _, _) in enumerate(rows) if not _applies(initial, pre)
-    }
+    inapplicable = set(range(len(rows))).difference(_applicable(initial, rows))
     cores = {a: brute_force_core(task, initial, {a}) - {a} for a in inapplicable}
     report = Report("action_core_lemma")
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(initial, ())]
-    explored = 0
-    while stack:
-        values, path = stack.pop()
-        explored += 1
-        if explored > _DFS_CAP:
-            raise TooLarge("path enumeration exceeded the budget")
-        if path and path[-1] in inapplicable:
+    for _, path in _paths(initial, rows, horizon):
+        if path[-1] in inapplicable:
             report.checked += 1
             if not cores[path[-1]].intersection(path):
                 if len(report.violations) < _MAX_WITNESSES:
                     report.add("action_core_lemma", initial, path=list(path))
-        if len(path) < horizon:
-            for a, (pre, eff, _) in enumerate(rows):
-                if _applies(values, pre):
-                    stack.append((_result(values, eff), path + (a,)))
     return report
 
 
@@ -615,8 +616,7 @@ def reduced_reachable_values(task: Task, strategy: ExpansionStrategy) -> list[tu
     queue = deque([initial])
     while queue:
         values = queue.popleft()
-        for a in _reduced_expansion(task, strategy, values):
-            succ = _result(values, rows[a][1])
+        for _, succ in _successors(values, rows, _reduced_expansion(task, strategy, values)):
             if succ not in seen:
                 if len(seen) >= DEFAULT_MAX_STATES:
                     raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
@@ -676,12 +676,9 @@ def suite_optimality(
 ) -> Report:
     """A*+hmax cost equality under ec/sac and solvability agreement under
     all four strategies, against the Dijkstra oracle."""
-    from .heuristics import make_heuristic
-    from .search import astar
-
     report = Report("optimality_suite")
     for seed, task, graph in tasks:
-        optimum = brute_force_optimal_cost(task)
+        optimum = _optimal_cost(graph, _rows(task))
         heuristic = make_heuristic(task, "hmax")
         for kind in ("none", "ec", "sp", "sac"):
             result = astar(task, heuristic, strategy_factory(task, kind))
@@ -818,7 +815,7 @@ def generate_random_task(spec: RandomTaskSpec) -> Task:
     rows = [(a.precondition.entries, a.effect.entries, a.cost) for a in actions]
     values = initial
     for _ in range(rng.randint(1, n + 2)):
-        moves = [a for a, (pre, _, _) in enumerate(rows) if _applies(values, pre)]
+        moves = _applicable(values, rows)
         if not moves:
             break
         values = _result(values, rows[rng.choice(moves)][1])

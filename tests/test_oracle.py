@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
 
-from porplan import State, make_bare_strategy, make_strategy, sac_expansion
+from porplan import State, make_bare_strategy, make_strategy, oracle, sac_expansion
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -20,7 +21,10 @@ from porplan.oracle import (
     generate_random_task,
     sp_reachable_values,
     suite_action_preserving,
+    suite_commutativity,
+    suite_lemma,
     suite_optimality,
+    suite_sp,
     suite_stubborn,
 )
 from porplan.strategies import KINDS, AdaptiveStrategy
@@ -234,3 +238,67 @@ def test_validate_plan_matches_independent_stepper():
             except (NotApplicable, GoalNotReached):
                 accepted = False
             assert accepted == oracle_accepts, (seed, steps)
+
+
+STREAM_30 = default_task_stream(30)
+
+
+def verify_suites(tasks, factory):
+    """(checked, violations) per suite, with `porplan verify`'s default parameters."""
+    reports = [
+        suite_commutativity(tasks, 10, seed=0),
+        suite_stubborn(tasks, horizon=6, strategy_factory=factory),
+        suite_optimality(tasks, strategy_factory=factory),
+        suite_sp(tasks, horizon=5),
+        suite_lemma(tasks, horizon=5),
+        suite_action_preserving(tasks, horizon=4, strategy_factory=factory),
+    ]
+    return [(r.checked, len(r.violations)) for r in reports]
+
+
+def test_suite_counts_pinned():
+    # any change to what the oracle enumerates moves these counts
+    assert verify_suites(STREAM_30, make_bare_strategy) == [
+        (300, 0), (11481, 0), (120, 0), (23852, 0), (10131, 0), (1882, 0)
+    ]
+    assert verify_suites(STREAM_30, drop_one_sac) == [
+        (300, 0), (26310, 240), (120, 2), (23852, 0), (10131, 0), (1882, 24)
+    ]
+
+
+def test_sp_suite_reports_mirrored_levels(monkeypatch):
+    real = oracle.stratify
+
+    def mirrored(task, tie_break="canonical"):
+        strat = real(task, tie_break=tie_break)
+        top = max(strat.action_level, default=0)
+        return dataclasses.replace(
+            strat, action_level=tuple(top + 1 - level for level in strat.action_level)
+        )
+
+    monkeypatch.setattr(oracle, "stratify", mirrored)
+    report = suite_sp(STREAM_30, horizon=5)
+    assert not report.ok
+    assert {v.kind for v in report.violations} <= {"sp_permutation", "sp_reachability"}
+
+
+def test_commutativity_suite_reports_a_constant_criterion(monkeypatch):
+    monkeypatch.setattr(oracle, "is_left_commutative", lambda task, values, a, b: True)
+    report = suite_commutativity(STREAM_30, 10, seed=0)
+    assert not report.ok
+    assert {v.kind for v in report.violations} == {"commutativity_mismatch"}
+
+
+def test_lemma_suite_reports_seed_only_cores(monkeypatch):
+    monkeypatch.setattr(oracle, "brute_force_core", lambda task, values, seed: frozenset(seed))
+    report = suite_lemma(STREAM_30, horizon=5)
+    assert not report.ok
+    assert {v.kind for v in report.violations} == {"action_core_lemma"}
+
+
+def test_optimality_suite_reuses_the_stream_graphs(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("state space enumerated again")
+
+    monkeypatch.setattr(oracle, "enumerate_state_space", no_enumeration)
+    assert suite_optimality(STREAM_30[:10]).ok
