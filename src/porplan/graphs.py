@@ -73,8 +73,8 @@ def build_dtg(task: Task, var: int) -> DTG:
         source = V0 if pre is None else pre
         by_pair[(source, action.effect.value_of(var))].add(a)
     edges = tuple(
-        DtgEdge(src, dst, frozenset(ids))
-        for (src, dst), ids in sorted(by_pair.items())
+        DtgEdge(src, dst, frozenset(actions))
+        for (src, dst), actions in sorted(by_pair.items())
     )
     return DTG(var, task.variables[var].domain_size, edges)
 

@@ -324,12 +324,15 @@ def plan_cost(task: Task, steps: Iterable[int]) -> int:
 def validate_plan(task: Task, steps: Iterable[int]) -> Plan:
     """Check stepwise applicability from the initial state and the goal.
 
-    Raises NotApplicableAt(step) on the first inapplicable step and
-    GoalNotReached when the final state is not a goal state.
+    Raises NotApplicableAt(step) on the first inapplicable step, a step
+    outside the action ids 0..len(actions)-1 included, and GoalNotReached
+    when the final state is not a goal state.
     """
     steps = tuple(steps)
     state = task.initial
     for i, action_id in enumerate(steps):
+        if not 0 <= action_id < len(task.actions):
+            raise NotApplicableAt(i, action_id)
         try:
             state = apply_action(state, task.actions[action_id])
         except NotApplicable:

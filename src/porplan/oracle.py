@@ -9,10 +9,10 @@ tasks whose goals are sampled from a random walk, so solvability is by
 construction.
 
 Each enumeration exists once, as a private helper the checkers share: the
-successor step `_successors` (over `_applicable`), the path DFS `_paths`, the
-(end, multiset) enumeration `_multisets`, the reordering search `_reordering`
-under a given move rule, SP's step rule `_sp_rule` and the Dijkstra
-`_optimal_cost`.
+successor step `_successors` (over `_applicable`), the state-space BFS
+`_explore` under a given move rule, the path DFS `_paths`, the (end, multiset)
+enumeration `_multisets`, the reordering search `_reordering` under a given
+move rule, SP's step rule `_sp_rule` and the Dijkstra `_optimal_cost`.
 
 Applicability and application are re-implemented here on raw value
 tuples, deliberately on a separate code path from the model module, so a
@@ -197,22 +197,47 @@ def _sp_rule(task: Task, tie_break: str) -> dict[int | None, tuple[int, ...]]:
     return rule
 
 
+def _explore(
+    start: tuple[int, ...],
+    rows: Sequence[Row],
+    moves: Callable[[tuple[int, ...]], Iterable[int] | None],
+    max_states: int,
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list[list[tuple[int, int]]]]:
+    """Breadth-first (states, index, successors) from start; `moves(state)`
+    names the actions to try there (None: all), and is called once per
+    state in BFS order. Raises TooLarge past max_states states."""
+    states = [start]
+    index = {start: 0}
+    successors: list[list[tuple[int, int]]] = []
+    for values in states:  # grows while we walk it: a FIFO queue
+        out: list[tuple[int, int]] = []
+        for a, succ in _successors(values, rows, moves(values)):
+            ti = index.get(succ)
+            if ti is None:
+                if len(states) >= max_states:
+                    raise TooLarge(f"more than {max_states} reachable states")
+                ti = index[succ] = len(states)
+                states.append(succ)
+            out.append((a, ti))
+        successors.append(out)
+    return states, index, successors
+
+
 @dataclass
 class StateSpaceGraph:
-    """Exact reachable subgraph; edge (s, s', o) iff o applies and produces s'."""
+    """Exact reachable subgraph from state 0; edge (s, s', o) iff o applies and produces s'."""
 
     states: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
     successors: list[list[tuple[int, int]]]  # per state: (action, successor index)
-    edges: list[tuple[int, int, int]]  # (from, to, action)
-    initial: int
     goal_states: frozenset[int]
 
     def can_reach_goal(self) -> frozenset[int]:
         """Indices of states from which some goal state is reachable."""
         preds: dict[int, list[int]] = {}
-        for src, dst, _ in self.edges:
-            preds.setdefault(dst, []).append(src)
+        for src, out in enumerate(self.successors):
+            for _, dst in out:
+                preds.setdefault(dst, []).append(src)
         reached = set(self.goal_states)
         queue = list(reached)
         while queue:
@@ -230,32 +255,10 @@ def enumerate_state_space(
     root: tuple[int, ...] | None = None,
 ) -> StateSpaceGraph:
     """BFS over all applicable actions from the root (default: initial)."""
-    rows = _rows(task)
-    goal = task.goal.entries
     start = task.initial if root is None else tuple(root)
-    states = [start]
-    index = {start: 0}
-    successors: list[list[tuple[int, int]]] = [[]]
-    edges: list[tuple[int, int, int]] = []
-    frontier = deque([0])
-    while frontier:
-        si = frontier.popleft()
-        for a, succ in _successors(states[si], rows):
-            ti = index.get(succ)
-            if ti is None:
-                if len(states) >= max_states:
-                    raise TooLarge(f"more than {max_states} reachable states")
-                ti = len(states)
-                index[succ] = ti
-                states.append(succ)
-                successors.append([])
-                frontier.append(ti)
-            successors[si].append((a, ti))
-            edges.append((si, ti, a))
-    goal_states = frozenset(
-        i for i, values in enumerate(states) if _applies(values, goal)
-    )
-    return StateSpaceGraph(states, index, successors, edges, 0, goal_states)
+    states, index, successors = _explore(start, _rows(task), lambda values: None, max_states)
+    goal = frozenset(i for i, values in enumerate(states) if _applies(values, task.goal.entries))
+    return StateSpaceGraph(states, index, successors, goal)
 
 
 def brute_force_optimal_cost(
@@ -266,9 +269,9 @@ def brute_force_optimal_cost(
 
 
 def _optimal_cost(graph: StateSpaceGraph, rows: Sequence[Row]) -> int | None:
-    """Dijkstra from the graph's initial state to its nearest goal state."""
-    dist = {graph.initial: 0}
-    heap = [(0, graph.initial)]
+    """Dijkstra from the graph's state 0 to its nearest goal state."""
+    dist = {0: 0}
+    heap = [(0, 0)]
     while heap:
         d, si = heapq.heappop(heap)
         if d > dist.get(si, d):
@@ -374,15 +377,6 @@ def check_stubborn_conditions(
     return report
 
 
-def _reduced_expansion(
-    task: Task, strategy: ExpansionStrategy, values: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Strategy expansion on raw values, as their fact set; goal states are terminal."""
-    if _applies(values, task.goal.entries):
-        return ()
-    return strategy.expansion(ExpansionContext(task.index.fact_set(values), None))
-
-
 def check_action_preserving(
     task: Task,
     strategy: ExpansionStrategy,
@@ -398,7 +392,9 @@ def check_action_preserving(
     consuming the whole multiset (front-swapping can promote the
     goal-reaching suffix); by default such a truncated witness, a reduced
     solution over a sub-multiset, is accepted. strict=True demands the
-    exact multiset and final state.
+    exact multiset and final state. A reordering passes only reduced states,
+    so its moves come from `reduced_reachable_values`, which raises
+    TooLarge past DEFAULT_MAX_STATES reduced states.
     """
     rows = _rows(task)
     initial = task.initial
@@ -409,11 +405,9 @@ def check_action_preserving(
 
     if is_goal(initial):
         return report  # no solution sequences from a goal state
-    expansions: dict[tuple[int, ...], frozenset[int]] = {}
+    expansions = reduced_reachable_values(task, strategy)
 
-    def reduced_moves(values: tuple[int, ...], last: int | None) -> frozenset[int]:
-        if values not in expansions:
-            expansions[values] = frozenset(_reduced_expansion(task, strategy, values))
+    def reduced_moves(values: tuple[int, ...], last: int | None) -> tuple[int, ...]:
         return expansions[values]
 
     for end, multiset in _multisets(initial, rows, horizon, stop=is_goal):
@@ -461,7 +455,10 @@ def check_sp_permutation(
 
 def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[tuple[int, ...]]:
     """States reachable via SP-paths, explored exactly over
-    (state, last action) pairs; closed-list policy plays no role here."""
+    (state, last action) pairs; closed-list policy plays no role here.
+
+    Its own BFS, not `_explore`: the nodes are pairs, while the cap counts
+    distinct states."""
     rule = _sp_rule(task, tie_break)
     rows = _rows(task)
     initial = task.initial
@@ -607,23 +604,22 @@ def default_task_stream(
     return out
 
 
-def reduced_reachable_values(task: Task, strategy: ExpansionStrategy) -> list[tuple[int, ...]]:
-    """States a strategy-driven exhaustive BFS expands (goals terminal)."""
-    rows = _rows(task)
-    initial = task.initial
-    seen = {initial}
-    order = [initial]
-    queue = deque([initial])
-    while queue:
-        values = queue.popleft()
-        for _, succ in _successors(values, rows, _reduced_expansion(task, strategy, values)):
-            if succ not in seen:
-                if len(seen) >= DEFAULT_MAX_STATES:
-                    raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
-                seen.add(succ)
-                order.append(succ)
-                queue.append(succ)
-    return order
+def reduced_reachable_values(
+    task: Task, strategy: ExpansionStrategy
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each state a strategy-driven exhaustive BFS expands, in BFS order,
+    mapped to its expansion set there; goal states are terminal and map to ()."""
+    goal = task.goal.entries
+    expansions: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def moves(values: tuple[int, ...]) -> tuple[int, ...]:
+        if not _applies(values, goal):
+            ctx = ExpansionContext(task.index.fact_set(values), None)
+            expansions[values] = strategy.expansion(ctx)
+        return expansions.setdefault(values, ())
+
+    _explore(task.initial, _rows(task), moves, DEFAULT_MAX_STATES)
+    return expansions
 
 
 class _DropLast:
@@ -658,10 +654,9 @@ def suite_stubborn(
         goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
         for kind in kinds:
             strategy = strategy_factory(task, kind)
-            for values in reduced_reachable_values(task, strategy):
+            for values, expansion in reduced_reachable_values(task, strategy).items():
                 if _applies(values, task.goal.entries):
                     continue
-                expansion = _reduced_expansion(task, strategy, values)
                 sub = check_stubborn_conditions(
                     task, values, expansion, horizon, goal_reachable=goal_reachable
                 )

@@ -213,6 +213,22 @@ def test_verify_clean(tmp_path, capsys):
     assert payload["ok"] and payload["reports"]
 
 
+def test_verify_report_is_pinned(capsys):
+    # what a clean `porplan verify --seeds 30` checks, suite by suite: an
+    # oracle change that checks less moves these counts
+    assert main(["verify", "--seeds", "30"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"]
+    assert [(r["name"], r["checked"]) for r in payload["reports"]] == [
+        ("commutativity_suite", 300),
+        ("stubborn_suite", 11481),
+        ("optimality_suite", 120),
+        ("sp_suite", 23852),
+        ("action_core_lemma_suite", 10131),
+        ("action_preserving_suite", 1882),
+    ]
+
+
 def test_verify_injected_fault(capsys):
     code = main(["verify", "--seeds", "12", "--suites", "stubborn"])
     assert code == 0

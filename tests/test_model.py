@@ -121,6 +121,14 @@ def test_validate_plan(two_switches, monkeypatch):
         validate_plan(two_switches, [0])
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_validate_plan_rejects_out_of_range_ids(two_switches, bad):
+    # -1 would alias the last action; 2 is one past the action count
+    with pytest.raises(NotApplicableAt) as err:
+        validate_plan(two_switches, [0, bad])
+    assert (err.value.step, err.value.action_id) == (1, bad)
+
+
 def test_plan_cost_uses_metric(build):
     task = build(
         domains=[2],

@@ -2,10 +2,21 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from collections import deque
 
 import pytest
 
-from porplan import State, make_bare_strategy, make_strategy, oracle, sac_expansion
+from porplan import (
+    ExpansionContext,
+    State,
+    applicable,
+    apply_action,
+    is_goal,
+    make_bare_strategy,
+    make_strategy,
+    oracle,
+    sac_expansion,
+)
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -19,6 +30,7 @@ from porplan.oracle import (
     drop_one_sac,
     enumerate_state_space,
     generate_random_task,
+    reduced_reachable_values,
     sp_reachable_values,
     suite_action_preserving,
     suite_commutativity,
@@ -33,7 +45,7 @@ from porplan.strategies import KINDS, AdaptiveStrategy
 def test_enumerate_two_switches(two_switches):
     graph = enumerate_state_space(two_switches)
     assert len(graph.states) == 4
-    assert len(graph.edges) == 4
+    assert sum(map(len, graph.successors)) == 4
     assert graph.goal_states == {graph.index[(1, 1)]}
     assert graph.can_reach_goal() == {0, 1, 2, 3}
 
@@ -42,7 +54,7 @@ def test_enumerate_dead_initial(build):
     task = build(domains=[2], actions=[("o", [(0, 1)], [(0, 0)])],
                  initial=[0], goal=[(0, 1)])
     graph = enumerate_state_space(task)
-    assert len(graph.states) == 1 and not graph.edges
+    assert graph.states == [(0,)] and graph.successors == [[]]
 
 
 def test_enumerate_enable_chain(enable_chain):
@@ -302,3 +314,62 @@ def test_optimality_suite_reuses_the_stream_graphs(monkeypatch):
 
     monkeypatch.setattr(oracle, "enumerate_state_space", no_enumeration)
     assert suite_optimality(STREAM_30[:10]).ok
+
+
+class CountingStrategy:
+    """A bare strategy that counts its expansion calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.task = inner.task
+        self.node_key = inner.node_key
+        self.calls = 0
+
+    def expansion(self, ctx):
+        self.calls += 1
+        return self.inner.expansion(ctx)
+
+
+def reference_reduced_bfs(task, strategy):
+    """(state, expansion set) in BFS order, on the model's own stepper."""
+    seen = {task.initial}
+    queue = deque([task.initial])
+    out = []
+    while queue:
+        values = queue.popleft()
+        expansion = () if is_goal(task, values) else strategy.expansion(
+            ExpansionContext(task.index.fact_set(values), None)
+        )
+        out.append((values, expansion))
+        for a in expansion:
+            if applicable(values, task.actions[a]):
+                succ = apply_action(values, task.actions[a])
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(succ)
+    return out
+
+
+def test_each_reduced_expansion_set_is_computed_once():
+    # one expansion call per non-goal reduced state and (task, kind): the
+    # stubborn suite made two per state (1,690 over these 845 states)
+    tasks = default_task_stream(200)
+    seed_of = {id(task): seed for seed, task, _ in tasks}
+    expected = {}
+    for seed, task, _ in tasks:
+        for kind in ("sac", "ec"):
+            reduced = reduced_reachable_values(task, make_bare_strategy(task, kind))
+            reference = reference_reduced_bfs(task, make_bare_strategy(task, kind))
+            assert list(reduced.items()) == reference, (seed, kind)
+            expected[seed, kind] = sum(not is_goal(task, values) for values in reduced)
+    assert sum(expected.values()) == 845
+
+    for suite, horizon in ((suite_stubborn, 6), (suite_action_preserving, 4)):
+        made = {}
+
+        def factory(task, kind):
+            made[seed_of[id(task)], kind] = CountingStrategy(make_bare_strategy(task, kind))
+            return made[seed_of[id(task)], kind]
+
+        assert suite(tasks, horizon=horizon, strategy_factory=factory).ok
+        assert {key: s.calls for key, s in made.items()} == expected, suite.__name__
