@@ -3,21 +3,25 @@
 A*, greedy best-first and breadth-first search share one loop and
 differ only in the priority prefix of their heap entries (_PRIORITY): A*
 orders by (f, -g), greedy by h, and BFS by nothing, so the insertion
-counter appended to every entry alone orders it (FIFO) and BFS runs
-with the zero heuristic. The engine tests the goal when a node is
-popped, never at generation, and counts one expansion per pop (the final
-goal pop included) and one generation per successor produced,
-duplicates included. A node's identity is its fact set F, an int with
-bit f for each fact f (see ActionIndex) its state holds: the successor
-under action a is F & keep[a] | adds[a], an action the strategy returns
-with F & pre_bits[a] != pre_bits[a] raises NotApplicable, and the goal
-test is F & goal_bits == goal_bits. The strategy's node_key of F is the
-duplicate-detection key (SP may fold in the generating action's level);
-a stored node is only rewritten when a strictly smaller g arrives, in
-which case it is reopened. Under BFS's unit costs nodes pop in g order,
-so nothing is ever reopened and the first record of every key wins.
-F is the only state form the engine holds: the heuristic and the
-strategy (ExpansionContext.state) receive it too.
+counter that follows the prefix alone orders it (FIFO) and BFS runs
+with the zero heuristic. One call per pushed node builds its whole
+entry, prefix then (counter, key, g). The engine tests the goal when a
+node is popped, never at generation, and counts one expansion per pop
+(the final goal pop included) and one generation per action in each
+expansion set, duplicates included. A node's identity is its fact set
+F, an int with bit f for each fact f (see ActionIndex) its state holds:
+the successor under action a is F & keep[a] | adds[a], read from a row
+(pre_bits[a], keep[a], adds[a], cost) built once per search; an id
+outside the task's actions, or an action with F & pre_bits[a] !=
+pre_bits[a], raises NotApplicable; and the goal test is F & goal_bits ==
+goal_bits. The strategy's node_key of F is the duplicate-detection key
+(SP may fold in the generating action's level); when the strategy keeps
+the protocol's default node_key, F is the key and node_key is never
+called. A stored node is only rewritten when a strictly smaller g
+arrives, in which case it is reopened. Under BFS's unit costs nodes pop
+in g order, so nothing is ever reopened and the first record of every
+key wins. F is the only state form the engine holds: the heuristic and
+the strategy (ExpansionContext.state) receive it too.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -28,17 +32,18 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Hashable
 
 from .heuristics import INFINITY, Zero, make_heuristic
 from .model import NotApplicable, Plan, Task, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
 
-# heap ordering prefix per search, from a node's (g, h)
-_PRIORITY: dict[str, Callable[[float, float], tuple]] = {
-    "astar": lambda g, h: (g + h, -g),
-    "gbfs": lambda g, h: (h,),
-    "bfs": lambda g, h: (),
+# heap entry per search, from a node's (g, h, insertion counter, key):
+# the search's ordering prefix, then (counter, key, g)
+_PRIORITY: dict[str, Callable[[float, float, int, Hashable], tuple]] = {
+    "astar": lambda g, h, n, key: (g + h, -g, n, key, g),
+    "gbfs": lambda g, h, n, key: (h, n, key, g),
+    "bfs": lambda g, h, n, key: (n, key, g),
 }
 SEARCHES = tuple(_PRIORITY)
 SOLVED = "solved"
@@ -83,33 +88,38 @@ def _extract_plan(task: Task, records: dict, key) -> Plan:
 def _best_first(
     task: Task,
     strategy: ExpansionStrategy,
-    priority: Callable[[float, float], tuple],
+    entry: Callable[[float, float, int, Hashable], tuple],
     heuristic: Callable[[int], float],
     limits: Limits | None,
 ) -> SearchResult:
     """The engine behind astar, gbfs and bfs.
 
-    priority(g, h) maps node costs to a heap ordering prefix; a running
-    counter appended to every entry breaks remaining ties FIFO. Limits
-    are checked before every pop: nodes, then time, then memory.
+    entry(g, h, n, key) builds a node's whole heap entry, its priority
+    prefix followed by (n, key, g); the running counter n breaks remaining
+    ties FIFO. Limits are checked before every pop: nodes, then time,
+    then memory. The action rows are keyed by id, so a miss is an id
+    outside the task.
     """
     limits = limits or Limits()
     start = time.perf_counter()
     index = task.index
-    keep, adds, pre_bits = index.keep, index.adds, index.pre_bits
-    costs = [action.cost for action in task.actions]
+    goal_bits = index.goal_bits
+    rows = dict(enumerate(zip(index.pre_bits, index.keep, index.adds,
+                              [action.cost for action in task.actions])))
     node_key = strategy.node_key
+    default_key = getattr(node_key, "__func__", None) is ExpansionStrategy.node_key
+    heappush, heappop = heapq.heappush, heapq.heappop
     expanded = generated = 0
     counter = itertools.count()
     root = index.fact_set(task.initial)
-    root_key = node_key(root, None)
+    root_key = root if default_key else node_key(root, None)
     # key -> (g, parent_key, generating_action, fact set)
     records: dict = {root_key: (0, None, None, root)}
     h0 = heuristic(root)
     open_heap: list = []
     if h0 != INFINITY:
-        open_heap = [(*priority(0, h0), next(counter), root_key, 0)]
-    peak_open = len(open_heap)
+        open_heap = [entry(0, h0, next(counter), root_key)]
+    peak_open = 0
 
     def result(outcome: str, plan: Plan | None = None, limit_kind: str | None = None):
         return SearchResult(
@@ -123,27 +133,35 @@ def _best_first(
         )
 
     while open_heap:
+        # the heap only grows between pops, so its peak is seen here
+        if len(open_heap) > peak_open:
+            peak_open = len(open_heap)
         if limits.max_expanded is not None and expanded >= limits.max_expanded:
             return result(RESOURCE_LIMIT, limit_kind="nodes")
         if limits.max_time is not None and time.perf_counter() - start > limits.max_time:
             return result(RESOURCE_LIMIT, limit_kind="time")
         if limits.max_open is not None and len(open_heap) > limits.max_open:
             return result(RESOURCE_LIMIT, limit_kind="memory")
-        *_, key, g_pushed = heapq.heappop(open_heap)
+        popped = heappop(open_heap)
+        key = popped[-2]
         g, _, gen_action, facts = records[key]
-        if g_pushed > g:
+        if popped[-1] > g:
             continue  # stale: the key was pushed again with a smaller g
         expanded += 1
-        if facts & index.goal_bits == index.goal_bits:
+        if facts & goal_bits == goal_bits:
             return result(SOLVED, _extract_plan(task, records, key))
-        for action_id in strategy.expansion(ExpansionContext(facts, gen_action)):
-            pre = pre_bits[action_id]
+        chosen = strategy.expansion(ExpansionContext(facts, gen_action))
+        generated += len(chosen)
+        for action_id in chosen:
+            try:
+                pre, keep, adds, cost = rows[action_id]
+            except KeyError:
+                raise NotApplicable(f"action id {action_id!r} is out of range") from None
             if facts & pre != pre:
                 raise NotApplicable(f"action {task.actions[action_id].name!r} is not applicable")
-            succ_facts = facts & keep[action_id] | adds[action_id]
-            generated += 1
-            g2 = g + costs[action_id]
-            succ_key = node_key(succ_facts, action_id)
+            succ_facts = facts & keep | adds
+            g2 = g + cost
+            succ_key = succ_facts if default_key else node_key(succ_facts, action_id)
             known = records.get(succ_key)
             if known is not None and g2 >= known[0]:
                 continue  # first-in wins unless strictly cheaper
@@ -151,9 +169,7 @@ def _best_first(
             records[succ_key] = (g2, key, action_id, succ_facts)
             if h == INFINITY:
                 continue  # dead in the relaxation; keep g for reopen checks
-            heapq.heappush(open_heap, (*priority(g2, h), next(counter), succ_key, g2))
-            if len(open_heap) > peak_open:
-                peak_open = len(open_heap)
+            heappush(open_heap, entry(g2, h, next(counter), succ_key))
     return result(UNSOLVABLE)
 
 

@@ -17,8 +17,9 @@ result once, with ids().
 
 Each kind is one class behind the ExpansionStrategy protocol, built bare
 by make_bare_strategy. The none and SAC objects hold only their task, EC
-also its PDG table and SP its stratification; none of them changes after
-construction, so concurrent searches can share one. make_strategy wraps
+also its PDG table and SP its stratification (and, in state-level mode,
+its level-folding node_key); none of them changes after construction,
+so concurrent searches can share one. make_strategy wraps
 every kind but none in an AdaptiveStrategy, which falls back to full
 expansion for the rest of a search when the bare strategy pruned too
 little in the first few expansions after the root. It holds per-search
@@ -219,8 +220,13 @@ class ExpansionStrategy(Protocol):
     it is not defined on goal states, which the search tests before
     expanding. node_key(facts, generating_action) is the duplicate-
     detection key of a node whose state holds the fact set facts (an int,
-    see ActionIndex), by default facts itself. The classes below inherit
-    that default; any object with these members can stand in for them.
+    see ActionIndex), by default facts itself. The search consults
+    node_key only when it is overridden; with this default method it keys
+    each node by facts without a call. A wrapper should copy
+    inner.node_key, which keeps that shortcut; a node_key method of its
+    own is called for every node. The classes below inherit the default
+    (SP overrides it in one mode); any object with these members can
+    stand in for them.
     """
 
     task: Task
@@ -253,25 +259,28 @@ class EcStrategy(ExpansionStrategy):
 
 
 class SpStrategy(ExpansionStrategy):
-    """"sp": the level filter after the generating action."""
+    """"sp": the level filter after the generating action.
+
+    In "state" mode the node key is the protocol default. In "state-level"
+    mode node_key folds in the generating action's level (0 at the root);
+    it closes over the level table, not self, so the strategy holds no
+    reference cycle.
+    """
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.config = config
         self.stratification = stratify(task, tie_break=config.strat_tie_break)
+        if config.sp_closed == "state-level":
+            level = self.stratification.action_level
+
+            def node_key(facts: int, generating_action: int | None) -> Hashable:
+                return (facts, 0 if generating_action is None else level[generating_action])
+
+            self.node_key = node_key
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
         applicable = self.task.index.applicable_mask(ctx.state)
         return ids(sp_filter(self.task, self.stratification, ctx, applicable))
-
-    def node_key(self, facts: int, generating_action: int | None) -> Hashable:
-        """In "state-level" mode the key folds in the generating action's
-        level (0 at the root)."""
-        if self.config.sp_closed == "state":
-            return facts
-        if generating_action is None:
-            return (facts, 0)
-        return (facts, self.stratification.action_level[generating_action])
 
 
 class SacStrategy(ExpansionStrategy):

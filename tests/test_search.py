@@ -23,7 +23,7 @@ from porplan.oracle import (
 from porplan.search import RESOURCE_LIMIT, SOLVED, UNSOLVABLE
 from porplan.strategies import ExpansionStrategy, StrategyConfig
 
-from conftest import FIXTURES
+from conftest import FIXTURES, perfbench_corpus
 
 
 def distinct(task, kind):
@@ -89,6 +89,13 @@ def test_bfs_golden_counts(two_switches):
         assert result.expanded == expanded, kind
 
 
+def _run(search, task, strategy):
+    if search == "bfs":
+        return bfs(task, strategy)
+    engine = astar if search == "astar" else gbfs
+    return engine(task, make_heuristic(task, "blind"), strategy)
+
+
 class _Inapplicable(ExpansionStrategy):
     """Returns every action, applicable or not."""
 
@@ -108,13 +115,96 @@ def test_engine_rejects_inapplicable_action(two_switches, build, search):
     half_met = build(domains=[2, 2], actions=[("o", [(0, 0), (1, 1)], [(0, 1)])],
                      initial=[0, 0], goal=[(0, 1)])
     for task in (two_switches, half_met):
-        strategy = _Inapplicable(task)
         with pytest.raises(NotApplicable):
-            if search == "bfs":
-                bfs(task, strategy)
+            _run(search, task, _Inapplicable(task))
+
+
+class _Returns(ExpansionStrategy):
+    """Returns the given ids at the root and nothing elsewhere."""
+
+    def __init__(self, task, chosen):
+        self.task, self.chosen = task, chosen
+
+    def expansion(self, ctx):
+        return self.chosen if ctx.generating_action is None else ()
+
+
+@pytest.mark.parametrize("search", ["astar", "gbfs", "bfs"])
+@pytest.mark.parametrize("action_id", [-1, 2])
+def test_engine_rejects_out_of_range_action_ids(two_switches, search, action_id):
+    # two_switches has actions 0 and 1: a negative id must not index from
+    # the end (-1 would apply action 1), and one past the end must not
+    # surface as an IndexError
+    with pytest.raises(NotApplicable):
+        _run(search, two_switches, _Returns(two_switches, (action_id,)))
+
+
+class _OwnKey(ExpansionStrategy):
+    """Full expansion under a node_key of its own that counts its calls."""
+
+    def __init__(self, task):
+        self.task, self.inner, self.keyed = task, make_strategy(task, "none"), []
+
+    def expansion(self, ctx):
+        return self.inner.expansion(ctx)
+
+    def node_key(self, facts, generating_action):
+        self.keyed.append((facts, generating_action))
+        return facts
+
+
+@pytest.mark.parametrize("search", ["astar", "gbfs", "bfs"])
+def test_engine_calls_an_overridden_node_key_per_node(search):
+    task = parse_sas((FIXTURES / "support_chain.sas").read_text())
+    strategy = _OwnKey(task)
+    result = _run(search, task, strategy)
+    assert result.solved
+    assert len(strategy.keyed) == 1 + result.generated
+    assert strategy.keyed[0] == (task.index.fact_set(task.initial), None)
+    assert all(gen is not None for _, gen in strategy.keyed[1:])
+
+
+class _CopiedKey:
+    """A pass-through wrapper that copies inner.node_key."""
+
+    def __init__(self, inner):
+        self.inner, self.task, self.node_key = inner, inner.task, inner.node_key
+
+    def expansion(self, ctx):
+        return self.inner.expansion(ctx)
+
+
+class _DelegatedKey(_CopiedKey):
+    """A pass-through wrapper whose own node_key delegates to inner's."""
+
+    def __init__(self, inner):
+        self.inner, self.task = inner, inner.task
+
+    def node_key(self, facts, generating_action):
+        return self.inner.node_key(facts, generating_action)
+
+
+@pytest.mark.parametrize("workload", ["counters-bfs", "random-astar-blind"])
+def test_pass_through_wrappers_keep_the_counts(workload):
+    # the first seed-1 instance of the workload, under every kind and both
+    # SP key modes: copying node_key keeps the default-key shortcut, a
+    # delegating node_key is called per node, and both search exactly as
+    # the unwrapped strategy does
+    task = parse_sas(perfbench_corpus().instances(workload, 1)[0].text)
+    configs = [(kind, StrategyConfig()) for kind in ("none", "ec", "sp", "sac")]
+    configs.append(("sp", StrategyConfig(sp_closed="state-level")))
+    for kind, config in configs:
+        rows = []
+        for wrap in (lambda s: s, _CopiedKey, _DelegatedKey):
+            strategy = wrap(make_strategy(task, kind, config))
+            if workload == "counters-bfs":
+                result = bfs(task, strategy)
             else:
-                engine = astar if search == "astar" else gbfs
-                engine(task, make_heuristic(task, "blind"), strategy)
+                result = astar(task, make_heuristic(task, "blind"), strategy)
+            rows.append((result.expanded, result.generated, result.peak_open_size,
+                         result.plan))
+        assert rows[0][3] is not None, (kind, config)
+        assert rows[1] == rows[0] and rows[2] == rows[0], (kind, config)
 
 
 def test_bfs_requires_unit_costs(build):
@@ -266,3 +356,19 @@ def test_sp_modes_agree_on_solvability():
             assert result.solved == (optimum is not None), mode
             if result.solved:
                 validate_plan(task, result.plan.steps)
+
+
+def test_sp_state_level_counts_at_benchmark_size():
+    # the first seed-1 logistics benchmark instance under A*+hmax: the
+    # level-folding key keeps (state, level) pairs apart, so it expands
+    # more nodes than the plain state key at the same cost
+    text = perfbench_corpus().instances("logistics-astar-hmax", 1)[0].text
+    task = parse_sas(text)
+    heuristic = make_heuristic(task, "hmax")
+    expected = {"state": (519, 3_266, 710, 19), "state-level": (839, 5_278, 908, 19)}
+    for mode, row in expected.items():
+        strategy = make_strategy(task, "sp", StrategyConfig(sp_closed=mode))
+        result = astar(task, heuristic, strategy)
+        assert result.solved, mode
+        assert (result.expanded, result.generated, result.peak_open_size,
+                result.plan.cost) == row, mode

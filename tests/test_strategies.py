@@ -41,6 +41,7 @@ from porplan.strategies import (
     KINDS,
     AdaptiveStrategy,
     ExpansionContext,
+    ExpansionStrategy,
     FullStrategy,
     InvalidPath,
     NoUnachievedGoal,
@@ -436,17 +437,28 @@ def test_strategy_kind_validation(two_switches):
         StrategyConfig(sp_closed="nope")
 
 
+def _has_default_key(strategy):
+    return getattr(strategy.node_key, "__func__", None) is ExpansionStrategy.node_key
+
+
 def test_sp_node_key_modes(two_switches):
+    # the engine skips the node_key call exactly when the key is the
+    # protocol default: every kind, SP included, in "state" mode, and
+    # AdaptiveStrategy copies whatever its bare strategy has
+    for kind in KINDS:
+        assert _has_default_key(make_bare_strategy(two_switches, kind)), kind
+        assert _has_default_key(make_strategy(two_switches, kind)), kind
     facts = two_switches.index.fact_set(two_switches.initial)
     state_only = make_strategy(two_switches, "sp")
     assert state_only.node_key(facts, 0) == facts == 0b0101
-    leveled = make_bare_strategy(
-        two_switches, "sp", StrategyConfig(sp_closed="state-level")
-    )
+    config = StrategyConfig(sp_closed="state-level")
+    leveled = make_bare_strategy(two_switches, "sp", config)
+    assert not _has_default_key(leveled)
     key = leveled.node_key(facts, 0)
     assert key == (facts, leveled.stratification.action_level[0])
     assert leveled.node_key(facts, None) == (facts, 0)
-    adaptive = make_strategy(two_switches, "sp", StrategyConfig(sp_closed="state-level"))
+    adaptive = make_strategy(two_switches, "sp", config)
+    assert not _has_default_key(adaptive)
     assert adaptive.node_key(facts, 0) == key
 
 
