@@ -39,14 +39,11 @@ from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
     StrategyConfig,
-    ec_expansion,
     full_expansion,
     is_left_commutative,
     landmark_action_set,
     make_bare_strategy,
     make_strategy,
-    sac_expansion,
-    sp_filter,
 )
 from .heuristics import make_heuristic
 from .search import Limits, SearchResult, SearchSpec, astar, bfs, gbfs, solve
@@ -81,7 +78,6 @@ __all__ = [
     "build_dtg",
     "build_pdg",
     "conflict_free",
-    "ec_expansion",
     "emit_sas",
     "full_expansion",
     "gbfs",
@@ -94,9 +90,7 @@ __all__ = [
     "parse_sas",
     "pdg_edges",
     "potential_masks",
-    "sac_expansion",
     "solve",
-    "sp_filter",
     "stratify",
     "validate_plan",
     "__version__",

@@ -41,7 +41,7 @@ from .strategies import (
 
 DEFAULT_MAX_STATES = 2000
 _DFS_CAP = 2_000_000  # enumeration nodes before giving up
-_MAX_WITNESSES = 5  # violations a checker records before it only counts
+_MAX_WITNESSES = 5  # violations a checker records; later ones are dropped uncounted
 
 
 class TooLarge(Exception):
@@ -312,6 +312,12 @@ class Report:
     def add(self, kind: str, state: tuple[int, ...] | None, **witness) -> None:
         self.violations.append(Violation(kind, state, witness))
 
+    def add_witness(self, kind: str, state: tuple[int, ...] | None, **witness) -> None:
+        """add, unless _MAX_WITNESSES violations are recorded already; a
+        checker's later violations are neither recorded nor counted."""
+        if len(self.violations) < _MAX_WITNESSES:
+            self.add(kind, state, **witness)
+
     def absorb(self, sub: Report, **tags) -> None:
         """Add a sub-report's checks and its violations, tagged."""
         self.checked += sub.checked
@@ -356,8 +362,7 @@ def check_stubborn_conditions(
     report = Report("stubborn_conditions")
     for current, path in _paths(values, rows, horizon, outside):
         if _applies(current, task.goal.entries):
-            if len(report.violations) < _MAX_WITNESSES:
-                report.add("A2", values, path=list(path))
+            report.add_witness("A2", values, path=list(path))
         if len(path) < horizon:
             for b, tail_end in _successors(current, rows, members):
                 if tail_end not in goal_reachable:
@@ -365,15 +370,14 @@ def check_stubborn_conditions(
                 report.checked += 1
                 fronted = _walk(values, rows, (b, *path))
                 if fronted != tail_end:
-                    if len(report.violations) < _MAX_WITNESSES:
-                        report.add(
-                            "A1",
-                            values,
-                            member=b,
-                            path=list(path),
-                            fronted_end=fronted,
-                            original_end=tail_end,
-                        )
+                    report.add_witness(
+                        "A1",
+                        values,
+                        member=b,
+                        path=list(path),
+                        fronted_end=fronted,
+                        original_end=tail_end,
+                    )
     return report
 
 
@@ -419,8 +423,7 @@ def check_action_preserving(
             return (not remaining and values == end) if strict else is_goal(values)
 
         if not _reordering(initial, multiset, rows, reduced_moves, accept):
-            if len(report.violations) < _MAX_WITNESSES:
-                report.add("action_preserving", initial, multiset=list(multiset), end=end)
+            report.add_witness("action_preserving", initial, multiset=list(multiset), end=end)
     return report
 
 
@@ -448,8 +451,7 @@ def check_sp_permutation(
             return not remaining and values == end
 
         if not _reordering(initial, multiset, rows, may_follow, reaches_end):
-            if len(report.violations) < _MAX_WITNESSES:
-                report.add("sp_permutation", initial, multiset=list(multiset), end=end)
+            report.add_witness("sp_permutation", initial, multiset=list(multiset), end=end)
     return report
 
 
@@ -515,14 +517,13 @@ def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) ->
         semantic = _walk(values, rows, (b, a)) == _result(mid, rows[b][1])
         report.checked += 1
         if syntactic != semantic:
-            if len(report.violations) < _MAX_WITNESSES:
-                report.add(
-                    "commutativity_mismatch",
-                    values,
-                    pair=[a, b],
-                    syntactic=syntactic,
-                    semantic=semantic,
-                )
+            report.add_witness(
+                "commutativity_mismatch",
+                values,
+                pair=[a, b],
+                syntactic=syntactic,
+                semantic=semantic,
+            )
     return report
 
 
@@ -562,8 +563,7 @@ def check_action_core_lemma(task: Task, horizon: int) -> Report:
         if path[-1] in inapplicable:
             report.checked += 1
             if not cores[path[-1]].intersection(path):
-                if len(report.violations) < _MAX_WITNESSES:
-                    report.add("action_core_lemma", initial, path=list(path))
+                report.add_witness("action_core_lemma", initial, path=list(path))
     return report
 
 

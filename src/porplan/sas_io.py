@@ -234,19 +234,29 @@ def parse_sas(text: str) -> Task:
     )
 
 
+def _one_line(kind: str, name: str) -> str:
+    """name, if the reader gives it back unchanged: it strips each line and
+    splits the text with str.splitlines."""
+    if name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"{kind} name {name!r} has outer whitespace or a line break")
+    return name
+
+
 def emit_sas(task: Task) -> str:
     """Serialize a Task; parse_sas(emit_sas(t)) reconstructs t.
 
     Mutex groups are emitted empty; they carry no information the
-    reduction strategies use.
+    reduction strategies use. Raises ValueError for a variable, value or
+    operator name with outer whitespace or a line break, which the reader
+    would not give back unchanged.
     """
     out: list[str] = []
     out += ["begin_version", "3", "end_version"]
     out += ["begin_metric", str(int(task.uses_metric)), "end_metric"]
     out.append(str(len(task.variables)))
     for var in task.variables:
-        out += ["begin_variable", var.name, "-1", str(var.domain_size)]
-        out += list(var.value_names)
+        out += ["begin_variable", _one_line("variable", var.name), "-1", str(var.domain_size)]
+        out += [_one_line(f"variable {var.name!r} value", name) for name in var.value_names]
         out.append("end_variable")
     out.append("0")  # mutex groups
     out.append("begin_state")
@@ -258,7 +268,7 @@ def emit_sas(task: Task) -> str:
     out.append("end_goal")
     out.append(str(len(task.actions)))
     for action in task.actions:
-        out += ["begin_operator", action.name]
+        out += ["begin_operator", _one_line("operator", action.name)]
         eff_vars = set(action.effect.variables)
         prevail = [(v, val) for v, val in action.precondition if v not in eff_vars]
         out.append(str(len(prevail)))

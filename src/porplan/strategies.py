@@ -2,28 +2,26 @@
 
 Each strategy answers one question at a state s, given as its fact set F
 (ActionIndex.fact_set): which applicable actions may the search apply.
-"none" returns all of them, generated from the task's ActionIndex
-(full_expansion). EC keeps the applicable actions that write a
-dependency-closed DTG prefix of the potential dependency graph; it looks
-the PDG up in a per-task fact table and condenses it lazily, only up to
-the prefix. SAC closes a landmark action set under ASG support and
-conflict rules and keeps the applicable members. SP filters the
-applicable set by causal-graph levels and the action that generated the
-node; it builds the generating action's follow-up mask only when some
-applicable action lies below that action's level. Each expansion set is
-one expression over the index's action bit masks: it computes the
-state's applicability mask once and reads the chosen ids out of the
-result once, with ids().
+Each kind is defined once, by the expansion method of its class behind
+the ExpansionStrategy protocol; make_bare_strategy builds it.
+FullStrategy ("none") returns every applicable action (full_expansion).
+EcStrategy keeps the applicable actions that write a dependency-closed
+DTG prefix of the potential dependency graph. SacStrategy closes a
+landmark action set under ASG support and conflict rules (sac_fixpoint)
+and keeps the applicable members. SpStrategy filters the applicable set
+by causal-graph levels and the action that generated the node. Each
+expansion set is one expression over the index's action bit masks: it
+computes the state's applicability mask once and reads the chosen ids
+out of the result once, with ids().
 
-Each kind is one class behind the ExpansionStrategy protocol, built bare
-by make_bare_strategy. The none and SAC objects hold only their task, EC
-also its PDG table and SP its stratification (and, in state-level mode,
-its level-folding node_key); none of them changes after construction,
-so concurrent searches can share one. make_strategy wraps
-every kind but none in an AdaptiveStrategy, which falls back to full
-expansion for the rest of a search when the bare strategy pruned too
-little in the first few expansions after the root. It holds per-search
-counters, so each concurrent search needs its own wrapper.
+The none and SAC objects hold only their task, EC also its PDG table
+and SP its stratification (and, in state-level mode, its level-folding
+node_key); none of them changes after construction, so concurrent
+searches can share one. make_strategy wraps every kind but none in an
+AdaptiveStrategy, which falls back to full expansion for the rest of a
+search when the bare strategy pruned too little in the first few
+expansions after the root. It holds per-search counters, so each
+concurrent search needs its own wrapper.
 """
 
 from __future__ import annotations
@@ -32,15 +30,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
 from operator import or_
-from typing import Hashable, NamedTuple, Protocol, Sequence
+from typing import Hashable, NamedTuple, Protocol
 
-from .graphs import (
-    Stratification,
-    build_pdg,
-    closure_prefix_order,
-    potential_masks,
-    stratify,
-)
+from .graphs import build_pdg, closure_prefix_order, potential_masks, stratify
 from .model import State, Task, applicable, apply_action, bit_flags, conflict_free, ids
 
 
@@ -130,41 +122,6 @@ def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int | None 
     return members
 
 
-def sac_expansion(task: Task, facts: int) -> tuple[int, ...]:
-    """Applicable members of the joint closure of a landmark action set,
-    ascending."""
-    landmarks = landmark_action_set(task, facts)
-    applicable = task.index.applicable_mask(facts)
-    return ids(applicable & sac_fixpoint(task, facts, landmarks, applicable))
-
-
-def ec_expansion(task: Task, facts: int, table: Sequence[int]) -> tuple[int, ...]:
-    """Applicable actions of a minimal dependency-closed DTG prefix,
-    ascending.
-
-    SCCs of PDG(s) are ordered sinks-first (every prefix then is a
-    dependency closure); the prefix stops at the first component holding
-    an unachieved goal-related DTG, and the rest of the condensation is
-    never computed. The condensation's nodes are the held facts, one per
-    variable, in variable order. table is the task's potential_masks.
-    """
-    index = task.index
-    unachieved = facts & index.goal_variable_facts & ~index.goal_bits
-    if not unachieved:
-        raise NoUnachievedGoal("state satisfies the goal")
-    held = bit_flags(facts)
-    successors = dict(zip(compress(count(), held), build_pdg(facts, table, held)))
-    prefix = 0
-    for component in closure_prefix_order(successors, facts):
-        prefix |= component
-        if component & unachieved:
-            break
-    # an applicable action is compatible with every held fact, so the ones
-    # writing a prefix variable are exactly the applicable ones in leaving
-    leaving = reduce(or_, compress(index.leaving, bit_flags(prefix)), 0)
-    return ids(index.applicable_mask(facts, held) & leaving)
-
-
 def _follow_ups(task: Task, first: int) -> int:
     """Mask of the actions whose precondition or effect shares an entry
     with eff(first)."""
@@ -173,23 +130,6 @@ def _follow_ups(task: Task, first: int) -> int:
     for f in index.eff_facts[first]:
         mask |= index.consumer_masks[f] | index.achiever_masks[f]
     return mask
-
-
-def sp_filter(
-    task: Task, stratification: Stratification, ctx: ExpansionContext, applicable: int
-) -> int:
-    """Drop lower-level non-follow-up actions after the generating action.
-
-    applicable is the state's applicability mask; the result is the mask
-    of the kept actions. At the root every applicable action is kept. The
-    follow-up mask is built only when some applicable action lies below
-    gen's level.
-    """
-    gen = ctx.generating_action
-    if gen is None:
-        return applicable
-    below = applicable & ~stratification.at_or_above[stratification.action_level[gen]]
-    return applicable ^ below & ~_follow_ups(task, gen) if below else applicable
 
 
 def is_left_commutative(task: Task, state: State, first: int, second: int) -> bool:
@@ -248,23 +188,48 @@ class FullStrategy(ExpansionStrategy):
 
 
 class EcStrategy(ExpansionStrategy):
-    """"ec": a dependency-closed DTG prefix."""
+    """"ec": the applicable actions of a minimal dependency-closed DTG
+    prefix, ascending.
+
+    SCCs of PDG(s) are ordered sinks-first (every prefix then is a
+    dependency closure); the prefix stops at the first component holding
+    an unachieved goal-related DTG, and the rest of the condensation is
+    never computed. The condensation's nodes are the held facts, one per
+    variable, in variable order. self.table is the task's potential_masks.
+    """
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
         self.table = potential_masks(task)
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return ec_expansion(self.task, ctx.state, self.table)
+        facts, index = ctx.state, self.task.index
+        unachieved = facts & index.goal_variable_facts & ~index.goal_bits
+        if not unachieved:
+            raise NoUnachievedGoal("state satisfies the goal")
+        held = bit_flags(facts)
+        successors = dict(zip(compress(count(), held), build_pdg(facts, self.table, held)))
+        prefix = 0
+        for component in closure_prefix_order(successors, facts):
+            prefix |= component
+            if component & unachieved:
+                break
+        # an applicable action is compatible with every held fact, so the ones
+        # writing a prefix variable are exactly the applicable ones in leaving
+        leaving = reduce(or_, compress(index.leaving, bit_flags(prefix)), 0)
+        return ids(index.applicable_mask(facts, held) & leaving)
 
 
 class SpStrategy(ExpansionStrategy):
-    """"sp": the level filter after the generating action.
+    """"sp": the applicable actions, less the lower-level non-follow-ups
+    of the generating action, ascending.
 
-    In "state" mode the node key is the protocol default. In "state-level"
-    mode node_key folds in the generating action's level (0 at the root);
-    it closes over the level table, not self, so the strategy holds no
-    reference cycle.
+    At the root every applicable action is kept. The follow-up mask is
+    built only when some applicable action lies below the generating
+    action's level. In "state" mode the node key is the protocol default.
+    In "state-level" mode node_key folds in the generating action's level
+    (0 at the root); it closes over the level table, not self, so the
+    strategy holds no reference cycle.
     """
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
@@ -280,17 +245,27 @@ class SpStrategy(ExpansionStrategy):
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
         applicable = self.task.index.applicable_mask(ctx.state)
-        return ids(sp_filter(self.task, self.stratification, ctx, applicable))
+        gen = ctx.generating_action
+        if gen is not None:
+            strat = self.stratification
+            below = applicable & ~strat.at_or_above[strat.action_level[gen]]
+            if below:
+                applicable ^= below & ~_follow_ups(self.task, gen)
+        return ids(applicable)
 
 
 class SacStrategy(ExpansionStrategy):
-    """"sac": applicable members of a landmark set's joint closure."""
+    """"sac": the applicable members of the joint closure of a landmark
+    action set, ascending."""
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
-        return sac_expansion(self.task, ctx.state)
+        task, facts = self.task, ctx.state
+        landmarks = landmark_action_set(task, facts)
+        applicable = task.index.applicable_mask(facts)
+        return ids(applicable & sac_fixpoint(task, facts, landmarks, applicable))
 
 
 _STRATEGIES = {"none": FullStrategy, "ec": EcStrategy, "sp": SpStrategy, "sac": SacStrategy}

@@ -14,19 +14,14 @@ import time
 from porplan import (
     State,
     bfs,
-    ec_expansion,
     emit_sas,
+    make_bare_strategy,
     make_heuristic,
     make_strategy,
     parse_sas,
-    potential_masks,
-    sac_expansion,
-    sp_filter,
-    stratify,
 )
 from porplan.cli import main
 from porplan.heuristics import DeleteRelaxationHeuristic
-from porplan.model import ids
 from porplan.oracle import (
     RandomTaskSpec,
     default_task_stream,
@@ -81,16 +76,18 @@ def test_criterion_01_golden_bfs_counts():
 
 def test_criterion_02_golden_expansion_sets():
     task = two_switches_task()
-    table = potential_masks(task)
-    strat = stratify(task, tie_break="distinct")
+    ec, sac = make_bare_strategy(task, "ec"), make_bare_strategy(task, "sac")
+    sp = make_bare_strategy(task, "sp", StrategyConfig(strat_tie_break="distinct"))
+    strat = sp.stratification
     initial, one_zero = task.index.fact_set(task.initial), task.index.fact_set(State((1, 0)))
-    ec_expansion(task, initial, table)  # warm
+    root = ExpansionContext(initial)
+    ec.expansion(root)  # warm
     timings = []
     for _ in range(3):
         start = time.perf_counter()
-        chosen = ec_expansion(task, initial, table)
-        after_a = ids(sp_filter(task, strat, ExpansionContext(one_zero, 0), 0b10))
-        landmark_core = sac_expansion(task, initial)
+        chosen = ec.expansion(root)
+        after_a = sp.expansion(ExpansionContext(one_zero, 0))
+        landmark_core = sac.expansion(root)
         timings.append(time.perf_counter() - start)
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     assert strat.action_level[0] > strat.action_level[1]

@@ -14,6 +14,7 @@ from porplan import (
     build_causal_graph,
     build_dtg,
     build_pdg,
+    make_bare_strategy,
     parse_sas,
     pdg_edges,
     potential_masks,
@@ -37,7 +38,7 @@ from porplan.oracle import (
 )
 from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.model import ids
-from porplan.strategies import ec_expansion, sac_fixpoint
+from porplan.strategies import ExpansionContext, sac_fixpoint
 
 # tasks drawn from each cost mode of the task stream for the PDG check
 PDG_TASKS = 300
@@ -696,12 +697,13 @@ def test_pdg_and_ec_match_reference():
     checked = 0
     for task, states in pdg_cases():
         table, masks = potential_masks(task), reference_masks(task)
+        ec = make_bare_strategy(task, "ec")
         for values in states:
             state = State(values)
             assert pdg_of(task, state, table) == reference_pdg(task, state, masks)
             if not task.goal.holds_in(state):
                 facts = task.index.fact_set(state)
-                assert ec_expansion(task, facts, table) == reference_ec(task, state, masks)
+                assert ec.expansion(ExpansionContext(facts)) == reference_ec(task, state, masks)
                 checked += 1
     assert checked > 1000
 
@@ -717,7 +719,8 @@ def test_ec_prefix_tie_break_and_chain(build):
     )
     table = potential_masks(task)
     assert pdg_of(task, task.initial, table) == {(0, 2)}
-    assert ec_expansion(task, task.index.fact_set(task.initial), table) == (1,)
+    ctx = ExpansionContext(task.index.fact_set(task.initial))
+    assert make_bare_strategy(task, "ec").expansion(ctx) == (1,)
     # t_k needs x(k+2) = 1 to set x(k+1): at the all-zero state the PDG is
     # the chain x1 -> x2 -> x3 -> x4 and the prefix reaches x1 last
     chain = build(
@@ -728,11 +731,12 @@ def test_ec_prefix_tie_break_and_chain(build):
     )
     table = potential_masks(chain)
     assert pdg_of(chain, chain.initial, table) == {(0, 1), (1, 2), (2, 3)}
-    assert ec_expansion(chain, chain.index.fact_set(chain.initial), table) == (3,)
+    ctx = ExpansionContext(chain.index.fact_set(chain.initial))
+    assert make_bare_strategy(chain, "ec").expansion(ctx) == (3,)
     for task in (task, chain):
         masks = reference_masks(task)
-        initial = task.index.fact_set(task.initial)
-        assert ec_expansion(task, initial, potential_masks(task)) == reference_ec(
+        ctx = ExpansionContext(task.index.fact_set(task.initial))
+        assert make_bare_strategy(task, "ec").expansion(ctx) == reference_ec(
             task, task.initial, masks
         )
 

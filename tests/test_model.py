@@ -310,3 +310,10 @@ def test_variable_value_names_default_and_check():
     assert Variable(0, "x", 2).value_names == ("x=0", "x=1")
     with pytest.raises(InvalidTask):
         Variable(0, "x", 2, ("only-one",))
+
+
+def test_public_names_resolve():
+    import porplan
+
+    assert [name for name in porplan.__all__ if not hasattr(porplan, name)] == []
+    assert len(set(porplan.__all__)) == len(porplan.__all__)

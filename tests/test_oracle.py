@@ -15,7 +15,6 @@ from porplan import (
     make_bare_strategy,
     make_strategy,
     oracle,
-    sac_expansion,
 )
 from porplan.oracle import (
     RandomTaskSpec,
@@ -40,6 +39,9 @@ from porplan.oracle import (
     suite_stubborn,
 )
 from porplan.strategies import KINDS, AdaptiveStrategy
+
+STREAM_30 = default_task_stream(30)
+TIE_BREAKS = ("canonical", "distinct")
 
 
 def test_enumerate_two_switches(two_switches):
@@ -93,7 +95,9 @@ def test_stubborn_conditions_two_switches(two_switches):
     ok = check_stubborn_conditions(
         two_switches,
         init,
-        sac_expansion(two_switches, two_switches.index.fact_set(init)),
+        make_bare_strategy(two_switches, "sac").expansion(
+            ExpansionContext(two_switches.index.fact_set(init))
+        ),
         horizon=4,
     )
     assert ok.ok
@@ -102,6 +106,15 @@ def test_stubborn_conditions_two_switches(two_switches):
     # at (1,0) the set {a} misses every solution, which all use b
     wrong = check_stubborn_conditions(two_switches, State((1, 0)), [0], horizon=4)
     assert {v.kind for v in wrong.violations} == {"A2"}
+
+
+def test_witnesses_capped_per_checker():
+    # the empty set misses every goal path from the initial state of stream
+    # seed 2, thousands of them; the checker records the first five only
+    [(seed, task, graph)] = default_task_stream(1, start=2)
+    assert seed == 2
+    report = check_stubborn_conditions(task, task.initial, [], horizon=6, graph=graph)
+    assert len(report.violations) == 5 and not report.ok
 
 
 def test_stubborn_a1_violation(build):
@@ -152,12 +165,21 @@ def test_suites_check_bare_strategies(two_switches):
 def test_sp_permutation_two_switches(two_switches):
     report = check_sp_permutation(two_switches, horizon=4, tie_break="distinct")
     assert report.ok and report.checked > 0
+    # the task stream, at suite_sp's horizon, under both tie breaks
+    for tie_break in TIE_BREAKS:
+        checked = 0
+        for seed, task, _ in STREAM_30:
+            report = check_sp_permutation(task, horizon=5, tie_break=tie_break)
+            assert report.ok, (seed, tie_break, report.violations)
+            checked += report.checked
+        assert checked > 0
 
 
 def test_sp_reachability(two_switches):
-    graph = enumerate_state_space(two_switches)
-    for tie_break in ("canonical", "distinct"):
-        assert sp_reachable_values(two_switches, tie_break) == frozenset(graph.states)
+    cases = [(None, two_switches, enumerate_state_space(two_switches))] + STREAM_30
+    for tie_break in TIE_BREAKS:
+        for seed, task, graph in cases:
+            assert sp_reachable_values(task, tie_break) == frozenset(graph.states), seed
 
 
 def test_commutativity_equivalence(two_switches):
@@ -250,9 +272,6 @@ def test_validate_plan_matches_independent_stepper():
             except (NotApplicable, GoalNotReached):
                 accepted = False
             assert accepted == oracle_accepts, (seed, steps)
-
-
-STREAM_30 = default_task_stream(30)
 
 
 def verify_suites(tasks, factory):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from porplan import parse_sas, emit_sas
+from porplan import Action, PartialAssignment, State, Task, Variable, emit_sas, parse_sas
 from porplan.oracle import RandomTaskSpec, generate_random_task
 from porplan.sas_io import (
     SasError,
@@ -84,6 +85,39 @@ def test_minimal_document_matches_hand_written(build):
     ) + "\n"
     assert emit_sas(task) == hand
     assert parse_sas(hand) == task
+
+
+def _one_flip(variable="bit", values=("off", "on"), operator="flip"):
+    return Task(
+        variables=(Variable(0, variable, 2, values),),
+        actions=(
+            Action(0, operator, PartialAssignment.of([(0, 0)]), PartialAssignment.of([(0, 1)])),
+        ),
+        initial=State((0,)),
+        goal=PartialAssignment.of([(0, 1)]),
+    )
+
+
+def test_emit_keeps_inner_spaces():
+    task = _one_flip(variable="the bit", values=("is off", "is on"), operator="flip it")
+    assert parse_sas(emit_sas(task)) == task
+
+
+@pytest.mark.parametrize(
+    "names, offending",
+    [
+        ({"variable": " x "}, "variable name ' x '"),
+        ({"variable": "x\t"}, "variable name 'x\\t'"),
+        ({"values": ("off", "o\x0bn")}, "variable 'bit' value name 'o\\x0bn'"),
+        ({"operator": "op\n1"}, "operator name 'op\\n1'"),
+        ({"operator": "op\u20281"}, "operator name 'op\\u20281'"),
+    ],
+    ids=["variable-spaces", "variable-tab", "value-vtab", "operator-newline", "operator-u2028"],
+)
+def test_emit_refuses_names_the_reader_changes(names, offending):
+    # the reader strips each line and splits the text with str.splitlines
+    with pytest.raises(ValueError, match=re.escape(offending)):
+        emit_sas(_one_flip(**names))
 
 
 def test_version_gate():

@@ -11,7 +11,6 @@ from porplan import (
     astar,
     build_dtg,
     conflict_free,
-    ec_expansion,
     full_expansion,
     is_left_commutative,
     landmark_action_set,
@@ -19,10 +18,6 @@ from porplan import (
     make_heuristic,
     make_strategy,
     parse_sas,
-    potential_masks,
-    sac_expansion,
-    sp_filter,
-    stratify,
 )
 from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.oracle import (
@@ -157,22 +152,22 @@ def test_landmark_includes_v0_movers(build):
                  initial=[0], goal=[(0, 1)])
     initial = task.index.fact_set(task.initial)
     assert ids(landmark_action_set(task, initial)) == (0,)
-    assert sac_expansion(task, initial) == (0,)
+    assert make_bare_strategy(task, "sac").expansion(ExpansionContext(initial)) == (0,)
 
 
 def test_sac_two_switches(two_switches):
     facts = two_switches.index.fact_set
-    assert sac_expansion(two_switches, facts(two_switches.initial)) == (0,)
-    assert sac_expansion(two_switches, facts(State((1, 0)))) == (1,)
+    sac = make_bare_strategy(two_switches, "sac")
+    assert sac.expansion(ExpansionContext(facts(two_switches.initial))) == (0,)
+    assert sac.expansion(ExpansionContext(facts(State((1, 0))))) == (1,)
 
 
 def test_sac_support_chain(support_chain):
     # c is applicable but supports nothing in the core; e sits on a
     # non-landmark transition: both stay out
-    table = potential_masks(support_chain)
-    initial = support_chain.index.fact_set(support_chain.initial)
-    assert sac_expansion(support_chain, initial) == (1,)
-    assert ec_expansion(support_chain, initial, table) == (1, 2)
+    ctx = ExpansionContext(support_chain.index.fact_set(support_chain.initial))
+    assert make_bare_strategy(support_chain, "sac").expansion(ctx) == (1,)
+    assert make_bare_strategy(support_chain, "ec").expansion(ctx) == (1, 2)
 
 
 def test_sac_fixpoint_stable():
@@ -182,6 +177,7 @@ def test_sac_fixpoint_stable():
         return any(effect.get(v, x) != x for v, x in entries)
 
     for task, graph in solvable_tasks(20):
+        sac = make_bare_strategy(task, "sac")
         for values in graph.states[:20]:
             state = State(values)
             if task.goal.holds_in(state):
@@ -205,7 +201,7 @@ def test_sac_fixpoint_stable():
                             clash(pre_b, eff_a) and any(values[v] == x for v, x in pre_b)
                         )
                     assert b.id in fixpoint or not pulled
-            expansion = sac_expansion(task, facts)
+            expansion = sac.expansion(ExpansionContext(facts))
             assert expansion == tuple(
                 a for a in sorted(fixpoint) if applicable(state, task.actions[a])
             )
@@ -317,12 +313,12 @@ def test_bare_expansion_builds_one_applicability_mask(monkeypatch):
 
 
 def test_ec_two_switches(two_switches):
-    table = potential_masks(two_switches)
+    ec = make_bare_strategy(two_switches, "ec")
     facts = two_switches.index.fact_set
-    chosen = ec_expansion(two_switches, facts(two_switches.initial), table)
+    chosen = ec.expansion(ExpansionContext(facts(two_switches.initial)))
     assert len(chosen) == 1 and set(chosen) <= {0, 1}
     with pytest.raises(NoUnachievedGoal):
-        ec_expansion(two_switches, facts(State((1, 1))), table)
+        ec.expansion(ExpansionContext(facts(State((1, 1)))))
 
 
 def test_ec_single_scc(build):
@@ -333,26 +329,28 @@ def test_ec_single_scc(build):
         initial=[0, 0],
         goal=[(0, 1), (1, 1)],
     )
-    table = potential_masks(task)
-    assert ec_expansion(task, task.index.fact_set(task.initial), table) == (0, 1)
+    ctx = ExpansionContext(task.index.fact_set(task.initial))
+    assert make_bare_strategy(task, "ec").expansion(ctx) == (0, 1)
 
 
 def test_sp_filter(two_switches, enable_chain):
-    strat = stratify(two_switches, tie_break="distinct")
+    # the states' applicable sets: {a, b} at the root, {b} after a, {a} after b
+    sp = make_bare_strategy(two_switches, "sp", StrategyConfig(strat_tie_break="distinct"))
     facts = two_switches.index.fact_set
     root = ExpansionContext(facts(two_switches.initial), None)
-    assert ids(sp_filter(two_switches, strat, root, 0b11)) == (0, 1)
+    assert sp.expansion(root) == (0, 1)
     after_a = ExpansionContext(facts(State((1, 0))), 0)
-    assert ids(sp_filter(two_switches, strat, after_a, 0b10)) == ()  # b pruned
+    assert sp.expansion(after_a) == ()  # b pruned
     after_b = ExpansionContext(facts(State((0, 1))), 1)
-    assert ids(sp_filter(two_switches, strat, after_b, 0b01)) == (0,)
+    assert sp.expansion(after_b) == (0,)
 
     # follow-up exemption: eff(a) supplies pre(b), so b survives L(b) < L(a)
-    chain_strat = stratify(enable_chain)
+    chain_sp = make_bare_strategy(enable_chain, "sp")
+    chain_strat = chain_sp.stratification
     assert chain_strat.action_level == (2, 1)
     assert _follow_ups(enable_chain, 0) >> 1 & 1
     ctx = ExpansionContext(enable_chain.index.fact_set(State((0, 1, 2))), 0)
-    assert ids(sp_filter(enable_chain, chain_strat, ctx, 0b11)) == (0, 1)
+    assert chain_sp.expansion(ctx) == (0, 1)
 
 
 def test_follow_up_matches_pairwise_definition(build):
@@ -368,10 +366,9 @@ def test_follow_up_matches_pairwise_definition(build):
     tasks = [same] + [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
     tasks += [task for _, task, _ in default_task_stream(60)]
     for task in tasks:
-        strat = stratify(task)
-        level = strat.action_level
+        sp = make_bare_strategy(task, "sp")
+        level = sp.stratification.action_level
         everything = tuple(range(len(task.actions)))
-        every_mask = (1 << len(task.actions)) - 1
         for a in task.actions:
             eff = set(a.effect.entries)
             expected = [
@@ -379,8 +376,10 @@ def test_follow_up_matches_pairwise_definition(build):
                 for b in task.actions
             ]
             assert [bool(_follow_ups(task, a.id) >> b & 1) for b in everything] == expected
-            ctx = ExpansionContext(task.index.fact_set(task.initial), a.id)
-            assert ids(sp_filter(task, strat, ctx, every_mask)) == tuple(
+            # the empty fact set pins no variable, so every action passes the
+            # applicability mask and the filter sees them all
+            ctx = ExpansionContext(0, a.id)
+            assert sp.expansion(ctx) == tuple(
                 b for b in everything if level[b] >= level[a.id] or expected[b]
             )
 
