@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import oracle
 from .graphs import (
+    TIE_BREAKS,
     build_asg,
     build_causal_graph,
     build_dtg,
@@ -36,7 +37,7 @@ from .heuristics import HEURISTICS
 from .model import State, Task, validate_plan
 from .sas_io import SasError, parse_sas
 from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchResult, SearchSpec, solve
-from .strategies import KINDS, ExpansionContext, StrategyConfig, make_bare_strategy
+from .strategies import KINDS, SP_CLOSED_MODES, ExpansionContext, StrategyConfig, make_bare_strategy
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVABLE = 1
@@ -220,9 +221,7 @@ def cmd_inspect(args) -> int:
 
 # verify's suites in report order; each runner takes (tasks, args, strategy factory)
 _SUITES = {
-    "comm": lambda tasks, args, factory: oracle.suite_commutativity(
-        tasks, args.samples, seed=0
-    ),
+    "comm": lambda tasks, args, factory: oracle.suite_commutativity(tasks, args.samples),
     "stubborn": lambda tasks, args, factory: oracle.suite_stubborn(
         tasks, horizon=args.horizon, strategy_factory=factory
     ),
@@ -352,10 +351,8 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
         "--max-nodes", type=_at_least(int, 0), default=None, help="expansion limit"
     )
     parser.add_argument("--max-open", type=_at_least(int, 0), default=None, help="open-list limit")
-    parser.add_argument("--sp-closed", choices=("state", "state-level"), default="state")
-    parser.add_argument(
-        "--strat-tiebreak", choices=("canonical", "distinct"), default="canonical"
-    )
+    parser.add_argument("--sp-closed", choices=SP_CLOSED_MODES, default="state")
+    parser.add_argument("--strat-tiebreak", choices=TIE_BREAKS, default="canonical")
 
 
 def build_parser() -> argparse.ArgumentParser:

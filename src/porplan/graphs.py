@@ -8,13 +8,13 @@ DTG steps, where an action without a precondition on a variable leaves
 every value of it, as a V0 edge does. Paths are walks; repetition is
 allowed.
 
-The causal graph and ASG are plain frozensets of (source, target) index
-pairs: variables for the causal graph, action ids for the ASG. The PDG
-is one successor bit mask per variable over the held facts, one n-AND
-lookup in the table per state; pdg_edges reads it out as variable
-pairs. DTGs, the table and the stratification are immutable and built
-once per task. EC and SP share one condensation, the lazy
-`closure_prefix_order` over successor masks.
+The causal graph is one successor bit mask per variable, which stratify
+condenses and build_causal_graph reads out as variable pairs; the ASG is
+a frozenset of action-id pairs. The PDG is one successor bit mask per
+variable over the held facts, one n-AND lookup in the table per state;
+pdg_edges reads it out as variable pairs. DTGs, the table and the
+stratification are immutable and built once per task. EC and SP share
+one condensation, the lazy `closure_prefix_order` over successor masks.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .model import Task, bit_flags, ids
 
 V0 = -1  # sentinel DTG vertex for effects without an own-variable precondition
+TIE_BREAKS = ("canonical", "distinct")  # stratify's leveling rules
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,6 @@ class Stratification:
     at_or_above: tuple[int, ...]  # per level l from 0 up: the actions of level >= l
 
 
-class MixedEffectLevels(Exception):
-    """An action's effect variables span different stratification levels."""
-
-    def __init__(self, action_id: int) -> None:
-        super().__init__(f"action {action_id} has effects on multiple levels")
-        self.action_id = action_id
-
-
 def build_dtg(task: Task, var: int) -> DTG:
     """Transitions of one variable; parallel actions merge into one edge."""
     by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
@@ -79,12 +72,21 @@ def build_dtg(task: Task, var: int) -> DTG:
     return DTG(var, task.variables[var].domain_size, edges)
 
 
-def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
-    """Edge (x, y): some action writes x and reads or writes y."""
+def _causal_successors(task: Task) -> list[int]:
+    """The causal graph as one successor mask per variable x: bit y is set
+    when y != x and some action writes x and reads or writes y."""
     writers = task.index.writer_masks
     touches = list(map(or_, task.index.reader_masks, writers))
+    return [
+        sum(1 << y for y, t in enumerate(touches) if w & t and x != y)
+        for x, w in enumerate(writers)
+    ]
+
+
+def build_causal_graph(task: Task) -> frozenset[tuple[int, int]]:
+    """Edge (x, y), x != y: some action writes x and reads or writes y."""
     return frozenset(
-        (x, y) for x, w in enumerate(writers) for y, t in enumerate(touches) if w & t and x != y
+        (x, y) for x, succ in enumerate(_causal_successors(task)) for y in ids(succ)
     )
 
 
@@ -195,50 +197,36 @@ def pdg_edges(facts: int, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
     return frozenset((i, var_of[f]) for i, mask in enumerate(pdg) for f in ids(mask))
 
 
-def stratify(
-    task: Task,
-    causal_graph: frozenset[tuple[int, int]] | None = None,
-    tie_break: str = "canonical",
-) -> Stratification:
-    """Level the causal graph; same-component variables share a level.
+def stratify(task: Task, tie_break: str = "canonical") -> Stratification:
+    """Level the task's causal graph; same-component variables share a level.
 
     canonical: level = 1 + longest condensation path from a source.
     distinct: components get distinct levels 1..K ordered by canonical
     level, ties giving earlier variables the higher level (reproduces the
     conventional walkthrough layering on edgeless graphs).
+    An action writing x and y links them both ways, so its effect
+    variables share a level, the action's.
     """
-    if tie_break not in ("canonical", "distinct"):
+    if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
-    if causal_graph is None:
-        causal_graph = build_causal_graph(task)
-    n = task.num_variables
-    succ = [0] * n
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for u, w in causal_graph:
-        succ[u] |= 1 << w
-        pred[w].append(u)
-
+    succ = _causal_successors(task)
+    n = len(succ)
     # reversed, the sinks-first order lists every component after all of
     # its predecessors; members of the component itself still read 0
-    components = [ids(comp) for comp in closure_prefix_order(succ, (1 << n) - 1)][::-1]
+    components = [(comp, ids(comp)) for comp in closure_prefix_order(succ, (1 << n) - 1)][::-1]
     variable_level = [0] * n
-    for comp in components:
-        level = 1 + max((variable_level[u] for v in comp for u in pred[v]), default=0)
-        for v in comp:
+    for comp, members in components:
+        level = 1 + max((variable_level[u] for u, s in enumerate(succ) if s & comp), default=0)
+        for v in members:
             variable_level[v] = level
 
     if tie_break == "distinct":
-        ranked = sorted(components, key=lambda comp: (variable_level[comp[0]], -comp[0]))
-        for pos, comp in enumerate(ranked, start=1):
-            for v in comp:
+        ranked = sorted(components, key=lambda c: (variable_level[c[1][0]], -c[1][0]))
+        for pos, (_, members) in enumerate(ranked, start=1):
+            for v in members:
                 variable_level[v] = pos
 
-    action_level = []
-    for action in task.actions:
-        levels = {variable_level[v] for v in action.effect.variables}
-        if len(levels) != 1:
-            raise MixedEffectLevels(action.id)
-        action_level.append(levels.pop())
+    action_level = [variable_level[action.effect.variables[0]] for action in task.actions]
     by_level = [0] * (max(action_level, default=0) + 1)
     for a, level in enumerate(action_level):
         by_level[level] |= 1 << a

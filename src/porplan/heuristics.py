@@ -170,11 +170,13 @@ def _goal_projections(task: Task) -> list[int] | None:
 
 
 class Blind:
-    """0 on goal states, else the smallest positive action cost."""
+    """0 on goal states, else the cheapest action cost: every plan from a
+    non-goal state takes at least one action, so the value is admissible,
+    and it is 0 when some action is free."""
 
     def __init__(self, task: Task) -> None:
         self.goal_bits = task.index.goal_bits
-        self.step = min((a.cost for a in task.actions if a.cost > 0), default=0)
+        self.step = min((a.cost for a in task.actions), default=0)
 
     def __call__(self, facts: int) -> float:
         return 0 if facts & self.goal_bits == self.goal_bits else self.step

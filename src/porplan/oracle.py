@@ -644,15 +644,15 @@ def drop_one_sac(task: Task, kind: str) -> ExpansionStrategy:
 
 def suite_stubborn(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    kinds: Sequence[str] = ("sac", "ec"),
     horizon: int = 6,
     strategy_factory=make_bare_strategy,
 ) -> Report:
-    """A1/A2 at every state an exhaustive reduced BFS expands."""
+    """A1/A2 at every state an exhaustive reduced BFS expands, under sac
+    and ec."""
     report = Report("stubborn_suite")
     for seed, task, graph in tasks:
         goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
-        for kind in kinds:
+        for kind in ("sac", "ec"):
             strategy = strategy_factory(task, kind)
             for values, expansion in reduced_reachable_values(task, strategy).items():
                 if _applies(values, task.goal.entries):
@@ -734,24 +734,23 @@ def suite_lemma(
 def suite_commutativity(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
     samples_per_task: int = 10,
-    seed: int = 0,
 ) -> Report:
     report = Report("commutativity_suite")
     for task_seed, task, _ in tasks:
-        sub = check_left_commutativity_equivalence(task, samples_per_task, seed)
+        sub = check_left_commutativity_equivalence(task, samples_per_task, seed=0)
         report.absorb(sub, seed=task_seed)
     return report
 
 
 def suite_action_preserving(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    kinds: Sequence[str] = ("sac", "ec"),
     horizon: int = 4,
     strategy_factory=make_bare_strategy,
 ) -> Report:
+    """Action preservation under sac and ec."""
     report = Report("action_preserving_suite")
     for seed, task, _ in tasks:
-        for kind in kinds:
+        for kind in ("sac", "ec"):
             sub = check_action_preserving(task, strategy_factory(task, kind), horizon)
             report.absorb(sub, seed=seed, strategy=kind)
     return report

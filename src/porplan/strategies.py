@@ -32,7 +32,7 @@ from itertools import compress, count
 from operator import or_
 from typing import Hashable, NamedTuple, Protocol
 
-from .graphs import build_pdg, closure_prefix_order, potential_masks, stratify
+from .graphs import TIE_BREAKS, build_pdg, closure_prefix_order, potential_masks, stratify
 from .model import State, Task, applicable, apply_action, bit_flags, conflict_free, ids
 
 
@@ -44,17 +44,20 @@ class InvalidPath(Exception):
     """The ordered action pair is not applicable in sequence at the state."""
 
 
+SP_CLOSED_MODES = ("state", "state-level")  # SP's duplicate-detection keys
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Settings of the SP strategy; the other kinds have none."""
 
-    sp_closed: str = "state"  # or "state-level"
-    strat_tie_break: str = "canonical"  # or "distinct"
+    sp_closed: str = "state"  # one of SP_CLOSED_MODES
+    strat_tie_break: str = "canonical"  # one of graphs.TIE_BREAKS
 
     def __post_init__(self) -> None:
-        if self.sp_closed not in ("state", "state-level"):
+        if self.sp_closed not in SP_CLOSED_MODES:
             raise ValueError(f"unknown closed-list mode {self.sp_closed!r}")
-        if self.strat_tie_break not in ("canonical", "distinct"):
+        if self.strat_tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown stratification tie break {self.strat_tie_break!r}")
 
 
@@ -91,7 +94,7 @@ def landmark_action_set(task: Task, facts: int) -> int:
     return min(compress(index.leaving, bit_flags(unachieved)), key=int.bit_count)
 
 
-def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int | None = None) -> int:
+def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int) -> int:
     """Joint support/conflict closure of a seed action mask.
 
     Two rules, each applied once per member when it enters the set: an
@@ -101,14 +104,10 @@ def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int | None 
     precondition both conflicts with eff(a) and has an entry holding in
     the state (conflict closure). Both rules depend only on the member and
     the state, so closing in rounds reaches the unique least fixpoint.
-    applicable is the state's applicability mask, when the caller already
-    has it.
+    applicable is the state's applicability mask.
     """
     index = task.index
-    held = bit_flags(facts)
-    if applicable is None:
-        applicable = index.applicable_mask(facts, held)
-    touching = reduce(or_, compress(index.consumer_masks, held), 0)
+    touching = reduce(or_, compress(index.consumer_masks, bit_flags(facts)), 0)
     members = new = seed_mask
     while new:
         pulled = 0

@@ -6,8 +6,6 @@ from collections import defaultdict, deque
 from functools import lru_cache, reduce
 from operator import add, or_
 
-import pytest
-
 from porplan import (
     State,
     build_asg,
@@ -21,10 +19,10 @@ from porplan import (
     stratify,
 )
 from porplan.graphs import (
+    TIE_BREAKS,
     V0,
     DTG,
     DtgEdge,
-    MixedEffectLevels,
     graph_to_dot,
     closure_prefix_order,
     dtg_to_dot,
@@ -149,8 +147,8 @@ def test_stratify_cycle(build):
 def test_stratify_invariant_random():
     for task in random_tasks(30):
         cg = build_causal_graph(task)
-        for tie_break in ("canonical", "distinct"):
-            strat = stratify(task, cg, tie_break)
+        for tie_break in TIE_BREAKS:
+            strat = stratify(task, tie_break)
             for x, y in cg:
                 assert strat.variable_level[x] <= strat.variable_level[y]
             for action in task.actions:
@@ -165,7 +163,7 @@ def test_stratify_at_or_above_matches_action_levels():
     for workload in BENCH_WORKLOADS:
         tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
     for task in tasks:
-        for tie_break in ("canonical", "distinct"):
+        for tie_break in TIE_BREAKS:
             strat = stratify(task, tie_break=tie_break)
             level = strat.action_level
             assert len(strat.at_or_above) == max(level, default=0) + 1
@@ -173,12 +171,13 @@ def test_stratify_at_or_above_matches_action_levels():
                 assert mask == sum(1 << a for a, x in enumerate(level) if x >= floor)
 
 
-def test_mixed_effect_levels(build):
+def test_joint_effect_shares_one_level(build):
     task = build(domains=[2, 2], actions=[("o", [], [(0, 1), (1, 1)])],
                  initial=[0, 0], goal=[(0, 1)])
-    # a hand-built edgeless causal graph splits the effect variables
-    with pytest.raises(MixedEffectLevels):
-        stratify(task, frozenset(), tie_break="distinct")
+    # writing both variables links them both ways: one component, one level
+    for tie_break in TIE_BREAKS:
+        strat = stratify(task, tie_break)
+        assert strat.variable_level == (1, 1) and strat.action_level == (1,)
 
 
 def order_of(num_nodes, edges):
@@ -248,23 +247,29 @@ def _random_digraphs(count):
         )
 
 
+def _realised(build, n, edges):
+    """A task whose causal graph is edges less its self-loops: one action
+    per edge (u, w), u != w, writing u and reading w."""
+    actions = [(f"a{u}_{w}", [(w, 0)], [(u, 1)]) for u, w in sorted(edges) if u != w]
+    return build(domains=[2] * n, actions=actions, initial=[0] * n, goal=[])
+
+
 def test_condensation_matches_definition(build):
     """Pins the components, closure_prefix_order's tie-break (EC's expansion
     sets depend on it) and the canonical and distinct stratification."""
-    graphs = [
-        (n, edges, build(domains=[2] * n, actions=[], initial=[0] * n, goal=[]))
-        for n, edges in _random_digraphs(300)
-    ]
+    graphs = [(n, edges, _realised(build, n, edges)) for n, edges in _random_digraphs(300)]
+    for n, edges, task in graphs:
+        assert build_causal_graph(task) == {(u, w) for u, w in edges if u != w}
     graphs += [(task.num_variables, build_causal_graph(task), task)
                for _, task, _ in default_task_stream(60)]
     for n, edges, task in graphs:
         components, order, levels = _condensation_by_definition(n, edges)
         assert {frozenset(c) for c in order_of(n, edges)} == components
         assert order_of(n, edges) == order
-        assert stratify(task, edges).variable_level == tuple(levels)
+        assert stratify(task).variable_level == tuple(levels)
         ranked = sorted(components, key=lambda c: (levels[min(c)], -min(c)))
         distinct = {v: pos for pos, c in enumerate(ranked, start=1) for v in c}
-        assert stratify(task, edges, "distinct").variable_level == tuple(
+        assert stratify(task, "distinct").variable_level == tuple(
             distinct[v] for v in range(n)
         )
 
@@ -287,6 +292,11 @@ def test_closure_prefix_order_is_closed():
 # ---------------------------------------------------------------------------
 # ASG, core, closure: the oracle's brute-force core and the joint
 # support/conflict closure of strategies.sac_fixpoint
+
+
+def closure(task, facts, seed_mask):
+    """sac_fixpoint at the state with fact set facts."""
+    return sac_fixpoint(task, facts, seed_mask, task.index.applicable_mask(facts))
 
 
 def test_asg(two_switches, enable_chain):
@@ -319,7 +329,7 @@ def test_action_core(two_switches, enable_chain, support_chain, build):
         assert brute_force_core(task, state, seed) == frozenset(expected)
         seed_mask = sum(1 << a for a in seed)
         facts = task.index.fact_set(state)
-        assert ids(sac_fixpoint(task, facts, seed_mask)) == tuple(sorted(expected))
+        assert ids(closure(task, facts, seed_mask)) == tuple(sorted(expected))
 
 
 def test_action_core_monotone_idempotent():
@@ -334,14 +344,14 @@ def test_action_core_monotone_idempotent():
 
 def test_action_closure(two_switches, build):
     initial = two_switches.index.fact_set(two_switches.initial)
-    assert ids(sac_fixpoint(two_switches, initial, 0b1)) == (0,)
+    assert ids(closure(two_switches, initial, 0b1)) == (0,)
     clash = build(
         domains=[2, 3],
         actions=[("one", [], [(1, 1)]), ("two", [], [(1, 2)])],
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert ids(sac_fixpoint(clash, clash.index.fact_set(clash.initial), 0b1)) == (0, 1)
+    assert ids(closure(clash, clash.index.fact_set(clash.initial), 0b1)) == (0, 1)
     # an inapplicable seed without supporters pulls in nothing
     blocked = build(
         domains=[2, 2],
@@ -349,18 +359,18 @@ def test_action_closure(two_switches, build):
         initial=[0, 0],
         goal=[(1, 1)],
     )
-    assert ids(sac_fixpoint(blocked, blocked.index.fact_set(blocked.initial), 0b1)) == (0,)
+    assert ids(closure(blocked, blocked.index.fact_set(blocked.initial), 0b1)) == (0,)
 
 
 def test_action_closure_superset_idempotent():
     for task in random_tasks(15):
         state = task.index.fact_set(task.initial)
         first = 0b1 if task.actions else 0
-        small = sac_fixpoint(task, state, first)
-        large = sac_fixpoint(task, state, 0b111 & (1 << len(task.actions)) - 1)
+        small = closure(task, state, first)
+        large = closure(task, state, 0b111 & (1 << len(task.actions)) - 1)
         # as sets: first <= small <= large
         assert first & ~small == 0 and small & ~large == 0
-        assert sac_fixpoint(task, state, small) == small
+        assert closure(task, state, small) == small
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from porplan import (
     make_strategy,
     oracle,
 )
+from porplan.graphs import TIE_BREAKS
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -41,7 +42,6 @@ from porplan.oracle import (
 from porplan.strategies import KINDS, AdaptiveStrategy
 
 STREAM_30 = default_task_stream(30)
-TIE_BREAKS = ("canonical", "distinct")
 
 
 def test_enumerate_two_switches(two_switches):
@@ -277,7 +277,7 @@ def test_validate_plan_matches_independent_stepper():
 def verify_suites(tasks, factory):
     """(checked, violations) per suite, with `porplan verify`'s default parameters."""
     reports = [
-        suite_commutativity(tasks, 10, seed=0),
+        suite_commutativity(tasks, 10),
         suite_stubborn(tasks, horizon=6, strategy_factory=factory),
         suite_optimality(tasks, strategy_factory=factory),
         suite_sp(tasks, horizon=5),
@@ -315,7 +315,7 @@ def test_sp_suite_reports_mirrored_levels(monkeypatch):
 
 def test_commutativity_suite_reports_a_constant_criterion(monkeypatch):
     monkeypatch.setattr(oracle, "is_left_commutative", lambda task, values, a, b: True)
-    report = suite_commutativity(STREAM_30, 10, seed=0)
+    report = suite_commutativity(STREAM_30, 10)
     assert not report.ok
     assert {v.kind for v in report.violations} == {"commutativity_mismatch"}
 

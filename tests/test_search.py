@@ -17,6 +17,7 @@ from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
     brute_force_optimal_cost,
+    default_task_stream,
     enumerate_state_space,
     generate_random_task,
 )
@@ -302,6 +303,30 @@ def test_astar_optimal_against_oracle():
                 assert result.solved == (optimum is not None)
                 if result.solved:
                     assert result.plan.cost == optimum, (kind, task)
+
+
+def test_astar_blind_optimal_with_free_actions(build):
+    # free steps 0 -> 1 -> 2 beside a paid jump 0 -> 2: the optimum is 0,
+    # so blind must be 0 off the goal too; the random cost mode draws zero
+    # costs as well (seed 163 needs it under ec)
+    free_steps = build(
+        domains=[3],
+        actions=[
+            ("step1", [(0, 0)], [(0, 1)], 0),
+            ("step2", [(0, 1)], [(0, 2)], 0),
+            ("jump", [(0, 0)], [(0, 2)], 1),
+        ],
+        initial=[0],
+        goal=[(0, 2)],
+        uses_metric=True,
+    )
+    assert brute_force_optimal_cost(free_steps) == 0
+    tasks = [free_steps] + [task for _, task, _ in default_task_stream(200, cost_mode="random")]
+    for task in tasks:
+        optimum = brute_force_optimal_cost(task)
+        for kind in ("none", "ec", "sac"):
+            result = astar(task, make_heuristic(task, "blind"), make_strategy(task, kind))
+            assert result.plan.cost == optimum, (kind, task)
 
 
 def test_reduction_reduces_or_matches_expansions(two_switches, support_chain):

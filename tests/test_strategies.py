@@ -184,7 +184,8 @@ def test_sac_fixpoint_stable():
                 continue
             facts = task.index.fact_set(state)
             landmarks = landmark_action_set(task, facts)
-            fixpoint = set(ids(sac_fixpoint(task, facts, landmarks)))
+            applicable_mask = task.index.applicable_mask(facts)
+            fixpoint = set(ids(sac_fixpoint(task, facts, landmarks, applicable_mask)))
             assert set(ids(landmarks)) <= fixpoint
             for a in (task.actions[i] for i in fixpoint):
                 pre_a = set(a.precondition.entries)
