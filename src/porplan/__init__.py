@@ -19,7 +19,6 @@ from .model import (
     Variable,
     applicable,
     apply_action,
-    conflict_free,
     is_goal,
     validate_plan,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "build_causal_graph",
     "build_dtg",
     "build_pdg",
-    "conflict_free",
     "emit_sas",
     "full_expansion",
     "gbfs",

@@ -221,7 +221,7 @@ def cmd_inspect(args) -> int:
 
 # verify's suites in report order; each runner takes (tasks, args, strategy factory)
 _SUITES = {
-    "comm": lambda tasks, args, factory: oracle.suite_commutativity(tasks, args.samples),
+    "comm": lambda tasks, args, factory: oracle.suite_commutativity(tasks),
     "stubborn": lambda tasks, args, factory: oracle.suite_stubborn(
         tasks, horizon=args.horizon, strategy_factory=factory
     ),
@@ -385,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_at_least(int, 0), default=200)
     p.add_argument("--seed-start", type=int, default=0)
     p.add_argument("--horizon", type=_at_least(int, 1), default=6)
-    p.add_argument(
-        "--samples", type=_at_least(int, 0), default=10, help="commutativity samples per task"
-    )
     p.add_argument("--max-states", type=_at_least(int, 1), default=oracle.DEFAULT_MAX_STATES)
     p.add_argument(
         "--suites",

@@ -288,12 +288,6 @@ class Task:
         return len(self.variables)
 
 
-def conflict_free(p: PartialAssignment, q: PartialAssignment) -> bool:
-    """True iff no variable receives different values in p and q."""
-    mine = dict(p.entries)
-    return all(mine.get(v, val) == val for v, val in q.entries)
-
-
 def applicable(state: State, action: Action) -> bool:
     """True iff every precondition entry of the action holds in the state."""
     return action.precondition.holds_in(state)

@@ -4,9 +4,9 @@ Turns the reduction conditions into executable checks: exhaustive state
 space enumeration, optimal costs by Dijkstra, the two stubborn-set
 conditions, action preservation, the SP permutation property, and the
 equivalence of the syntactic left-commutativity criterion with its
-semantic both-orders reading. A seeded generator supplies small random
-tasks whose goals are sampled from a random walk, so solvability is by
-construction.
+semantic both-orders reading on every valid pair of actions at every
+reachable state. A seeded generator supplies small random tasks whose
+goals are sampled from a random walk, so solvability is by construction.
 
 Each enumeration exists once, as a private helper the checkers share: the
 successor step `_successors` (over `_applicable`), the state-space BFS
@@ -460,7 +460,8 @@ def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[t
     (state, last action) pairs; closed-list policy plays no role here.
 
     Its own BFS, not `_explore`: the nodes are pairs, while the cap counts
-    distinct states."""
+    distinct states. Like `_explore`, it raises TooLarge when a new state
+    would pass DEFAULT_MAX_STATES."""
     rule = _sp_rule(task, tie_break)
     rows = _rows(task)
     initial = task.initial
@@ -472,7 +473,7 @@ def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[t
         for a, succ in _successors(values, rows, rule[last]):
             pair = (succ, a)
             if pair not in seen_pairs:
-                if len(values_seen) > DEFAULT_MAX_STATES:
+                if succ not in values_seen and len(values_seen) >= DEFAULT_MAX_STATES:
                     raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
                 seen_pairs.add(pair)
                 values_seen.add(succ)
@@ -480,50 +481,25 @@ def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[t
     return frozenset(values_seen)
 
 
-def check_left_commutativity_equivalence(task: Task, samples: int, seed: int) -> Report:
-    """Sample valid (a, b) pairs and compare the syntactic criterion with
-    the semantic both-orders check."""
-    rng = random.Random(seed)
+def check_left_commutativity_equivalence(task: Task, graph: StateSpaceGraph) -> Report:
+    """Compare the syntactic criterion with the semantic both-orders check
+    on every valid pair (a, b) at every state of the task's graph."""
     rows = _rows(task)
-    walked: list[tuple[int, ...]] = [task.initial]  # goal states included
-    walked_set = {task.initial}
-    for _ in range(50):
-        values = task.initial
-        for _ in range(8):
-            moves = _applicable(values, rows)
-            if not moves:
-                break
-            values = _result(values, rows[rng.choice(moves)][1])
-            if values not in walked_set:
-                walked_set.add(values)
-                walked.append(values)
-
     report = Report("left_commutativity_equivalence")
-    attempts = 0
-    while report.checked < samples and attempts < samples * 20:
-        attempts += 1
-        values = rng.choice(walked)
-        first_moves = _applicable(values, rows)
-        if not first_moves:
-            continue
-        a = rng.choice(first_moves)
-        mid = _result(values, rows[a][1])
-        second_moves = _applicable(mid, rows)
-        if not second_moves:
-            continue
-        b = rng.choice(second_moves)
-
-        syntactic = is_left_commutative(task, values, a, b)
-        semantic = _walk(values, rows, (b, a)) == _result(mid, rows[b][1])
-        report.checked += 1
-        if syntactic != semantic:
-            report.add_witness(
-                "commutativity_mismatch",
-                values,
-                pair=[a, b],
-                syntactic=syntactic,
-                semantic=semantic,
-            )
+    for values, out in zip(graph.states, graph.successors):
+        for a, mid in out:
+            for b, end in graph.successors[mid]:
+                syntactic = is_left_commutative(task, values, a, b)
+                semantic = _walk(values, rows, (b, a)) == graph.states[end]
+                report.checked += 1
+                if syntactic != semantic:
+                    report.add_witness(
+                        "commutativity_mismatch",
+                        values,
+                        pair=[a, b],
+                        syntactic=syntactic,
+                        semantic=semantic,
+                    )
     return report
 
 
@@ -731,14 +707,10 @@ def suite_lemma(
     return report
 
 
-def suite_commutativity(
-    tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    samples_per_task: int = 10,
-) -> Report:
+def suite_commutativity(tasks: Sequence[tuple[int, Task, StateSpaceGraph]]) -> Report:
     report = Report("commutativity_suite")
-    for task_seed, task, _ in tasks:
-        sub = check_left_commutativity_equivalence(task, samples_per_task, seed=0)
-        report.absorb(sub, seed=task_seed)
+    for seed, task, graph in tasks:
+        report.absorb(check_left_commutativity_equivalence(task, graph), seed=seed)
     return report
 
 

@@ -12,7 +12,9 @@ and keeps the applicable members. SpStrategy filters the applicable set
 by causal-graph levels and the action that generated the node. Each
 expansion set is one expression over the index's action bit masks: it
 computes the state's applicability mask once and reads the chosen ids
-out of the result once, with ids().
+out of the result once, with ids(). is_left_commutative, the syntactic
+left-commutativity criterion, reads the same index conflict tables as
+SAC's closure.
 
 The none and SAC objects hold only their task, EC also its PDG table
 and SP its stratification (and, in state-level mode, its level-folding
@@ -33,7 +35,7 @@ from operator import or_
 from typing import Hashable, NamedTuple, Protocol
 
 from .graphs import TIE_BREAKS, build_pdg, closure_prefix_order, potential_masks, stratify
-from .model import State, Task, applicable, apply_action, bit_flags, conflict_free, ids
+from .model import State, Task, bit_flags, ids
 
 
 class NoUnachievedGoal(Exception):
@@ -135,21 +137,26 @@ def is_left_commutative(task: Task, state: State, first: int, second: int) -> bo
     """Decide whether the pair may be swapped in front at the state.
 
     Requires (first, second) to be a valid path at the state; raises
-    InvalidPath otherwise. True iff pre/eff of the two are pairwise
-    conflict-free and second is applicable at the state directly, which
-    is exactly "both orders are valid and reach the same state".
+    InvalidPath otherwise. True iff neither precondition conflicts with
+    the other's effect, the effects agree, and second is applicable at the
+    state directly, which is exactly "both orders are valid and reach the
+    same state". Decided on the action index alone: applicability from
+    pre_bits, keep and adds, conflicts from the pre_conflicts and
+    eff_conflicts tables SAC's closure reads.
     """
-    a, b = task.actions[first], task.actions[second]
-    if not applicable(state, a):
-        raise InvalidPath(f"{a.name!r} is not applicable")
-    if not applicable(apply_action(state, a), b):
-        raise InvalidPath(f"{b.name!r} is not applicable after {a.name!r}")
-    return (
-        conflict_free(a.precondition, b.effect)
-        and conflict_free(b.precondition, a.effect)
-        and conflict_free(a.effect, b.effect)
-        and applicable(state, b)
+    index = task.index
+    pre, facts = index.pre_bits, index.fact_set(state)
+    if facts & pre[first] != pre[first]:
+        raise InvalidPath(f"{task.actions[first].name!r} is not applicable")
+    if (facts & index.keep[first] | index.adds[first]) & pre[second] != pre[second]:
+        a, b = task.actions[first].name, task.actions[second].name
+        raise InvalidPath(f"{b!r} is not applicable after {a!r}")
+    conflicts = (
+        index.pre_conflicts[second] >> first
+        | index.pre_conflicts[first] >> second
+        | index.eff_conflicts[first] >> second
     )
+    return not conflicts & 1 and facts & pre[second] == pre[second]
 
 
 class ExpansionStrategy(Protocol):

@@ -132,7 +132,7 @@ def test_inspect_bad_target(two_switches_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "target", ["dtg:abc", "expansion@1,1", "pdg@9,9", "asg@9,9", "asg@-1,0"]
+    "target", ["dtg:abc", "expansion@1,1", "expansion@0,1,2", "pdg@9,9", "asg@9,9", "asg@-1,0"]
 )
 def test_inspect_rejects_bad_index_state_or_goal(two_switches_file, capsys, target):
     assert main(["inspect", str(two_switches_file), target]) == 3
@@ -195,7 +195,7 @@ def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
         ["verify", "--horizon", "0"],
         ["verify", "--max-states", "0"],
         ["verify", "--seeds", "-1"],
-        ["verify", "--samples", "-1"],
+        ["verify", "--samples", "5"],  # the option is gone
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -220,7 +220,7 @@ def test_verify_report_is_pinned(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"]
     assert [(r["name"], r["checked"]) for r in payload["reports"]] == [
-        ("commutativity_suite", 300),
+        ("commutativity_suite", 11368),
         ("stubborn_suite", 11481),
         ("optimality_suite", 120),
         ("sp_suite", 23852),
@@ -324,6 +324,12 @@ def test_bench_empty_dir(tmp_path, capsys):
     assert main(["bench", str(tmp_path / "missing")]) == 3
 
 
+def test_bench_rejects_unknown_strategy(capsys):
+    assert main(["bench", str(FIXTURES), "--strategies", "none,bogus"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown strategy 'bogus'\n"
+
+
 def test_bench_parallel_matches_serial(tmp_path):
     corpus = bench_corpus(tmp_path)
     one = tmp_path / "one.json"
@@ -376,6 +382,13 @@ def test_inspect_dtg_output_is_pinned(capsys):
         '  "x1=0" -> "x1=1" [label="a"];\n'
         "}\n\n"
     )
+
+
+def test_inspect_dtg_json_output_is_pinned(capsys):
+    assert main(["inspect", str(FIXTURES / "enable_chain.sas"), "dtg:1", "--json"]) == 0
+    edges = [{"from": "v0", "to": "x2=1", "actions": ["a"]}]
+    payload = {"variable": 1, "nodes": ["v0", "x2=0", "x2=1"], "edges": edges}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 # argv fuzz for plan and inspect (verify has no run-wide time bound and

@@ -20,7 +20,6 @@ from porplan import (
     applicable,
     apply_action,
     astar,
-    conflict_free,
     is_goal,
     make_heuristic,
     make_strategy,
@@ -33,28 +32,6 @@ from porplan.strategies import KINDS
 from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 
 PA = PartialAssignment.of
-
-
-def test_conflict_free_basics():
-    assert conflict_free(PA([(0, 1)]), PA([(1, 1)]))  # disjoint variables
-    assert not conflict_free(PA([(0, 1)]), PA([(0, 0)]))
-    assert conflict_free(PA(), PA([(0, 0), (1, 1)]))
-    assert conflict_free(PA([(0, 1)]), PA([(0, 1)]))  # same value is fine
-
-
-assignments = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=4
-).map(lambda pairs: PA(dict(pairs).items()))
-
-
-@given(assignments, assignments)
-def test_conflict_free_symmetric(p, q):
-    assert conflict_free(p, q) == conflict_free(q, p)
-
-
-@given(assignments)
-def test_conflict_free_reflexive(p):
-    assert conflict_free(p, p)
 
 
 def test_holds_in_matches_entrywise_definition():
@@ -140,6 +117,9 @@ def test_plan_cost_uses_metric(build):
     assert validate_plan(task, [0]).cost == 5
 
 
+assignments = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=4
+).map(lambda pairs: PA(dict(pairs).items()))
 states = st.tuples(*(st.integers(0, 2) for _ in range(4))).map(State)
 
 

@@ -197,6 +197,38 @@ def test_trailing_garbage_rejected():
         parse_sas(fixture_text("two_switches.sas") + "unexpected\n")
 
 
+def test_trailing_blank_lines_parse():
+    text = fixture_text("two_switches.sas")
+    assert parse_sas(text + "\n  \n\t\n") == parse_sas(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, line, expected",
+    [
+        # goal x1=1 and x1=0: the second pair is line 30
+        ("begin_goal\n2\n0 1\n1 1", "begin_goal\n2\n0 1\n0 0", 30,
+         "a single value per goal variable"),
+        # operator a gains prevails x2=0 and x2=1, on lines 36 and 37
+        ("a\n0\n1\n0 0 0 1", "a\n2\n1 0\n1 1\n1\n0 0 0 1", 37,
+         "a single precondition value per variable"),
+        # operator a sets x1 to 1 (line 37) and to 0 (line 38)
+        ("a\n0\n1\n0 0 0 1", "a\n0\n2\n0 0 0 1\n0 0 -1 0", 38,
+         "a single effect value per variable"),
+        ("0 0 0 1", "0 0 1", 37, "an effect line '0 var pre post'"),
+        ("0 0 0 1", "0 0 0 1 1", 37, "an effect line '0 var pre post'"),
+    ],
+    ids=["goal-two-values", "prevail-two-values", "effect-two-values", "effect-three-ints",
+         "effect-five-ints"],
+)
+def test_doubled_values_and_bad_effect_lines_rejected(old, new, line, expected):
+    text = fixture_text("two_switches.sas")
+    assert text.count(old) == 1
+    with pytest.raises(SasSyntaxError) as err:
+        parse_sas(text.replace(old, new))
+    assert type(err.value) is SasSyntaxError
+    assert err.value.line == line and err.value.expected == expected
+
+
 def _mutate(rng: random.Random, text: str) -> str:
     lines = text.splitlines()
     if not lines:
