@@ -14,19 +14,23 @@ variable's causal-graph ancestors, the variables from which it can be
 reached along "an action reads u and writes w" arcs: every achiever of
 an ancestor's fact reads only ancestors. So the relaxation evaluators
 memoise each goal fact's cost on F & the facts of its variable's
-ancestors, the variable included. A call that finds every goal entry
-memoised skips the pass. A miss runs the pass for the missing entries
-only: it seeds and pushes only their ancestors' facts, and it stops as
-soon as each missing goal fact is popped, since a popped fact's cost is
-final. When some goal variable has every variable as an ancestor,
-nothing could hit, and the evaluator builds no memo; every call then
-runs the pass for all goal entries over all facts, with the same stop.
+ancestors, the variable included. A call looks each goal entry up once
+and combines the values as it goes; one that finds every entry memoised
+never enters the pass. A miss runs the pass for the missing entries
+only, on the relaxed sub-task inside the union of their ancestors'
+facts: it seeds the state's facts there and the precondition-free
+actions' effects there, walks only the actions whose preconditions lie
+there (the others can never fire), and stops as soon as each missing
+goal fact is popped, since a popped fact's cost is final. When some goal
+variable has every variable as an ancestor, nothing could hit, and the
+evaluator builds no memo; every call then runs the pass for all goal
+entries over all facts, with the same stop.
 
 Evaluators hold immutable per-task indexes. The relaxation evaluators
-also hold those per-goal-fact memos and the pass's starting costs per
-fact mask, but each entry of either is a pure function of its key, so a
-call's value depends only on the state, and threads can share an
-evaluator.
+also hold those per-goal-fact memos and, per fact mask a pass has run
+on, its tables: starting costs, consumer lists and seeds cut to the
+mask. Each entry of either is a pure function of its key, so a call's
+value depends only on the state, and threads can share an evaluator.
 """
 
 from __future__ import annotations
@@ -62,27 +66,41 @@ class DeleteRelaxationHeuristic:
                 if n == 0
                 for f in index.eff_facts[a]
             ]
-        # per goal entry, its ancestor fact mask and its memo; None without a memo
-        self.projections = _goal_projections(task)
-        self.memos = None if self.projections is None else [{} for _ in self.projections]
-        # the memo-less pass's mask; per mask, the pass's starting costs
+        # per goal entry, its memo and its ancestor fact mask; None without a memo
+        projections = _goal_projections(task)
+        self.entries = None if projections is None else [({}, mask) for mask in projections]
+        # the memo-less pass's mask; per mask, the pass's starting costs,
+        # consumers and seeds
         self.all_facts = (1 << index.offsets[-1]) - 1
-        self.templates: dict[int, list[float]] = {}
+        self.tables: dict[int, tuple[list, list, list]] = {}
 
     def __call__(self, facts: int) -> float:
-        memos = self.memos
-        if memos is None:
+        entries = self.entries
+        if entries is None:
             values = self._goal_costs(facts, range(len(self.goal_facts)), self.all_facts)
         else:
-            keys = [facts & mask for mask in self.projections]
-            values = list(map(dict.get, memos, keys))
-            if None in values:
+            # one lookup per goal entry, combined as it goes; a miss raises
+            value = 0
+            try:
+                if self.add:
+                    for memo, mask in entries:
+                        value += memo[facts & mask]
+                else:
+                    for memo, mask in entries:
+                        entry = memo[facts & mask]
+                        if entry > value:
+                            value = entry
+                return value
+            except KeyError:
+                values = [memo.get(facts & mask) for memo, mask in entries]
+                # empty when another thread memoised them after the failed lookup
                 missing = [i for i, value in enumerate(values) if value is None]
-                mask = reduce(or_, map(self.projections.__getitem__, missing))
-                for i, value in zip(missing, self._goal_costs(facts, missing, mask)):
-                    values[i] = memos[i][keys[i]] = value
-        if INFINITY in values:
-            return INFINITY
+                if missing:
+                    mask = reduce(or_, [entries[i][1] for i in missing])
+                    for i, value in zip(missing, self._goal_costs(facts, missing, mask)):
+                        memo, projection = entries[i]
+                        values[i] = memo[facts & projection] = value
+        # infinity when some entry is: either combination keeps it
         return sum(values) if self.add else max(values, default=0)
 
     def _goal_costs(self, facts: int, missing: Sequence[int], mask: int) -> list[float]:
@@ -90,34 +108,40 @@ class DeleteRelaxationHeuristic:
 
         A Dijkstra pass over the facts in mask, which must hold the facts of
         those entries' variables' ancestors: an achiever of such a fact reads
-        only such facts, so the facts outside mask are never pushed. The
-        pass stops once every missing entry's goal fact is popped; a popped
-        fact is final, as every value pushed after it, zero costs included,
-        is at least its cost.
+        only such facts, so the pass runs on the mask's own actions and
+        never pushes a fact outside it. The pass stops once every missing
+        entry's goal fact is popped; a popped fact is final, as every value
+        pushed after it, zero costs included, is at least its cost.
         """
         index, goal_facts = self.index, self.goal_facts
-        template = self.templates.get(mask)
-        if template is None:
-            # 0 outside the mask: no pushed value is smaller
+        tables = self.tables.get(mask)
+        if tables is None:
+            # infinity inside the mask and 0 outside, where no pushed value is
+            # smaller; the consumers and seeds inside it, as an action reading
+            # a fact outside never fires and a seed outside lowers no cost
             template = [0] * index.offsets[-1]
             for f in ids(mask):
                 template[f] = INFINITY
-            self.templates[mask] = template
+            inside = [not bits & ~mask for bits in index.pre_bits]
+            consumers = [[a for a in c if inside[a]] for c in index.consumers]
+            seeds = [(value, f) for value, f in self.seeds if mask >> f & 1]
+            tables = self.tables[mask] = (template, consumers, seeds)
+        template, consumers, seeds = tables
         dist = template[:]
+        # every held fact costs 0, so the ascending ids already form a heap
         heap = [(0, f) for f in ids(facts & mask)]
         for _, f in heap:
             dist[f] = 0
-        heapq.heapify(heap)
         pending = {goal_facts[i] for i in missing}
 
         remaining = list(index.pre_count)
         additive = self.add
         if additive:
             acc = list(self.costs)  # running cost + sum of finalized pre facts
-        eff_facts, consumers, costs = index.eff_facts, index.consumers, self.costs
+        eff_facts, costs = index.eff_facts, self.costs
         pop, push = heapq.heappop, heapq.heappush
 
-        for value, f in self.seeds:
+        for value, f in seeds:
             if value < dist[f]:
                 dist[f] = value
                 push(heap, (value, f))

@@ -268,20 +268,21 @@ class Task:
         for i, action in enumerate(self.actions):
             if action.id != i:
                 raise InvalidTask(f"action {action.name!r} has id {action.id}, expected {i}")
-            self._check_assignment(action.precondition, f"precondition of {action.name!r}")
-            self._check_assignment(action.effect, f"effect of {action.name!r}")
+            self._check_assignment(action.precondition, "precondition of %r", action.name)
+            self._check_assignment(action.effect, "effect of %r", action.name)
             if not self.uses_metric and action.cost != 1:
                 raise InvalidTask(
                     f"action {action.name!r}: cost {action.cost} without a metric"
                 )
         object.__setattr__(self, "index", ActionIndex(self))
 
-    def _check_assignment(self, entries: Iterable[tuple[int, int]], where: str) -> None:
+    def _check_assignment(self, entries: Iterable[tuple[int, int]], where: str, *args: str) -> None:
+        # the message names `where % args`, formatted only on failure
         for var, val in entries:
             if not 0 <= var < len(self.variables):
-                raise InvalidTask(f"{where}: unknown variable {var}")
+                raise InvalidTask(f"{where % args}: unknown variable {var}")
             if not 0 <= val < self.variables[var].domain_size:
-                raise InvalidTask(f"{where}: value {val} out of domain of variable {var}")
+                raise InvalidTask(f"{where % args}: value {val} out of domain of variable {var}")
 
     @property
     def num_variables(self) -> int:

@@ -48,6 +48,11 @@ def relaxed_costs_naive(task, state, combine):
     return sum(goal) if combine == "add" else max(goal)
 
 
+def memoises(task):
+    """Whether the relaxation evaluators memoise goal-fact costs on task."""
+    return DeleteRelaxationHeuristic(task, "max").entries is not None
+
+
 def small_tasks(count, cost_mode="unit", keep=lambda task: True):
     """The first count seeds' tasks that keep accepts and whose state
     space is small enough to enumerate, with their state-space graphs."""
@@ -286,22 +291,20 @@ def assert_memo_matches_reference(task, states, order_seed=0):
                 expected = reference_relaxed_cost(task, values, combine)
                 assert evaluator(task.index.fact_set(values)) == expected
                 calls += 1
-        for mask, memo in zip(evaluator.projections or (), evaluator.memos or ()):
+        for memo, mask in evaluator.entries or ():
             assert set(memo) == {F & mask for F in fact_sets} and len(memo) <= calls
 
 
 def test_memo_matches_reference_on_random_tasks():
     for cost_mode in ("unit", "random"):
-        memoised = small_tasks(
-            50, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
-        )
+        memoised = small_tasks(50, cost_mode, memoises)
         for i, (task, graph) in enumerate(memoised):
             assert_memo_matches_reference(task, graph.states, i)
 
 
 def test_memo_matches_reference_on_two_switches():
     task = parse_sas((FIXTURES / "two_switches.sas").read_text())
-    assert DeleteRelaxationHeuristic(task, "add").memos is not None
+    assert DeleteRelaxationHeuristic(task, "add").entries is not None
     assert_memo_matches_reference(task, enumerate_state_space(task).states)
 
 
@@ -322,13 +325,13 @@ def test_memo_selection():
     for combine in ("max", "add"):
         for task in unmemoised:
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert evaluator.memos is None and evaluator.projections is None
+            assert evaluator.entries is None
         for task in memoised:
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert evaluator.memos == [{}] * len(task.goal)
+            assert [memo for memo, _ in evaluator.entries] == [{}] * len(task.goal)
             # each projection masks exactly its goal variable's ancestors' facts
             own = task.index.variable_facts
-            for (var, _), mask in zip(task.goal, evaluator.projections):
+            for (var, _), (_, mask) in zip(task.goal, evaluator.entries):
                 read_off = {v for v in range(task.num_variables) if mask & own[v]}
                 assert mask == sum(own[v] for v in read_off)
                 assert read_off == reference_ancestors(task, var)
@@ -364,7 +367,7 @@ def test_threads_share_one_memoised_evaluator():
     for found in results:
         assert [found[i] for i in range(len(states))] == expected
     # every call leaves all of its state's goal entries memoised
-    for mask, memo in zip(hmax.projections, hmax.memos):
+    for memo, mask in hmax.entries:
         assert set(memo) == {F & mask for F in states}
 
 
@@ -389,18 +392,22 @@ def assert_miss_writes_only_missing(task, states):
     for combine in ("max", "add"):
         evaluator = DeleteRelaxationHeuristic(task, combine)
         log = []
-        evaluator.memos = [RecordingMemo(i, log) for i in range(len(task.goal))]
+        # every memo read and write goes through the entries
+        evaluator.entries = [
+            (RecordingMemo(i, log), mask) for i, (_, mask) in enumerate(evaluator.entries)
+        ]
+        memos = [memo for memo, _ in evaluator.entries]
         for values in states:
             facts = task.index.fact_set(values)
-            keys = [facts & mask for mask in evaluator.projections]
-            before = [memo.get(key) for memo, key in zip(evaluator.memos, keys)]
+            keys = [facts & mask for _, mask in evaluator.entries]
+            before = [memo.get(key) for memo, key in zip(memos, keys)]
             missing = [i for i, value in enumerate(before) if value is None]
             partial += 0 < len(missing) < len(keys)
             log.clear()
             assert evaluator(facts) == reference_relaxed_cost(task, values, combine)
             assert log == [(i, keys[i]) for i in missing]
             expected = reference_goal_costs(task, values, combine)
-            for i, (memo, key) in enumerate(zip(evaluator.memos, keys)):
+            for i, (memo, key) in enumerate(zip(memos, keys)):
                 assert memo[key] == expected[i]
                 if i not in missing:
                     assert memo[key] is before[i]
@@ -418,52 +425,112 @@ def test_partial_miss_writes_only_missing_entries_on_random_tasks():
     # the random cost mode draws costs from 0-3, so zero-cost ties occur
     partial = 0
     for cost_mode in ("unit", "random"):
-        memoised = small_tasks(
-            30, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
-        )
+        memoised = small_tasks(30, cost_mode, memoises)
         for task, graph in memoised:
             partial += assert_miss_writes_only_missing(task, graph.states)
     assert partial > 100
+
+
+@cache
+def stream_walks():
+    """The first 30 memoised random-cost stream tasks with their states; most
+    have precondition-free actions and most have zero-cost ones."""
+    stream = default_task_stream(80, cost_mode="random")
+    walks = [(task, graph.states) for _, task, graph in stream if memoises(task)][:30]
+    assert len(walks) == 30
+    return tuple(walks)
+
+
+def test_pass_tables_cut_to_their_mask():
+    # every mask the walks build keeps exactly the consumers whose
+    # preconditions lie inside it, and the seeds on its facts
+    walks = logistics_evaluations() + stream_walks()
+    assert any(0 in task.index.pre_count for task, _ in walks)
+    assert any(a.cost == 0 for task, _ in walks for a in task.actions)
+    masks = dropped = cut_seeds = 0
+    for task, states in walks:
+        index = task.index
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            for values in states:
+                evaluator(index.fact_set(values))
+            for mask, (template, consumers, seeds) in evaluator.tables.items():
+                masks += 1
+                assert template == [INFINITY if mask >> f & 1 else 0 for f in range(len(template))]
+                for f, cut in enumerate(consumers):
+                    kept = [a for a in index.consumers[f] if index.pre_bits[a] | mask == mask]
+                    assert cut == kept
+                    dropped += len(index.consumers[f]) - len(kept)
+                assert seeds == [(cost, f) for cost, f in evaluator.seeds if mask >> f & 1]
+                cut_seeds += len(evaluator.seeds) - len(seeds)
+    assert masks > 100 and dropped and cut_seeds
+
+
+def test_call_with_every_entry_memoised_never_enters_the_pass(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("the pass ran on a memoised state")
+
+    for task, states in logistics_evaluations() + stream_walks():
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            expected = [evaluator(task.index.fact_set(values)) for values in states]
+            monkeypatch.setattr(evaluator, "_goal_costs", no_pass)
+            assert [evaluator(task.index.fact_set(values)) for values in states] == expected
+
+
+def watch_heaps(monkeypatch):
+    """Patch heapq's push and pop to log the relaxation pass's heaps; returns
+    (heaps, facts): each heap once, at its first push or pop, and every fact
+    ever on one. A pass builds its heap of held facts without heapq, so they
+    are all on it at its first push or pop, and no fact is missed."""
+    heaps, facts = [], []
+
+    def watch(heap):
+        if not heaps or heaps[-1] is not heap:
+            heaps.append(heap)
+            facts.extend(f for _, f in heap)
+
+    def heappush(heap, item):
+        watch(heap)
+        facts.append(item[1])
+        heappush_(heap, item)
+
+    def heappop(heap):
+        watch(heap)
+        return heappop_(heap)
+
+    heappush_, heappop_ = heapq.heappush, heapq.heappop
+    monkeypatch.setattr(heapq, "heappush", heappush)
+    monkeypatch.setattr(heapq, "heappop", heappop)
+    return heaps, facts
 
 
 def test_one_entry_miss_pushes_only_that_entrys_ancestor_facts(monkeypatch):
     # on every call that misses exactly one goal entry, every fact the pass
     # puts on its heap lies in that entry's projection; on the random tasks,
     # some actions that read only those facts also write other variables
-    pushed = []
-
-    def heapify(heap):
-        pushed.extend(f for _, f in heap)
-        heapify_(heap)
-
-    def heappush(heap, item):
-        pushed.append(item[1])
-        heappush_(heap, item)
-
-    heapify_, heappush_ = heapq.heapify, heapq.heappush
-    monkeypatch.setattr(heapq, "heapify", heapify)
-    monkeypatch.setattr(heapq, "heappush", heappush)
+    heaps, pushed = watch_heaps(monkeypatch)
     walks = [logistics_evaluations()[0]]
     for cost_mode in ("unit", "random"):
-        memoised = small_tasks(
-            30, cost_mode, lambda task: DeleteRelaxationHeuristic(task, "max").memos is not None
-        )
+        memoised = small_tasks(30, cost_mode, memoises)
         walks += [(task, graph.states) for task, graph in memoised]
     one_entry_misses = pushes = 0
     for task, states in walks:
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            projections, memos = evaluator.projections, evaluator.memos
+            entries = evaluator.entries
             for values in states:
                 facts = task.index.fact_set(values)
-                keys = [facts & mask for mask in projections]
-                missing = [i for i, (memo, key) in enumerate(zip(memos, keys)) if key not in memo]
+                missing = [i for i, (memo, mask) in enumerate(entries) if facts & mask not in memo]
+                heaps.clear()
                 pushed.clear()
                 evaluator(facts)
+                assert len(heaps) == (1 if missing else 0)
                 if len(missing) == 1:
                     one_entry_misses += 1
                     pushes += len(pushed)
-                    assert not [f for f in pushed if not projections[missing[0]] >> f & 1]
+                    projection = entries[missing[0]][1]
+                    assert not [f for f in pushed if not projection >> f & 1]
     assert one_entry_misses > 500 and pushes > one_entry_misses
 
 
@@ -489,7 +556,7 @@ def test_memo_less_pass_matches_reference():
     for k, task in enumerate(tasks):
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert evaluator.memos is None
+            assert evaluator.entries is None
             for values in sampled_states(task, 40, k):
                 expected = reference_relaxed_cost(task, values, combine)
                 assert evaluator(task.index.fact_set(values)) == expected
@@ -508,18 +575,11 @@ def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
     memoised = build(
         domains=[2, 2], actions=[("o", [(0, 0)], [(0, 1)])], initial=[0, 0], goal=[(0, 1), (1, 1)]
     )
-    heaps = []
-
-    def heapify(heap):
-        heaps.append(heap)
-        heapify_(heap)
-
-    heapify_ = heapq.heapify
-    monkeypatch.setattr(heapq, "heapify", heapify)
+    heaps, _ = watch_heaps(monkeypatch)
     for task, has_memo in ((unmemoised, False), (memoised, True)):
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert (evaluator.memos is not None) == has_memo
+            assert (evaluator.entries is not None) == has_memo
             heaps.clear()
             assert evaluator(task.index.fact_set(task.initial)) == INFINITY
             assert len(heaps) == 1 and heaps[0] == []

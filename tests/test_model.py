@@ -153,6 +153,13 @@ def test_task_validation():
         Task(v, (Action(1, "o", PA(), PA([(0, 1)])),), State((0,)), PA())
     with pytest.raises(InvalidTask):  # empty effect
         Action(0, "o", PA(), PA())
+    # an action's entries are named in the message
+    with pytest.raises(InvalidTask, match=r"^precondition of 'o': unknown variable 1$"):
+        Task(v, (Action(0, "o", PA([(1, 0)]), PA([(0, 1)])),), State((0,)), PA())
+    with pytest.raises(InvalidTask, match=r"^effect of 'o': value 2 out of domain of variable 0$"):
+        Task(v, (Action(0, "o", PA([(0, 0)]), PA([(0, 2)])),), State((0,)), PA())
+    with pytest.raises(InvalidTask, match=r"^goal: unknown variable 3$"):
+        Task(v, (act,), State((0,)), PA([(3, 0)]))
 
 
 def test_states_are_value_tuples():
