@@ -276,7 +276,9 @@ class Task:
                 )
         object.__setattr__(self, "index", ActionIndex(self))
 
-    def _check_assignment(self, entries: Iterable[tuple[int, int]], where: str, *args: str) -> None:
+    def _check_assignment(
+        self, entries: Iterable[tuple[int, int]], where: str, *args: str
+    ) -> None:
         # the message names `where % args`, formatted only on failure
         for var, val in entries:
             if not 0 <= var < len(self.variables):
