@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import oracle
 from .graphs import (
-    TIE_BREAKS,
     build_asg,
     build_causal_graph,
     build_dtg,
@@ -66,7 +65,7 @@ def _search_spec(args, por: str) -> SearchSpec:
         search=args.search,
         heuristic=args.heuristic,
         por=por,
-        config=StrategyConfig(sp_closed=args.sp_closed, strat_tie_break=args.strat_tiebreak),
+        config=StrategyConfig(sp_closed=args.sp_closed),
         limits=Limits(args.max_nodes, args.max_time, args.max_open),
     )
 
@@ -352,7 +351,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-open", type=_at_least(int, 0), default=None, help="open-list limit")
     parser.add_argument("--sp-closed", choices=SP_CLOSED_MODES, default="state")
-    parser.add_argument("--strat-tiebreak", choices=TIE_BREAKS, default="canonical")
 
 
 def build_parser() -> argparse.ArgumentParser:

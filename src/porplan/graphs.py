@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .model import Task, bit_flags, ids
 
 V0 = -1  # sentinel DTG vertex for effects without an own-variable precondition
-TIE_BREAKS = ("canonical", "distinct")  # stratify's leveling rules
 
 
 @dataclass(frozen=True)
@@ -197,34 +196,31 @@ def pdg_edges(facts: int, pdg: Sequence[int]) -> frozenset[tuple[int, int]]:
     return frozenset((i, var_of[f]) for i, mask in enumerate(pdg) for f in ids(mask))
 
 
-def stratify(task: Task, tie_break: str = "canonical") -> Stratification:
+def stratify(task: Task) -> Stratification:
     """Level the task's causal graph; same-component variables share a level.
 
-    canonical: level = 1 + longest condensation path from a source.
-    distinct: components get distinct levels 1..K ordered by canonical
-    level, ties giving earlier variables the higher level (reproduces the
-    conventional walkthrough layering on edgeless graphs).
-    An action writing x and y links them both ways, so its effect
-    variables share a level, the action's.
+    Each component first gets its canonical level, 1 + the longest
+    condensation path from a source; the components then get the distinct
+    levels 1..K in that order, ties giving earlier variables the higher
+    level (so on an edgeless graph variable 0 is the top level, as in the
+    conventional walkthrough layering). An action writing x and y links
+    them both ways, so its effect variables share a level, the action's.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie break {tie_break!r}")
     succ = _causal_successors(task)
     n = len(succ)
     # reversed, the sinks-first order lists every component after all of
     # its predecessors; members of the component itself still read 0
     components = [(comp, ids(comp)) for comp in closure_prefix_order(succ, (1 << n) - 1)][::-1]
-    variable_level = [0] * n
+    variable_level = [0] * n  # canonical levels first
     for comp, members in components:
         level = 1 + max((variable_level[u] for u, s in enumerate(succ) if s & comp), default=0)
         for v in members:
             variable_level[v] = level
-
-    if tie_break == "distinct":
-        ranked = sorted(components, key=lambda c: (variable_level[c[1][0]], -c[1][0]))
-        for pos, (_, members) in enumerate(ranked, start=1):
-            for v in members:
-                variable_level[v] = pos
+    # sorted reads every canonical level before the loop overwrites one
+    ranked = sorted(components, key=lambda c: (variable_level[c[1][0]], -c[1][0]))
+    for pos, (_, members) in enumerate(ranked, start=1):
+        for v in members:
+            variable_level[v] = pos
 
     action_level = [variable_level[action.effect.variables[0]] for action in task.actions]
     by_level = [0] * (max(action_level, default=0) + 1)

@@ -180,11 +180,12 @@ def _reordering(
     return False
 
 
-def _sp_rule(task: Task, tie_break: str) -> dict[int | None, tuple[int, ...]]:
+def _sp_rule(task: Task) -> dict[int | None, tuple[int, ...]]:
     """SP's step rule: the actions b that may follow `last` on an SP-path
     (any action first, keyed None). b may follow a iff level(b) >= level(a)
-    or eff(a) shares an entry with pre(b) or eff(b)."""
-    level = stratify(task, tie_break=tie_break).action_level
+    or eff(a) shares an entry with pre(b) or eff(b). Built on the rows,
+    apart from SpStrategy's keep table; only the levels come from stratify."""
+    level = stratify(task).action_level
     rows = _rows(task)
     rule: dict[int | None, tuple[int, ...]] = {None: tuple(range(len(rows)))}
     for a, (_, eff, _) in enumerate(rows):
@@ -427,14 +428,10 @@ def check_action_preserving(
     return report
 
 
-def check_sp_permutation(
-    task: Task,
-    horizon: int,
-    tie_break: str = "canonical",
-) -> Report:
+def check_sp_permutation(task: Task, horizon: int) -> Report:
     """Every valid path from the initial state has an SP-path permutation
     to the same state (consecutive pairs survive the level filter)."""
-    rule = _sp_rule(task, tie_break)
+    rule = _sp_rule(task)
     rows = _rows(task)
     initial = task.initial
 
@@ -455,14 +452,14 @@ def check_sp_permutation(
     return report
 
 
-def sp_reachable_values(task: Task, tie_break: str = "canonical") -> frozenset[tuple[int, ...]]:
+def sp_reachable_values(task: Task) -> frozenset[tuple[int, ...]]:
     """States reachable via SP-paths, explored exactly over
     (state, last action) pairs; closed-list policy plays no role here.
 
     Its own BFS, not `_explore`: the nodes are pairs, while the cap counts
     distinct states. Like `_explore`, it raises TooLarge when a new state
     would pass DEFAULT_MAX_STATES."""
-    rule = _sp_rule(task, tie_break)
+    rule = _sp_rule(task)
     rows = _rows(task)
     initial = task.initial
     seen_pairs: set[tuple[tuple[int, ...], int | None]] = {(initial, None)}

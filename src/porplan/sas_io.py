@@ -43,8 +43,7 @@ class UnsupportedFeature(SasError):
 
 
 class SasRangeError(SasError):
-    def __init__(self, message: str, line: int | None = None) -> None:
-        super().__init__(message, line)
+    """A variable index or value outside its declared range."""
 
 
 class _Cursor:

@@ -8,8 +8,9 @@ FullStrategy ("none") returns every applicable action (full_expansion).
 EcStrategy keeps the applicable actions that write a dependency-closed
 DTG prefix of the potential dependency graph. SacStrategy closes a
 landmark action set under ASG support and conflict rules (sac_fixpoint)
-and keeps the applicable members. SpStrategy filters the applicable set
-by causal-graph levels and the action that generated the node. Each
+and keeps the applicable members. SpStrategy keeps the applicable
+actions in the per-task table row of the action that generated the node:
+those at or above its causal-graph level, and its follow-ups. Each
 expansion set is one expression over the index's action bit masks: it
 computes the state's applicability mask once and reads the chosen ids
 out of the result once, with ids(). is_left_commutative, the syntactic
@@ -17,12 +18,12 @@ left-commutativity criterion, reads the same index conflict tables as
 SAC's closure.
 
 The none and SAC objects hold only their task, EC also its PDG table
-and SP its stratification (and, in state-level mode, its level-folding
-node_key); none of them changes after construction, so concurrent
-searches can share one. make_strategy wraps every kind but none in an
-AdaptiveStrategy, which falls back to full expansion for the rest of a
-search when the bare strategy pruned too little in the first few
-expansions after the root. It holds per-search counters, so each
+and SP its stratification and keep table (and, in state-level mode, its
+level-folding node_key); none of them changes after construction, so
+concurrent searches can share one. make_strategy wraps every kind but
+none in an AdaptiveStrategy, which falls back to full expansion for the
+rest of a search when the bare strategy pruned too little in the first
+few expansions after the root. It holds per-search counters, so each
 concurrent search needs its own wrapper.
 """
 
@@ -34,7 +35,7 @@ from itertools import compress, count
 from operator import or_
 from typing import Hashable, NamedTuple, Protocol
 
-from .graphs import TIE_BREAKS, build_pdg, closure_prefix_order, potential_masks, stratify
+from .graphs import build_pdg, closure_prefix_order, potential_masks, stratify
 from .model import State, Task, bit_flags, ids
 
 
@@ -54,13 +55,10 @@ class StrategyConfig:
     """Settings of the SP strategy; the other kinds have none."""
 
     sp_closed: str = "state"  # one of SP_CLOSED_MODES
-    strat_tie_break: str = "canonical"  # one of graphs.TIE_BREAKS
 
     def __post_init__(self) -> None:
         if self.sp_closed not in SP_CLOSED_MODES:
             raise ValueError(f"unknown closed-list mode {self.sp_closed!r}")
-        if self.strat_tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown stratification tie break {self.strat_tie_break!r}")
 
 
 class ExpansionContext(NamedTuple):
@@ -121,16 +119,6 @@ def sac_fixpoint(task: Task, facts: int, seed_mask: int, applicable: int) -> int
         new = pulled & ~members
         members |= new
     return members
-
-
-def _follow_ups(task: Task, first: int) -> int:
-    """Mask of the actions whose precondition or effect shares an entry
-    with eff(first)."""
-    index = task.index
-    mask = 0
-    for f in index.eff_facts[first]:
-        mask |= index.consumer_masks[f] | index.achiever_masks[f]
-    return mask
 
 
 def is_left_commutative(task: Task, state: State, first: int, second: int) -> bool:
@@ -227,22 +215,33 @@ class EcStrategy(ExpansionStrategy):
 
 
 class SpStrategy(ExpansionStrategy):
-    """"sp": the applicable actions, less the lower-level non-follow-ups
-    of the generating action, ascending.
+    """"sp": the applicable actions that may follow the generating action
+    on an SP-path, ascending.
 
-    At the root every applicable action is kept. The follow-up mask is
-    built only when some applicable action lies below the generating
-    action's level. In "state" mode the node key is the protocol default.
-    In "state-level" mode node_key folds in the generating action's level
-    (0 at the root); it closes over the level table, not self, so the
-    strategy holds no reference cycle.
+    b may follow a iff level(b) >= level(a) or eff(a) shares an entry with
+    pre(b) or eff(b). self.keep[a] is the mask of those b, built once per
+    task: at_or_above[level(a)] and the consumers of a's effect facts. A b
+    sharing an effect entry with a writes one of a's effect variables, so
+    it has a's level (see stratify) and needs no term of its own. At the
+    root every applicable action is kept. In "state" mode the node key is
+    the protocol default. In "state-level" mode node_key folds in the
+    generating action's level (0 at the root); it closes over the level
+    table, not self, so the strategy holds no reference cycle.
     """
 
     def __init__(self, task: Task, config: StrategyConfig) -> None:
         self.task = task
-        self.stratification = stratify(task, tie_break=config.strat_tie_break)
+        self.stratification = strat = stratify(task)
+        at_or_above, consumers = strat.at_or_above, task.index.consumer_masks
+        keep = []
+        for floor, eff in zip(strat.action_level, task.index.eff_facts):
+            row = at_or_above[floor]
+            for f in eff:
+                row |= consumers[f]
+            keep.append(row)
+        self.keep = tuple(keep)
         if config.sp_closed == "state-level":
-            level = self.stratification.action_level
+            level = strat.action_level
 
             def node_key(facts: int, generating_action: int | None) -> Hashable:
                 return (facts, 0 if generating_action is None else level[generating_action])
@@ -252,12 +251,7 @@ class SpStrategy(ExpansionStrategy):
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
         applicable = self.task.index.applicable_mask(ctx.state)
         gen = ctx.generating_action
-        if gen is not None:
-            strat = self.stratification
-            below = applicable & ~strat.at_or_above[strat.action_level[gen]]
-            if below:
-                applicable ^= below & ~_follow_ups(self.task, gen)
-        return ids(applicable)
+        return ids(applicable if gen is None else applicable & self.keep[gen])
 
 
 class SacStrategy(ExpansionStrategy):

@@ -33,7 +33,7 @@ from porplan.oracle import (
     suite_stubborn,
 )
 from porplan.sas_io import SasError
-from porplan.strategies import ExpansionContext, StrategyConfig
+from porplan.strategies import ExpansionContext
 
 from conftest import FIXTURES, build_task
 from test_sas_io import _mutate
@@ -60,10 +60,7 @@ ALL_TASKS = UNIT_TASKS + COST_TASKS
 def test_criterion_01_golden_bfs_counts():
     task = two_switches_task()
     expected = {"none": 4, "ec": 3, "sp": 4}
-    strategies = {
-        kind: make_strategy(task, kind, StrategyConfig(strat_tie_break="distinct"))
-        for kind in expected
-    }
+    strategies = {kind: make_strategy(task, kind) for kind in expected}
     for strategy in strategies.values():  # warm allocations before timing
         bfs(task, strategy)
     for kind, want in expected.items():
@@ -77,7 +74,7 @@ def test_criterion_01_golden_bfs_counts():
 def test_criterion_02_golden_expansion_sets():
     task = two_switches_task()
     ec, sac = make_bare_strategy(task, "ec"), make_bare_strategy(task, "sac")
-    sp = make_bare_strategy(task, "sp", StrategyConfig(strat_tie_break="distinct"))
+    sp = make_bare_strategy(task, "sp")
     strat = sp.stratification
     initial, one_zero = task.index.fact_set(task.initial), task.index.fact_set(State((1, 0)))
     root = ExpansionContext(initial)

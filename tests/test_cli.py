@@ -410,7 +410,6 @@ _FUZZ_OPTIONS = {
         "--max-nodes": ["0", "1", "3"],
         "--max-open": ["0", "1", "3"],
         "--sp-closed": ["state", "state-level"],
-        "--strat-tiebreak": ["canonical", "distinct"],
         "--plan-out": _FUZZ_OUTPUTS,
         "--stats-json": _FUZZ_OUTPUTS,
     },

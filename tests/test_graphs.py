@@ -19,7 +19,6 @@ from porplan import (
     stratify,
 )
 from porplan.graphs import (
-    TIE_BREAKS,
     V0,
     DTG,
     DtgEdge,
@@ -125,12 +124,10 @@ def test_stratify_enable_chain(enable_chain):
 
 
 def test_stratify_edgeless(two_switches):
-    canonical = stratify(two_switches)
-    assert canonical.variable_level == (1, 1)
-    assert canonical.action_level == (1, 1)
-    distinct = stratify(two_switches, tie_break="distinct")
-    assert distinct.variable_level == (2, 1)
-    assert distinct.action_level == (2, 1)  # L(a) > L(b)
+    # both components have canonical level 1; the earlier variable ranks higher
+    strat = stratify(two_switches)
+    assert strat.variable_level == (2, 1)
+    assert strat.action_level == (2, 1)  # L(a) > L(b)
 
 
 def test_stratify_cycle(build):
@@ -147,13 +144,12 @@ def test_stratify_cycle(build):
 def test_stratify_invariant_random():
     for task in random_tasks(30):
         cg = build_causal_graph(task)
-        for tie_break in TIE_BREAKS:
-            strat = stratify(task, tie_break)
-            for x, y in cg:
-                assert strat.variable_level[x] <= strat.variable_level[y]
-            for action in task.actions:
-                levels = {strat.variable_level[v] for v in action.effect.variables}
-                assert levels == {strat.action_level[action.id]}
+        strat = stratify(task)
+        for x, y in cg:
+            assert strat.variable_level[x] <= strat.variable_level[y]
+        for action in task.actions:
+            levels = {strat.variable_level[v] for v in action.effect.variables}
+            assert levels == {strat.action_level[action.id]}
 
 
 def test_stratify_at_or_above_matches_action_levels():
@@ -163,21 +159,19 @@ def test_stratify_at_or_above_matches_action_levels():
     for workload in BENCH_WORKLOADS:
         tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
     for task in tasks:
-        for tie_break in TIE_BREAKS:
-            strat = stratify(task, tie_break=tie_break)
-            level = strat.action_level
-            assert len(strat.at_or_above) == max(level, default=0) + 1
-            for floor, mask in enumerate(strat.at_or_above):
-                assert mask == sum(1 << a for a, x in enumerate(level) if x >= floor)
+        strat = stratify(task)
+        level = strat.action_level
+        assert len(strat.at_or_above) == max(level, default=0) + 1
+        for floor, mask in enumerate(strat.at_or_above):
+            assert mask == sum(1 << a for a, x in enumerate(level) if x >= floor)
 
 
 def test_joint_effect_shares_one_level(build):
     task = build(domains=[2, 2], actions=[("o", [], [(0, 1), (1, 1)])],
                  initial=[0, 0], goal=[(0, 1)])
     # writing both variables links them both ways: one component, one level
-    for tie_break in TIE_BREAKS:
-        strat = stratify(task, tie_break)
-        assert strat.variable_level == (1, 1) and strat.action_level == (1,)
+    strat = stratify(task)
+    assert strat.variable_level == (1, 1) and strat.action_level == (1,)
 
 
 def order_of(num_nodes, edges):
@@ -256,7 +250,8 @@ def _realised(build, n, edges):
 
 def test_condensation_matches_definition(build):
     """Pins the components, closure_prefix_order's tie-break (EC's expansion
-    sets depend on it) and the canonical and distinct stratification."""
+    sets depend on it) and the stratification: components ranked by their
+    canonical level, ties giving earlier variables the higher level."""
     graphs = [(n, edges, _realised(build, n, edges)) for n, edges in _random_digraphs(300)]
     for n, edges, task in graphs:
         assert build_causal_graph(task) == {(u, w) for u, w in edges if u != w}
@@ -266,12 +261,9 @@ def test_condensation_matches_definition(build):
         components, order, levels = _condensation_by_definition(n, edges)
         assert {frozenset(c) for c in order_of(n, edges)} == components
         assert order_of(n, edges) == order
-        assert stratify(task).variable_level == tuple(levels)
         ranked = sorted(components, key=lambda c: (levels[min(c)], -min(c)))
         distinct = {v: pos for pos, c in enumerate(ranked, start=1) for v in c}
-        assert stratify(task, "distinct").variable_level == tuple(
-            distinct[v] for v in range(n)
-        )
+        assert stratify(task).variable_level == tuple(distinct[v] for v in range(n))
 
 
 def test_closure_prefix_order_is_closed():

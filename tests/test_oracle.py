@@ -16,7 +16,6 @@ from porplan import (
     make_strategy,
     oracle,
 )
-from porplan.graphs import TIE_BREAKS
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
@@ -163,23 +162,21 @@ def test_suites_check_bare_strategies(two_switches):
 
 
 def test_sp_permutation_two_switches(two_switches):
-    report = check_sp_permutation(two_switches, horizon=4, tie_break="distinct")
+    report = check_sp_permutation(two_switches, horizon=4)
     assert report.ok and report.checked > 0
-    # the task stream, at suite_sp's horizon, under both tie breaks
-    for tie_break in TIE_BREAKS:
-        checked = 0
-        for seed, task, _ in STREAM_30:
-            report = check_sp_permutation(task, horizon=5, tie_break=tie_break)
-            assert report.ok, (seed, tie_break, report.violations)
-            checked += report.checked
-        assert checked > 0
+    # the task stream, at suite_sp's horizon
+    checked = 0
+    for seed, task, _ in STREAM_30:
+        report = check_sp_permutation(task, horizon=5)
+        assert report.ok, (seed, report.violations)
+        checked += report.checked
+    assert checked > 0
 
 
 def test_sp_reachability(two_switches):
     cases = [(None, two_switches, enumerate_state_space(two_switches))] + STREAM_30
-    for tie_break in TIE_BREAKS:
-        for seed, task, graph in cases:
-            assert sp_reachable_values(task, tie_break) == frozenset(graph.states), seed
+    for seed, task, graph in cases:
+        assert sp_reachable_values(task) == frozenset(graph.states), seed
 
 
 def test_sp_reachable_values_honours_the_state_cap(build, monkeypatch):
@@ -361,8 +358,8 @@ def test_suite_counts_pinned():
 def test_sp_suite_reports_mirrored_levels(monkeypatch):
     real = oracle.stratify
 
-    def mirrored(task, tie_break="canonical"):
-        strat = real(task, tie_break=tie_break)
+    def mirrored(task):
+        strat = real(task)
         top = max(strat.action_level, default=0)
         return dataclasses.replace(
             strat, action_level=tuple(top + 1 - level for level in strat.action_level)

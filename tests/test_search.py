@@ -27,10 +27,6 @@ from porplan.strategies import ExpansionStrategy, StrategyConfig
 from conftest import FIXTURES, perfbench_corpus
 
 
-def distinct(task, kind):
-    return make_strategy(task, kind, StrategyConfig(strat_tie_break="distinct"))
-
-
 def tasks_with_graphs(count, **kw):
     out = []
     seed = 0
@@ -77,14 +73,14 @@ def test_gbfs(two_switches):
     assert result.outcome == SOLVED and result.plan.cost == 2
 
     result = gbfs(
-        two_switches, make_heuristic(two_switches, "goalcount"), distinct(two_switches, "sp")
+        two_switches, make_heuristic(two_switches, "goalcount"), make_strategy(two_switches, "sp")
     )
     assert result.outcome == SOLVED and result.expanded == 4
 
 
 def test_bfs_golden_counts(two_switches):
     for kind, expanded in [("none", 4), ("ec", 3), ("sp", 4), ("sac", 3)]:
-        result = bfs(two_switches, distinct(two_switches, kind))
+        result = bfs(two_switches, make_strategy(two_switches, kind))
         assert result.outcome == SOLVED
         assert result.plan.cost == 2
         assert result.expanded == expanded, kind
@@ -238,41 +234,34 @@ def test_resource_limits(two_switches):
             assert result.plan is None
 
 
-# (fixture, strategy, sp_closed, strat_tie_break, outcome, expanded,
-#  generated, peak open, plan steps) of bfs
+# (fixture, strategy, sp_closed, outcome, expanded, generated, peak open,
+#  plan steps) of bfs
 BFS_PINNED = [
-    ("enable_chain.sas", "none", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "ec", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state", "canonical", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state", "distinct", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state-level", "canonical", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state-level", "distinct", SOLVED, 3, 3, 1, (0, 1)),
-    ("support_chain.sas", "none", "state", "canonical", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "ec", "state", "canonical", SOLVED, 4, 3, 2, (1, 0)),
-    ("support_chain.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (1, 0)),
-    ("support_chain.sas", "sp", "state", "canonical", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "sp", "state", "distinct", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "sp", "state-level", "canonical", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "sp", "state-level", "distinct", SOLVED, 4, 4, 3, (1, 0)),
-    ("two_switches.sas", "none", "state", "canonical", SOLVED, 4, 4, 2, (0, 1)),
-    ("two_switches.sas", "ec", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
-    ("two_switches.sas", "sac", "state", "canonical", SOLVED, 3, 2, 1, (0, 1)),
-    ("two_switches.sas", "sp", "state", "canonical", SOLVED, 4, 4, 2, (0, 1)),
-    ("two_switches.sas", "sp", "state", "distinct", SOLVED, 4, 3, 2, (1, 0)),
-    ("two_switches.sas", "sp", "state-level", "canonical", SOLVED, 4, 4, 2, (0, 1)),
-    ("two_switches.sas", "sp", "state-level", "distinct", SOLVED, 4, 3, 2, (1, 0)),
+    ("enable_chain.sas", "none", "state", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "ec", "state", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sac", "state", SOLVED, 3, 2, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sp", "state-level", SOLVED, 3, 3, 1, (0, 1)),
+    ("support_chain.sas", "none", "state", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "ec", "state", SOLVED, 4, 3, 2, (1, 0)),
+    ("support_chain.sas", "sac", "state", SOLVED, 3, 2, 1, (1, 0)),
+    ("support_chain.sas", "sp", "state", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "sp", "state-level", SOLVED, 4, 4, 3, (1, 0)),
+    ("two_switches.sas", "none", "state", SOLVED, 4, 4, 2, (0, 1)),
+    ("two_switches.sas", "ec", "state", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sac", "state", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sp", "state", SOLVED, 4, 3, 2, (1, 0)),
+    ("two_switches.sas", "sp", "state-level", SOLVED, 4, 3, 2, (1, 0)),
 ]
 
 
 def test_bfs_pinned_counts():
-    for name, kind, mode, tie_break, outcome, expanded, generated, peak, steps in BFS_PINNED:
+    for name, kind, mode, outcome, expanded, generated, peak, steps in BFS_PINNED:
         task = parse_sas((FIXTURES / name).read_text())
-        config = StrategyConfig(sp_closed=mode, strat_tie_break=tie_break)
-        result = bfs(task, make_strategy(task, kind, config))
+        result = bfs(task, make_strategy(task, kind, StrategyConfig(sp_closed=mode)))
         row = (result.outcome, result.expanded, result.generated, result.peak_open_size)
-        assert row == (outcome, expanded, generated, peak), (name, kind, mode, tie_break)
-        assert result.plan.steps == steps, (name, kind, mode, tie_break)
+        assert row == (outcome, expanded, generated, peak), (name, kind, mode)
+        assert result.plan.steps == steps, (name, kind, mode)
 
 
 def test_counters_and_plan_validity():
@@ -362,10 +351,7 @@ def test_reduction_linear_on_independent_switches(build):
 
 def test_sp_closed_list_modes(two_switches):
     for mode in ("state", "state-level"):
-        strategy = make_strategy(
-            two_switches, "sp",
-            StrategyConfig(sp_closed=mode, strat_tie_break="distinct"),
-        )
+        strategy = make_strategy(two_switches, "sp", StrategyConfig(sp_closed=mode))
         result = bfs(two_switches, strategy)
         assert result.outcome == SOLVED and result.plan.cost == 2
         assert result.expanded == 4
@@ -390,7 +376,7 @@ def test_sp_state_level_counts_at_benchmark_size():
     text = perfbench_corpus().instances("logistics-astar-hmax", 1)[0].text
     task = parse_sas(text)
     heuristic = make_heuristic(task, "hmax")
-    expected = {"state": (519, 3_266, 710, 19), "state-level": (839, 5_278, 908, 19)}
+    expected = {"state": (509, 2_198, 629, 19), "state-level": (1_042, 4_860, 1_103, 19)}
     for mode, row in expected.items():
         strategy = make_strategy(task, "sp", StrategyConfig(sp_closed=mode))
         result = astar(task, heuristic, strategy)

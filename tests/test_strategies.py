@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import weakref
+from collections import deque
 
 import pytest
 
@@ -22,6 +23,9 @@ from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 from porplan.oracle import (
     RandomTaskSpec,
     TooLarge,
+    _applicable,
+    _rows,
+    _sp_rule,
     brute_force_optimal_cost,
     default_task_stream,
     enumerate_state_space,
@@ -40,7 +44,6 @@ from porplan.strategies import (
     InvalidPath,
     NoUnachievedGoal,
     StrategyConfig,
-    _follow_ups,
     sac_fixpoint,
 )
 
@@ -341,7 +344,7 @@ def test_ec_single_scc(build):
 
 def test_sp_filter(two_switches, enable_chain):
     # the states' applicable sets: {a, b} at the root, {b} after a, {a} after b
-    sp = make_bare_strategy(two_switches, "sp", StrategyConfig(strat_tie_break="distinct"))
+    sp = make_bare_strategy(two_switches, "sp")
     facts = two_switches.index.fact_set
     root = ExpansionContext(facts(two_switches.initial), None)
     assert sp.expansion(root) == (0, 1)
@@ -354,40 +357,68 @@ def test_sp_filter(two_switches, enable_chain):
     chain_sp = make_bare_strategy(enable_chain, "sp")
     chain_strat = chain_sp.stratification
     assert chain_strat.action_level == (2, 1)
-    assert _follow_ups(enable_chain, 0) >> 1 & 1
+    assert chain_sp.keep[0] >> 1 & 1
     ctx = ExpansionContext(enable_chain.index.fact_set(State((0, 1, 2))), 0)
     assert chain_sp.expansion(ctx) == (0, 1)
 
 
-def test_follow_up_matches_pairwise_definition(build):
-    # eff(first) shares an entry with pre(second) or with eff(second); in
-    # `same` the only shared entry is an effect of both
+def test_sp_matches_oracle_rule(build):
+    # b may follow a iff level(b) >= level(a) or eff(a) shares an entry with
+    # pre(b) or eff(b); in `same` the only shared entry is an effect of both,
+    # which puts p and q on one level
     same = build(
         domains=[2, 2],
         actions=[("p", [(1, 0)], [(0, 1)]), ("q", [(1, 1)], [(0, 1)])],
         initial=[0, 0],
         goal=[(0, 1)],
     )
-    assert _follow_ups(same, 0) >> 1 & 1 and _follow_ups(same, 1) >> 0 & 1
+    sp = make_bare_strategy(same, "sp")
+    assert sp.keep[0] >> 1 & 1 and sp.keep[1] >> 0 & 1
     tasks = [same] + [parse_sas(path.read_text()) for path in sorted(FIXTURES.glob("*.sas"))]
-    tasks += [task for _, task, _ in default_task_stream(60)]
-    for task in tasks:
-        sp = make_bare_strategy(task, "sp")
-        level = sp.stratification.action_level
-        everything = tuple(range(len(task.actions)))
-        for a in task.actions:
-            eff = set(a.effect.entries)
-            expected = [
-                not eff.isdisjoint(b.precondition.entries + b.effect.entries)
-                for b in task.actions
-            ]
-            assert [bool(_follow_ups(task, a.id) >> b & 1) for b in everything] == expected
-            # the empty fact set pins no variable, so every action passes the
-            # applicability mask and the filter sees them all
-            ctx = ExpansionContext(0, a.id)
-            assert sp.expansion(ctx) == tuple(
-                b for b in everything if level[b] >= level[a.id] or expected[b]
-            )
+    cases = [(task, enumerate_state_space(task)) for task in tasks]
+    cases += [(task, graph) for _, task, graph in default_task_stream(60)]
+    for task, graph in cases:
+        sp, rule, rows = make_bare_strategy(task, "sp"), _sp_rule(task), _rows(task)
+        fact_set = task.index.fact_set
+        # every reachable state with every action that reaches it, and the root
+        arrivals = [(graph.states[0], None)] + [
+            (graph.states[t], a) for out in graph.successors for a, t in out
+        ]
+        for values, gen in arrivals:
+            expected = tuple(_applicable(values, rows, rule[gen]))
+            assert sp.expansion(ExpansionContext(fact_set(values), gen)) == expected
+        # the empty fact set pins no variable, so every action passes the
+        # applicability mask and each row of the table is compared whole
+        for a in range(len(task.actions)):
+            assert sp.expansion(ExpansionContext(0, a)) == rule[a]
+
+
+def _sp_closed_by_state(task):
+    """The fact sets a BFS reaches under bare SP with a closed list keyed
+    by state alone: each state keeps the generating action of its first
+    arrival."""
+    sp, index = make_bare_strategy(task, "sp"), task.index
+    start = index.fact_set(task.initial)
+    seen, queue = {start}, deque([(start, None)])
+    while queue:
+        facts, gen = queue.popleft()
+        for a in sp.expansion(ExpansionContext(facts, gen)):
+            succ = facts & index.keep[a] | index.adds[a]
+            if succ not in seen:
+                seen.add(succ)
+                queue.append((succ, a))
+    return seen
+
+
+def test_sp_state_closed_list_reaches_every_state():
+    # SP-paths reach every state, but a state-keyed closed list keeps one
+    # generating action per state; it still reaches them all on the stream
+    for cost_mode, total in (("unit", 1_655), ("random", 1_647)):
+        stream = default_task_stream(200, cost_mode=cost_mode)
+        for seed, task, graph in stream:
+            reached = _sp_closed_by_state(task)
+            assert reached == set(map(task.index.fact_set, graph.states)), (cost_mode, seed)
+        assert sum(len(graph.states) for _, _, graph in stream) == total, cost_mode
 
 
 def test_is_left_commutative(two_switches, enable_chain, build):
