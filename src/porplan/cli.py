@@ -271,15 +271,22 @@ _BENCH_FIELDS = (
 )
 
 
-def _bench_one(job: tuple[str, SearchSpec]) -> dict:
-    path, spec = job
-    row = dict.fromkeys(_BENCH_FIELDS)
-    row.update(instance=Path(path).stem, strategy=spec.por)
+def _bench_file(job: tuple[str, list[SearchSpec]]) -> list[dict]:
+    """One row per search spec for one file, which is read and parsed once."""
+    path, specs = job
+    rows = [dict.fromkeys(_BENCH_FIELDS) for _ in specs]
+    for row, spec in zip(rows, specs):
+        row.update(instance=Path(path).stem, strategy=spec.por)
     try:
-        row.update(_result_fields(solve(parse_sas(Path(path).read_text()), spec)))
+        task = parse_sas(Path(path).read_text())
     except (OSError, SasError, ValueError) as exc:
-        row.update(outcome="error", error=str(exc))
-    return row
+        return [{**row, "outcome": "error", "error": str(exc)} for row in rows]
+    for row, spec in zip(rows, specs):
+        try:
+            row.update(_result_fields(solve(task, spec)))
+        except (OSError, SasError, ValueError) as exc:  # e.g. bfs on metric costs
+            row.update(outcome="error", error=str(exc))
+    return rows
 
 
 def cmd_bench(args) -> int:
@@ -290,17 +297,13 @@ def cmd_bench(args) -> int:
     for s in strategies:
         if s not in KINDS:
             raise _InputError(f"unknown strategy {s!r}")
-    files = sorted(directory.glob("*.sas"))
-    jobs = [
-        (str(path), _search_spec(args, strategy))
-        for path in files
-        for strategy in strategies
-    ]
+    specs = [_search_spec(args, strategy) for strategy in strategies]
+    jobs = [(str(path), specs) for path in sorted(directory.glob("*.sas"))]
     if args.workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_bench_one, jobs))
+            rows = [row for file_rows in pool.map(_bench_file, jobs) for row in file_rows]
     else:
-        rows = [_bench_one(job) for job in jobs]
+        rows = [row for job in jobs for row in _bench_file(job)]
     order = {s: i for i, s in enumerate(strategies)}
     rows.sort(key=lambda r: (r["instance"], order[r["strategy"]]))
 

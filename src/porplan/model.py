@@ -70,21 +70,22 @@ class Variable:
 
 @dataclass(frozen=True)
 class PartialAssignment:
-    """A set of (variable, value) entries, at most one entry per variable."""
+    """A set of (variable, value) entries, at most one entry per variable,
+    sorted. Entries are walked one by one only when dict() merges some."""
 
     entries: tuple[tuple[int, int], ...]
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_var: dict[int, int] = {}
-        for var, val in self.entries:
-            if by_var.get(var, val) != val:
-                raise InvalidTask(
-                    f"variable {var} assigned both {by_var[var]} and {val}"
-                )
-            by_var[var] = val
+        entries = tuple(self.entries)
+        by_var = dict(entries)
+        if len(by_var) != len(entries):  # a variable twice: raise unless equal
+            first: dict[int, int] = {}
+            for var, val in entries:
+                if first.setdefault(var, val) != val:
+                    raise InvalidTask(f"variable {var} assigned both {first[var]} and {val}")
         object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
-        object.__setattr__(self, "variables", tuple(v for v, _ in self.entries))
+        object.__setattr__(self, "variables", tuple(sorted(by_var)))
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> PartialAssignment:
@@ -199,13 +200,15 @@ class ActionIndex:
         off = self.offsets = tuple(accumulate((v.domain_size for v in variables), initial=0))
         var_of = [v for v, var in enumerate(variables) for _ in range(var.domain_size)]
         self.variable_facts = own = tuple([(1 << b) - (1 << a) for a, b in zip(off, off[1:])])
-        self.pre_facts = tuple([tuple([off[v] + x for v, x in a.precondition]) for a in actions])
-        eff_facts = tuple([tuple([off[v] + x for v, x in a.effect]) for a in actions])
+        self.pre_facts = tuple(
+            [tuple([off[v] + x for v, x in a.precondition.entries]) for a in actions]
+        )
+        eff_facts = tuple([tuple([off[v] + x for v, x in a.effect.entries]) for a in actions])
         self.eff_facts, self.pre_count = eff_facts, tuple(map(len, self.pre_facts))
         self.pre_bits, self.adds = _masks(self.pre_facts), _masks(eff_facts)
         every = (1 << off[-1]) - 1  # the mask of all facts
         self.keep = tuple([every ^ sum(map(own.__getitem__, a.effect.variables)) for a in actions])
-        self.goal_bits = sum(1 << off[v] + x for v, x in task.goal)
+        self.goal_bits = sum(1 << off[v] + x for v, x in task.goal.entries)
         self.goal_variable_facts = sum(own[v] for v in task.goal.variables)
         self.consumers = _inverse(off[-1], self.pre_facts)
         self.consumer_masks = needs = _masks(self.consumers)
@@ -244,6 +247,8 @@ class Task:
 
     The optimization preference is fixed to summed action cost; with
     uses_metric off every action costs 1 and plan cost equals plan length.
+    An action's entries are tested against the set of valid (variable,
+    value) pairs at once, and walked one by one only to word an error.
     """
 
     variables: tuple[Variable, ...]
@@ -265,26 +270,26 @@ class Task:
             raise InvalidTask("initial state length differs from variable count")
         self._check_assignment(enumerate(self.initial), "initial state")
         self._check_assignment(self.goal, "goal")
+        facts = {(v, x) for v, var in enumerate(self.variables) for x in range(var.domain_size)}
         for i, action in enumerate(self.actions):
             if action.id != i:
                 raise InvalidTask(f"action {action.name!r} has id {action.id}, expected {i}")
-            self._check_assignment(action.precondition, "precondition of %r", action.name)
-            self._check_assignment(action.effect, "effect of %r", action.name)
+            pre, eff = action.precondition.entries, action.effect.entries
+            if not (facts.issuperset(pre) and facts.issuperset(eff)):
+                self._check_assignment(pre, f"precondition of {action.name!r}")
+                self._check_assignment(eff, f"effect of {action.name!r}")
             if not self.uses_metric and action.cost != 1:
                 raise InvalidTask(
                     f"action {action.name!r}: cost {action.cost} without a metric"
                 )
         object.__setattr__(self, "index", ActionIndex(self))
 
-    def _check_assignment(
-        self, entries: Iterable[tuple[int, int]], where: str, *args: str
-    ) -> None:
-        # the message names `where % args`, formatted only on failure
+    def _check_assignment(self, entries: Iterable[tuple[int, int]], where: str) -> None:
         for var, val in entries:
             if not 0 <= var < len(self.variables):
-                raise InvalidTask(f"{where % args}: unknown variable {var}")
+                raise InvalidTask(f"{where}: unknown variable {var}")
             if not 0 <= val < self.variables[var].domain_size:
-                raise InvalidTask(f"{where % args}: value {val} out of domain of variable {var}")
+                raise InvalidTask(f"{where}: value {val} out of domain of variable {var}")
 
     @property
     def num_variables(self) -> int:

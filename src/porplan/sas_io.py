@@ -7,6 +7,11 @@ operators, axiom count. Operator prevail conditions and pre/post
 pairs are merged into precondition/effect assignments; a pre value of -1
 contributes no precondition entry. Axioms and conditional effects are
 rejected.
+
+The reader walks the lines by index. Names and keywords are stripped;
+integer lines go to int() as they are, which skips the same outer
+whitespace but U+001F (a text holding it is stripped first). An n-line
+text that ends early fails at line n + 1, naming the item expected.
 """
 
 from __future__ import annotations
@@ -46,189 +51,176 @@ class SasRangeError(SasError):
     """A variable index or value outside its declared range."""
 
 
-class _Cursor:
-    """Line cursor with 1-based positions for error reporting."""
-
-    def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self, expected: str) -> str:
-        if self.pos >= len(self.lines):
-            raise SasSyntaxError(len(self.lines) + 1, expected)
-        line = self.lines[self.pos].strip()
-        self.pos += 1
-        return line
-
-    @property
-    def line_no(self) -> int:
-        return self.pos  # number of the line just consumed
-
-    def expect(self, literal: str) -> None:
-        if self.next(repr(literal)) != literal:
-            raise SasSyntaxError(self.line_no, repr(literal))
-
-    def read_int(self, what: str, low: int | None = None) -> int:
-        token = self.next(what)
-        try:
-            value = int(token)
-        except ValueError:
-            raise SasSyntaxError(self.line_no, what) from None
-        if low is not None and value < low:
-            raise SasSyntaxError(self.line_no, f"{what} of at least {low}")
-        return value
-
-    def read_ints(self, count: int, what: str) -> tuple[int, ...]:
-        tokens = self.next(what).split()
-        try:
-            values = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise SasSyntaxError(self.line_no, what) from None
-        if len(values) != count:
-            raise SasSyntaxError(self.line_no, what)
-        return values
+def _int(lines: list[str], pos: int, what: str, low: int | None = None) -> int:
+    """The integer on line pos, at least low when given."""
+    try:
+        value = int(lines[pos])
+    except IndexError:
+        raise SasSyntaxError(len(lines), what) from None
+    except ValueError:
+        raise SasSyntaxError(pos, what) from None
+    if low is not None and value < low:
+        raise SasSyntaxError(pos, f"{what} of at least {low}")
+    return value
 
 
-def _check_fact(cursor: _Cursor, variables: tuple[Variable, ...], var: int, val: int) -> None:
-    if not 0 <= var < len(variables):
-        raise SasRangeError(f"variable index {var} out of range", cursor.line_no)
-    if not 0 <= val < variables[var].domain_size:
-        raise SasRangeError(
-            f"value {val} out of domain of variable {var}", cursor.line_no
-        )
+def _word(lines: list[str], pos: int, what: str) -> str:
+    """Line pos, stripped: a name or a keyword."""
+    try:
+        return lines[pos].strip()
+    except IndexError:
+        raise SasSyntaxError(len(lines), what) from None
+
+
+def _expect(lines: list[str], pos: int, literal: str) -> None:
+    if _word(lines, pos, repr(literal)) != literal:
+        raise SasSyntaxError(pos, repr(literal))
+
+
+def _pair(lines: list[str], pos: int, what: str, sizes: list[int]) -> tuple[int, int]:
+    """The variable-value pair on line pos, a fact of the task."""
+    try:
+        var, val = map(int, lines[pos].split())
+    except IndexError:
+        raise SasSyntaxError(len(lines), what) from None
+    except ValueError:
+        raise SasSyntaxError(pos, what) from None
+    if not 0 <= var < len(sizes):
+        raise SasRangeError(f"variable index {var} out of range", pos)
+    if not 0 <= val < sizes[var]:
+        raise SasRangeError(f"value {val} out of domain of variable {var}", pos)
+    return var, val
 
 
 def parse_sas(text: str) -> Task:
     """Parse a complete .sas document into a Task."""
-    c = _Cursor(text)
+    # lines[i] is line i of the text, lines[0] a blank stand-in; pos is the
+    # number of the line read last
+    lines = ["", *text.splitlines()]
+    if "\x1f" in text:  # outer whitespace to strip() but not to int()
+        lines = [line.strip() for line in lines]
 
-    c.expect("begin_version")
-    version = c.read_int("a version number")
-    if version != 3:
-        raise UnsupportedVersion(version, c.line_no)
-    c.expect("end_version")
+    _expect(lines, 1, "begin_version")
+    if (version := _int(lines, 2, "a version number")) != 3:
+        raise UnsupportedVersion(version, 2)
+    _expect(lines, 3, "end_version")
 
-    c.expect("begin_metric")
-    metric = c.read_int("a metric flag")
-    if metric not in (0, 1):
-        raise SasSyntaxError(c.line_no, "a metric flag of 0 or 1")
-    c.expect("end_metric")
+    _expect(lines, 4, "begin_metric")
+    if (metric := _int(lines, 5, "a metric flag")) not in (0, 1):
+        raise SasSyntaxError(5, "a metric flag of 0 or 1")
+    _expect(lines, 6, "end_metric")
 
-    num_vars = c.read_int("a variable count", low=0)
+    num_vars = _int(lines, pos := 7, "a variable count", 0)
     variables: list[Variable] = []
     for i in range(num_vars):
-        c.expect("begin_variable")
-        name = c.next("a variable name")
-        layer = c.read_int("an axiom layer")
-        if layer != -1:
-            raise UnsupportedFeature("axioms", c.line_no)
-        size = c.read_int("a domain size", low=1)
-        names = tuple(c.next("a value name") for _ in range(size))
-        c.expect("end_variable")
+        _expect(lines, pos + 1, "begin_variable")
+        name = _word(lines, pos + 2, "a variable name")
+        if _int(lines, pos := pos + 3, "an axiom layer") != -1:
+            raise UnsupportedFeature("axioms", pos)
+        size = _int(lines, pos := pos + 1, "a domain size", 1)
+        names = tuple([_word(lines, pos := pos + 1, "a value name") for _ in range(size)])
+        _expect(lines, pos := pos + 1, "end_variable")
         variables.append(Variable(i, name, size, names))
-    var_tuple = tuple(variables)
+    sizes = [var.domain_size for var in variables]
 
-    num_mutexes = c.read_int("a mutex group count", low=0)
-    for _ in range(num_mutexes):
-        c.expect("begin_mutex_group")
-        size = c.read_int("a mutex group size", low=0)
-        for _ in range(size):
-            var, val = c.read_ints(2, "a variable-value pair")
-            _check_fact(c, var_tuple, var, val)
-        c.expect("end_mutex_group")
+    for _ in range(_int(lines, pos := pos + 1, "a mutex group count", 0)):
+        _expect(lines, pos + 1, "begin_mutex_group")
+        for _ in range(_int(lines, pos := pos + 2, "a mutex group size", 0)):
+            _pair(lines, pos := pos + 1, "a variable-value pair", sizes)
+        _expect(lines, pos := pos + 1, "end_mutex_group")
 
-    c.expect("begin_state")
+    _expect(lines, pos := pos + 1, "begin_state")
     initial = []
     for var in range(num_vars):
-        val = c.read_int(f"a value for variable {var}")
-        _check_fact(c, var_tuple, var, val)
+        val = _int(lines, pos := pos + 1, f"a value for variable {var}")
+        if not 0 <= val < sizes[var]:
+            raise SasRangeError(f"value {val} out of domain of variable {var}", pos)
         initial.append(val)
-    c.expect("end_state")
+    _expect(lines, pos := pos + 1, "end_state")
 
-    c.expect("begin_goal")
-    goal_count = c.read_int("a goal entry count", low=0)
+    _expect(lines, pos := pos + 1, "begin_goal")
     goal: dict[int, int] = {}
-    for _ in range(goal_count):
-        var, val = c.read_ints(2, "a goal variable-value pair")
-        _check_fact(c, var_tuple, var, val)
-        if goal.get(var, val) != val:
-            raise SasSyntaxError(c.line_no, "a single value per goal variable")
-        goal[var] = val
-    c.expect("end_goal")
+    for _ in range(_int(lines, pos := pos + 1, "a goal entry count", 0)):
+        var, val = _pair(lines, pos := pos + 1, "a goal variable-value pair", sizes)
+        if goal.setdefault(var, val) != val:
+            raise SasSyntaxError(pos, "a single value per goal variable")
+    _expect(lines, pos := pos + 1, "end_goal")
 
-    num_ops = c.read_int("an operator count", low=0)
+    # the operators, most of the text, read off lines[] inline but for the
+    # prevail pairs; what names the item read next, for the error when the
+    # text ends or its line holds no integer
+    num_ops = _int(lines, pos := pos + 1, "an operator count", 0)
     actions: list[Action] = []
     for op_id in range(num_ops):
-        c.expect("begin_operator")
-        name = c.next("an operator name")
+        what = "'begin_operator'"
+        try:
+            if lines[pos := pos + 1].strip() != "begin_operator":
+                raise SasSyntaxError(pos, what)
+            what = "an operator name"
+            name = lines[pos := pos + 1].strip()
+            what = "a prevail condition count"
+            if (count := int(lines[pos := pos + 1])) < 0:
+                raise SasSyntaxError(pos, f"{what} of at least 0")
+            pre_map: dict[int, int] = {}
+            for _ in range(count):
+                var, val = _pair(lines, pos := pos + 1, "a prevail variable-value pair", sizes)
+                if pre_map.setdefault(var, val) != val:
+                    raise SasSyntaxError(pos, "a single precondition value per variable")
+            what = "an effect count"
+            if (count := int(lines[pos := pos + 1])) < 1:
+                raise SasSyntaxError(
+                    pos, "a non-empty effect list" if count == 0 else f"{what} of at least 0"
+                )
+            what = "an effect line"
+            eff_map: dict[int, int] = {}
+            for _ in range(count):
+                tokens = lines[pos := pos + 1].split()
+                try:
+                    ints = [*map(int, tokens)]
+                except ValueError:
+                    raise SasSyntaxError(pos, "an effect line of integers") from None
+                if not ints:
+                    raise SasSyntaxError(pos, what)
+                if ints[0] != 0:
+                    raise UnsupportedFeature("conditional effects", pos)
+                if len(ints) != 4:
+                    raise SasSyntaxError(pos, "an effect line '0 var pre post'")
+                _, var, pre, post = ints
+                if not 0 <= var < num_vars:
+                    raise SasRangeError(f"variable index {var} out of range", pos)
+                if not -1 <= pre < sizes[var]:
+                    raise SasRangeError(f"pre value {pre} out of domain of variable {var}", pos)
+                if not 0 <= post < sizes[var]:
+                    raise SasRangeError(f"post value {post} out of domain of variable {var}", pos)
+                if pre != -1 and pre_map.setdefault(var, pre) != pre:
+                    raise SasSyntaxError(pos, "a single precondition value per variable")
+                if eff_map.setdefault(var, post) != post:
+                    raise SasSyntaxError(pos, "a single effect value per variable")
+            what = "an operator cost"
+            if (cost := int(lines[pos := pos + 1])) < 0:
+                raise SasSyntaxError(pos, f"{what} of at least 0")
+            what = "'end_operator'"
+            if lines[pos := pos + 1].strip() != "end_operator":
+                raise SasSyntaxError(pos, what)
+        except IndexError:
+            raise SasSyntaxError(len(lines), what) from None
+        except ValueError:
+            raise SasSyntaxError(pos, what) from None
+        precondition = PartialAssignment(tuple(pre_map.items()))
+        effect = PartialAssignment(tuple(eff_map.items()))
+        actions.append(Action(op_id, name, precondition, effect, cost if metric else 1))
 
-        num_prevail = c.read_int("a prevail condition count", low=0)
-        pre_map: dict[int, int] = {}
-        for _ in range(num_prevail):
-            var, val = c.read_ints(2, "a prevail variable-value pair")
-            _check_fact(c, var_tuple, var, val)
-            if pre_map.get(var, val) != val:
-                raise SasSyntaxError(c.line_no, "a single precondition value per variable")
-            pre_map[var] = val
-
-        num_effects = c.read_int("an effect count", low=0)
-        if num_effects == 0:
-            raise SasSyntaxError(c.line_no, "a non-empty effect list")
-        eff_map: dict[int, int] = {}
-        for _ in range(num_effects):
-            tokens = c.next("an effect line").split()
-            try:
-                ints = [int(t) for t in tokens]
-            except ValueError:
-                raise SasSyntaxError(c.line_no, "an effect line of integers") from None
-            if not ints:
-                raise SasSyntaxError(c.line_no, "an effect line")
-            if ints[0] != 0:
-                raise UnsupportedFeature("conditional effects", c.line_no)
-            if len(ints) != 4:
-                raise SasSyntaxError(c.line_no, "an effect line '0 var pre post'")
-            _, var, pre, post = ints
-            if not 0 <= var < num_vars:
-                raise SasRangeError(f"variable index {var} out of range", c.line_no)
-            dom = var_tuple[var].domain_size
-            if not -1 <= pre < dom:
-                raise SasRangeError(f"pre value {pre} out of domain of variable {var}", c.line_no)
-            if not 0 <= post < dom:
-                raise SasRangeError(f"post value {post} out of domain of variable {var}", c.line_no)
-            if pre != -1:
-                if pre_map.get(var, pre) != pre:
-                    raise SasSyntaxError(c.line_no, "a single precondition value per variable")
-                pre_map[var] = pre
-            if eff_map.get(var, post) != post:
-                raise SasSyntaxError(c.line_no, "a single effect value per variable")
-            eff_map[var] = post
-
-        cost = c.read_int("an operator cost", low=0)
-        c.expect("end_operator")
-        actions.append(
-            Action(
-                id=op_id,
-                name=name,
-                precondition=PartialAssignment.of(pre_map.items()),
-                effect=PartialAssignment.of(eff_map.items()),
-                cost=cost if metric else 1,
-            )
-        )
-
-    axiom_count = c.read_int("an axiom count", low=0)
-    if axiom_count > 0:
-        raise UnsupportedFeature("axioms", c.line_no)
-
-    while c.pos < len(c.lines):
-        if c.lines[c.pos].strip():
-            raise SasSyntaxError(c.pos + 1, "end of document")
-        c.pos += 1
+    if _int(lines, pos := pos + 1, "an axiom count", 0) > 0:
+        raise UnsupportedFeature("axioms", pos)
+    for pos in range(pos + 1, len(lines)):
+        if lines[pos].strip():
+            raise SasSyntaxError(pos, "end of document")
 
     return Task(
-        variables=var_tuple,
+        variables=tuple(variables),
         actions=tuple(actions),
         initial=tuple(initial),
-        goal=PartialAssignment.of(goal.items()),
+        goal=PartialAssignment(tuple(goal.items())),
         uses_metric=bool(metric),
     )
 

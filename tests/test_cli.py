@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import shutil
@@ -7,8 +9,8 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from porplan import cli, emit_sas, oracle, parse_sas
 from porplan.cli import main
-from porplan import emit_sas, oracle
 
 from conftest import FIXTURES, build_task
 
@@ -315,6 +317,61 @@ def test_bench_handles_unsolvable_and_broken(tmp_path):
     rows = {r["instance"]: r for r in json.loads(json_out.read_text())}
     assert rows["dead"]["outcome"] == "unsolvable"
     assert rows["broken"]["outcome"] == "error" and rows["broken"]["error"]
+
+
+# bench's CSV for the fixtures, a file that does not parse, an unsolvable
+# task and a metric task that BFS refuses, without the time_ms column
+BENCH_CSV = """\
+instance,strategy,outcome,cost,expanded,generated,error
+broken,none,error,,,,line 1: expected 'begin_version'
+broken,ec,error,,,,line 1: expected 'begin_version'
+broken,sp,error,,,,line 1: expected 'begin_version'
+broken,sac,error,,,,line 1: expected 'begin_version'
+costly,none,error,,,,bfs requires unit action costs
+costly,ec,error,,,,bfs requires unit action costs
+costly,sp,error,,,,bfs requires unit action costs
+costly,sac,error,,,,bfs requires unit action costs
+dead,none,unsolvable,,2,1,
+dead,ec,unsolvable,,2,1,
+dead,sp,unsolvable,,2,1,
+dead,sac,unsolvable,,1,0,
+enable_chain,none,solved,2,3,3,
+enable_chain,ec,solved,2,3,3,
+enable_chain,sp,solved,2,3,3,
+enable_chain,sac,solved,2,3,2,
+support_chain,none,solved,2,4,4,
+support_chain,ec,solved,2,4,3,
+support_chain,sp,solved,2,4,4,
+support_chain,sac,solved,2,3,2,
+two_switches,none,solved,2,4,4,
+two_switches,ec,solved,2,3,2,
+two_switches,sp,solved,2,4,3,
+two_switches,sac,solved,2,3,2,
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_rows_pinned(tmp_path, workers):
+    corpus = bench_corpus(tmp_path)
+    (corpus / "broken.sas").write_text("not a document\n")
+    (corpus / "dead.sas").write_text(unsolvable_text())
+    costly = build_task(domains=[2], actions=[("o", [(0, 0)], [(0, 1)], 2)], initial=[0],
+                        goal=[(0, 1)], uses_metric=True)
+    (corpus / "costly.sas").write_text(emit_sas(costly))
+    csv_out = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--search", "bfs", "--strategies", "none,ec,sp,sac",
+                 "--csv-out", str(csv_out), "--workers", workers]) == 0
+    rows = list(csv.reader(io.StringIO(csv_out.read_text())))
+    assert rows[0][6] == "time_ms"
+    assert "".join(",".join(r[:6] + r[7:]) + "\n" for r in rows) == BENCH_CSV
+
+
+def test_bench_parses_each_file_once(tmp_path, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "parse_sas", lambda text: parsed.append(text) or parse_sas(text))
+    corpus = bench_corpus(tmp_path)
+    assert main(["bench", str(corpus), "--search", "bfs", "--strategies", "none,ec,sp,sac"]) == 0
+    assert len(parsed) == 3
 
 
 def test_bench_empty_dir(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from porplan import Action, PartialAssignment, State, Task, Variable, emit_sas, parse_sas
+from porplan.model import ActionIndex
 from porplan.oracle import RandomTaskSpec, generate_random_task
 from porplan.sas_io import (
     SasError,
@@ -16,7 +19,7 @@ from porplan.sas_io import (
     UnsupportedVersion,
 )
 
-from conftest import FIXTURES
+from conftest import BENCH_WORKLOADS, FIXTURES, perfbench_corpus
 
 
 def fixture_text(name: str) -> str:
@@ -273,3 +276,64 @@ def test_parser_total_on_arbitrary_text(text):
         parse_sas(text)
     except SasError:
         pass
+
+
+# The reader's outcome on a fixed set of documents, pinned: entry i of
+# fixtures/sas_outcomes.json belongs to document i of _pinned_documents()
+# and is [error class, line, message], or ["ok", digest] with the first 16
+# hex digits of the SHA-256 of emit_sas(task). The file was written by the
+# line-cursor reader that the line-index reader replaced; it pins that
+# reader's behaviour and is never rewritten to fit a new one.
+OUTCOMES = FIXTURES / "sas_outcomes.json"
+PINNED = ("two_switches.sas", "enable_chain.sas")
+# outer whitespace on a line: int() skips all that strip() drops but U+001F,
+# and str.splitlines() breaks the line at U+000B
+PADDINGS = (" {}\t", "{}\x0b", "\x1f{}", "{}\x1f", "\xa0{}\u3000")
+
+
+def _pinned_documents():
+    """(label, text) of every pinned document, in the file's order."""
+    for name in PINNED:
+        text = fixture_text(name)
+        for cut in range(len(text) + 1):
+            yield f"{name} cut {cut}", text[:cut]
+        lines = text.splitlines()
+        for i in range(len(lines)):
+            for pad in PADDINGS:
+                padded = [*lines[:i], pad.format(lines[i]), *lines[i + 1 :]]
+                yield f"{name} line {i + 1} pad {pad!r}", "\n".join(padded) + "\n"
+        rng = random.Random(27)
+        for k in range(300):
+            yield f"{name} mutant {k}", _mutate(rng, text)
+
+
+def _outcome(text: str) -> list:
+    try:
+        task = parse_sas(text)
+    except SasError as exc:
+        return [type(exc).__name__, exc.line, str(exc)]
+    return ["ok", hashlib.sha256(emit_sas(task).encode()).hexdigest()[:16]]
+
+
+def test_pinned_outcomes_replay():
+    pinned = json.loads(OUTCOMES.read_text())
+    documents = list(_pinned_documents())
+    assert len(documents) == len(pinned)
+    differ = [
+        (label, want, got)
+        for (label, text), want in zip(documents, pinned)
+        if (got := _outcome(text)) != want
+    ]
+    assert not differ, differ[:5]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_benchmark_corpus_round_trips(workload, seed):
+    # at benchmark size, the reader gives back what the writer wrote, and
+    # the index built with the Task equals one built afresh
+    for instance in perfbench_corpus().instances(workload, seed):
+        task = parse_sas(instance.text)
+        again = parse_sas(emit_sas(task))
+        assert again == task
+        assert vars(task.index) == vars(ActionIndex(task)) == vars(again.index)
