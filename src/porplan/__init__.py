@@ -37,7 +37,6 @@ from .graphs import (
 from .strategies import (
     ExpansionContext,
     ExpansionStrategy,
-    StrategyConfig,
     full_expansion,
     is_left_commutative,
     landmark_action_set,
@@ -65,7 +64,6 @@ __all__ = [
     "SearchSpec",
     "State",
     "Stratification",
-    "StrategyConfig",
     "Task",
     "Variable",
     "applicable",

@@ -36,7 +36,7 @@ from .heuristics import HEURISTICS
 from .model import State, Task, validate_plan
 from .sas_io import SasError, parse_sas
 from .search import SEARCHES, SOLVED, UNSOLVABLE, Limits, SearchResult, SearchSpec, solve
-from .strategies import KINDS, SP_CLOSED_MODES, ExpansionContext, StrategyConfig, make_bare_strategy
+from .strategies import KINDS, ExpansionContext, make_bare_strategy
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVABLE = 1
@@ -65,7 +65,6 @@ def _search_spec(args, por: str) -> SearchSpec:
         search=args.search,
         heuristic=args.heuristic,
         por=por,
-        config=StrategyConfig(sp_closed=args.sp_closed),
         limits=Limits(args.max_nodes, args.max_time, args.max_open),
     )
 
@@ -294,13 +293,16 @@ def cmd_bench(args) -> int:
     if not directory.is_dir():
         raise _InputError(f"{directory} is not a directory")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise _InputError(f"no strategy in {args.strategies!r}")
     for s in strategies:
         if s not in KINDS:
             raise _InputError(f"unknown strategy {s!r}")
     specs = [_search_spec(args, strategy) for strategy in strategies]
     jobs = [(str(path), specs) for path in sorted(directory.glob("*.sas"))]
     if args.workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # the pool starts all of max_workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
             rows = [row for file_rows in pool.map(_bench_file, jobs) for row in file_rows]
     else:
         rows = [row for job in jobs for row in _bench_file(job)]
@@ -353,7 +355,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
         "--max-nodes", type=_at_least(int, 0), default=None, help="expansion limit"
     )
     parser.add_argument("--max-open", type=_at_least(int, 0), default=None, help="open-list limit")
-    parser.add_argument("--sp-closed", choices=SP_CLOSED_MODES, default="state")
 
 
 def build_parser() -> argparse.ArgumentParser:

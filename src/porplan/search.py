@@ -14,10 +14,10 @@ the successor under action a is F & keep[a] | adds[a], read from a row
 (pre_bits[a], keep[a], adds[a], cost) built once per search; an id
 outside the task's actions, or an action with F & pre_bits[a] !=
 pre_bits[a], raises NotApplicable; and the goal test is F & goal_bits ==
-goal_bits. The strategy's node_key of F is the duplicate-detection key
-(SP may fold in the generating action's level); when the strategy keeps
-the protocol's default node_key, F is the key and node_key is never
-called. A stored node is only rewritten when a strictly smaller g
+goal_bits. The strategy's node_key of F is the duplicate-detection key;
+every strategy of the library keeps the protocol's default, so F is the
+key and node_key is never called; one that overrides it is called once
+per node. A stored node is only rewritten when a strictly smaller g
 arrives, in which case it is reopened. Under BFS's unit costs nodes pop
 in g order, so nothing is ever reopened and the first record of every
 key wins. F is the only state form the engine holds: the heuristic and
@@ -36,7 +36,7 @@ from typing import Callable, Hashable
 
 from .heuristics import INFINITY, Zero, make_heuristic
 from .model import NotApplicable, Plan, Task, plan_cost
-from .strategies import ExpansionContext, ExpansionStrategy, StrategyConfig, make_strategy
+from .strategies import ExpansionContext, ExpansionStrategy, make_strategy
 
 # heap entry per search, from a node's (g, h, insertion counter, key):
 # the search's ordering prefix, then (counter, key, g)
@@ -218,7 +218,6 @@ class SearchSpec:
     search: str = "astar"  # one of SEARCHES
     heuristic: str = "hmax"
     por: str = "none"
-    config: StrategyConfig = field(default_factory=StrategyConfig)
     limits: Limits = field(default_factory=Limits)
 
     def __post_init__(self) -> None:
@@ -228,7 +227,7 @@ class SearchSpec:
 
 def solve(task: Task, spec: SearchSpec) -> SearchResult:
     """Build the strategy (and heuristic) the spec names and run its search."""
-    strategy = make_strategy(task, spec.por, spec.config)
+    strategy = make_strategy(task, spec.por)
     if spec.search == "bfs":
         return bfs(task, strategy, spec.limits)
     heuristic = make_heuristic(task, spec.heuristic)

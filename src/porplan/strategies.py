@@ -17,19 +17,19 @@ out of the result once, with ids(). is_left_commutative, the syntactic
 left-commutativity criterion, reads the same index conflict tables as
 SAC's closure.
 
-The none and SAC objects hold only their task, EC also its PDG table
-and SP its stratification and keep table (and, in state-level mode, its
-level-folding node_key); none of them changes after construction, so
-concurrent searches can share one. make_strategy wraps every kind but
-none in an AdaptiveStrategy, which falls back to full expansion for the
-rest of a search when the bare strategy pruned too little in the first
-few expansions after the root. It holds per-search counters, so each
+Every kind is built as cls(task) and keys nodes by the protocol's
+default node_key, the fact set. The none and SAC objects hold only
+their task, EC also its PDG table and SP its stratification and keep
+table; none of them changes after construction, so concurrent searches
+can share one. make_strategy wraps every kind but none in an
+AdaptiveStrategy, which falls back to full expansion for the rest of a
+search when the bare strategy pruned too little in the first few
+expansions after the root. It holds per-search counters, so each
 concurrent search needs its own wrapper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
 from operator import or_
@@ -45,20 +45,6 @@ class NoUnachievedGoal(Exception):
 
 class InvalidPath(Exception):
     """The ordered action pair is not applicable in sequence at the state."""
-
-
-SP_CLOSED_MODES = ("state", "state-level")  # SP's duplicate-detection keys
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Settings of the SP strategy; the other kinds have none."""
-
-    sp_closed: str = "state"  # one of SP_CLOSED_MODES
-
-    def __post_init__(self) -> None:
-        if self.sp_closed not in SP_CLOSED_MODES:
-            raise ValueError(f"unknown closed-list mode {self.sp_closed!r}")
 
 
 class ExpansionContext(NamedTuple):
@@ -158,9 +144,8 @@ class ExpansionStrategy(Protocol):
     node_key only when it is overridden; with this default method it keys
     each node by facts without a call. A wrapper should copy
     inner.node_key, which keeps that shortcut; a node_key method of its
-    own is called for every node. The classes below inherit the default
-    (SP overrides it in one mode); any object with these members can
-    stand in for them.
+    own is called for every node. The classes below all inherit the
+    default; any object with these members can stand in for them.
     """
 
     task: Task
@@ -174,7 +159,7 @@ class ExpansionStrategy(Protocol):
 class FullStrategy(ExpansionStrategy):
     """"none": every applicable action."""
 
-    def __init__(self, task: Task, config: StrategyConfig) -> None:
+    def __init__(self, task: Task) -> None:
         self.task = task
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
@@ -192,7 +177,7 @@ class EcStrategy(ExpansionStrategy):
     variable, in variable order. self.table is the task's potential_masks.
     """
 
-    def __init__(self, task: Task, config: StrategyConfig) -> None:
+    def __init__(self, task: Task) -> None:
         self.task = task
         self.table = potential_masks(task)
 
@@ -223,13 +208,12 @@ class SpStrategy(ExpansionStrategy):
     task: at_or_above[level(a)] and the consumers of a's effect facts. A b
     sharing an effect entry with a writes one of a's effect variables, so
     it has a's level (see stratify) and needs no term of its own. At the
-    root every applicable action is kept. In "state" mode the node key is
-    the protocol default. In "state-level" mode node_key folds in the
-    generating action's level (0 at the root); it closes over the level
-    table, not self, so the strategy holds no reference cycle.
+    root every applicable action is kept. Nodes are keyed by their fact
+    set alone (the protocol default), so each state is one node, expanded
+    after the generating action its search record holds.
     """
 
-    def __init__(self, task: Task, config: StrategyConfig) -> None:
+    def __init__(self, task: Task) -> None:
         self.task = task
         self.stratification = strat = stratify(task)
         at_or_above, consumers = strat.at_or_above, task.index.consumer_masks
@@ -240,13 +224,6 @@ class SpStrategy(ExpansionStrategy):
                 row |= consumers[f]
             keep.append(row)
         self.keep = tuple(keep)
-        if config.sp_closed == "state-level":
-            level = strat.action_level
-
-            def node_key(facts: int, generating_action: int | None) -> Hashable:
-                return (facts, 0 if generating_action is None else level[generating_action])
-
-            self.node_key = node_key
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
         applicable = self.task.index.applicable_mask(ctx.state)
@@ -258,7 +235,7 @@ class SacStrategy(ExpansionStrategy):
     """"sac": the applicable members of the joint closure of a landmark
     action set, ascending."""
 
-    def __init__(self, task: Task, config: StrategyConfig) -> None:
+    def __init__(self, task: Task) -> None:
         self.task = task
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
@@ -293,7 +270,7 @@ class AdaptiveStrategy:
         self.inner = inner
         self.task = inner.task
         self.node_key = inner.node_key
-        self.full = FullStrategy(inner.task, StrategyConfig())
+        self.full = FullStrategy(inner.task)
         # the decided expansion, None inside the window; never a method of
         # self, so the wrapper holds no reference cycle
         self.decided = None
@@ -318,9 +295,7 @@ class AdaptiveStrategy:
         return chosen
 
 
-def make_bare_strategy(
-    task: Task, kind: str, config: StrategyConfig | None = None
-) -> ExpansionStrategy:
+def make_bare_strategy(task: Task, kind: str) -> ExpansionStrategy:
     """The strategy of the given kind, one of KINDS, bound to the task,
     without the adaptive switch-off: the object the oracle checks.
     Immutable, so concurrent searches can share it."""
@@ -328,14 +303,12 @@ def make_bare_strategy(
         cls = _STRATEGIES[kind]
     except KeyError:
         raise ValueError(f"unknown strategy kind {kind!r}") from None
-    return cls(task, config or StrategyConfig())
+    return cls(task)
 
 
-def make_strategy(
-    task: Task, kind: str, config: StrategyConfig | None = None
-) -> ExpansionStrategy:
+def make_strategy(task: Task, kind: str) -> ExpansionStrategy:
     """make_bare_strategy's object, wrapped in an AdaptiveStrategy unless
     kind is none. The wrapper holds per-search counters: build one per
     concurrent search."""
-    strategy = make_bare_strategy(task, kind, config)
+    strategy = make_bare_strategy(task, kind)
     return strategy if kind == "none" else AdaptiveStrategy(strategy)

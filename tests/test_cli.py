@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import re
 import shutil
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -198,6 +200,8 @@ def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
         ["verify", "--max-states", "0"],
         ["verify", "--seeds", "-1"],
         ["verify", "--samples", "5"],  # the option is gone
+        ["plan", "F", "--sp-closed", "state"],  # the option is gone
+        ["bench", "D", "--sp-closed", "state"],
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -387,6 +391,29 @@ def test_bench_rejects_unknown_strategy(capsys):
     assert captured.out == "" and captured.err == "error: unknown strategy 'bogus'\n"
 
 
+@pytest.mark.parametrize("strategies", [",", " "])
+def test_bench_rejects_an_empty_strategy_list(capsys, strategies):
+    assert main(["bench", str(FIXTURES), "--strategies", strategies]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: no strategy in {strategies!r}\n"
+
+
+@pytest.mark.parametrize("workers", ["2", "8", "1000000"])
+def test_bench_pool_has_at_most_one_worker_per_file(monkeypatch, workers):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker starts
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    assert main(["bench", str(FIXTURES), "--search", "bfs", "--strategies", "none",
+                 "--workers", workers]) == 0
+    assert sizes == [min(int(workers), 3)]
+
+
 def test_bench_parallel_matches_serial(tmp_path):
     corpus = bench_corpus(tmp_path)
     one = tmp_path / "one.json"
@@ -448,29 +475,38 @@ def test_inspect_dtg_json_output_is_pinned(capsys):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
-# argv fuzz for plan and inspect (verify has no run-wide time bound and
-# bench --workers starts processes). Every file name is relative to the
-# test's working directory, so no output, the default sas_plan included,
-# can land outside it.
+# argv fuzz for plan, inspect and bench (verify has no run-wide time
+# bound, and bench's --workers is left out because it starts processes).
+# Every file name is relative to the test's working directory, so no
+# output, the default sas_plan included, can land outside it.
 _FUZZ_FILES = ["two_switches.sas", "enable_chain.sas", "support_chain.sas", "mutated.sas",
                "missing.sas", ".", ""]
 _FUZZ_TARGETS = ["dtg:0", "dtg:7", "dtg:x", "cg", "strata", "bogus", "asg@initial",
                  "asg@0,0", "asg@0,0,2", "asg@1,-1", "pdg@initial", "pdg@x",
                  "expansion@initial", "expansion@1,1", "expansion@"]
+_FUZZ_DIRS = [".", "missing", "two_switches.sas"]  # bench's directory argument
 _FUZZ_OUTPUTS = ["out.txt", ".", "nodir/out.txt"]
+_FUZZ_SEARCH = {
+    "--search": ["astar", "gbfs", "bfs"],
+    "--heuristic": ["blind", "goalcount", "hmax", "hadd"],
+    "--max-time": ["0", "0.5", "inf"],
+    "--max-nodes": ["0", "1", "3"],
+    "--max-open": ["0", "1", "3"],
+}
 _FUZZ_OPTIONS = {
     "plan": {
-        "--search": ["astar", "gbfs", "bfs"],
-        "--heuristic": ["blind", "goalcount", "hmax", "hadd"],
+        **_FUZZ_SEARCH,
         "--por": ["none", "ec", "sp", "sac"],
-        "--max-time": ["0", "0.5", "inf"],
-        "--max-nodes": ["0", "1", "3"],
-        "--max-open": ["0", "1", "3"],
-        "--sp-closed": ["state", "state-level"],
         "--plan-out": _FUZZ_OUTPUTS,
         "--stats-json": _FUZZ_OUTPUTS,
     },
     "inspect": {"--out": _FUZZ_OUTPUTS},
+    "bench": {
+        **_FUZZ_SEARCH,
+        "--strategies": ["none", "sp", "ec,sac", "none,ec,sp,sac", ",", "bogus"],
+        "--csv-out": _FUZZ_OUTPUTS,
+        "--json-out": _FUZZ_OUTPUTS,
+    },
 }
 _FUZZ_BAD = ["-1", "-0.5", "nan", "x", "", "--json", "--bogus", "-h"]
 _FUZZ_STDERR = re.compile(r"(usage: |\s|error: |porplan( \w+)?: error: )")
@@ -479,7 +515,8 @@ _FUZZ_STDERR = re.compile(r"(usage: |\s|error: |porplan( \w+)?: error: )")
 @st.composite
 def _fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
-    argv = [command, draw(st.sampled_from(_FUZZ_FILES))]
+    files = _FUZZ_DIRS if command == "bench" else _FUZZ_FILES
+    argv = [command, draw(st.sampled_from(files))]
     if command == "inspect":
         argv += draw(st.lists(st.sampled_from(_FUZZ_TARGETS), max_size=3))
     options = _FUZZ_OPTIONS[command]

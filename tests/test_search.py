@@ -22,7 +22,7 @@ from porplan.oracle import (
     generate_random_task,
 )
 from porplan.search import RESOURCE_LIMIT, SOLVED, UNSOLVABLE
-from porplan.strategies import ExpansionStrategy, StrategyConfig
+from porplan.strategies import ExpansionStrategy
 
 from conftest import FIXTURES, perfbench_corpus
 
@@ -183,25 +183,22 @@ class _DelegatedKey(_CopiedKey):
 
 @pytest.mark.parametrize("workload", ["counters-bfs", "random-astar-blind"])
 def test_pass_through_wrappers_keep_the_counts(workload):
-    # the first seed-1 instance of the workload, under every kind and both
-    # SP key modes: copying node_key keeps the default-key shortcut, a
-    # delegating node_key is called per node, and both search exactly as
-    # the unwrapped strategy does
+    # the first seed-1 instance of the workload, under every kind: copying
+    # node_key keeps the default-key shortcut, a delegating node_key is
+    # called per node, and both search exactly as the unwrapped strategy does
     task = parse_sas(perfbench_corpus().instances(workload, 1)[0].text)
-    configs = [(kind, StrategyConfig()) for kind in ("none", "ec", "sp", "sac")]
-    configs.append(("sp", StrategyConfig(sp_closed="state-level")))
-    for kind, config in configs:
+    for kind in ("none", "ec", "sp", "sac"):
         rows = []
         for wrap in (lambda s: s, _CopiedKey, _DelegatedKey):
-            strategy = wrap(make_strategy(task, kind, config))
+            strategy = wrap(make_strategy(task, kind))
             if workload == "counters-bfs":
                 result = bfs(task, strategy)
             else:
                 result = astar(task, make_heuristic(task, "blind"), strategy)
             rows.append((result.expanded, result.generated, result.peak_open_size,
                          result.plan))
-        assert rows[0][3] is not None, (kind, config)
-        assert rows[1] == rows[0] and rows[2] == rows[0], (kind, config)
+        assert rows[0][3] is not None, kind
+        assert rows[1] == rows[0] and rows[2] == rows[0], kind
 
 
 def test_bfs_requires_unit_costs(build):
@@ -234,34 +231,30 @@ def test_resource_limits(two_switches):
             assert result.plan is None
 
 
-# (fixture, strategy, sp_closed, outcome, expanded, generated, peak open,
-#  plan steps) of bfs
+# (fixture, strategy, outcome, expanded, generated, peak open, plan steps) of bfs
 BFS_PINNED = [
-    ("enable_chain.sas", "none", "state", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "ec", "state", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sac", "state", SOLVED, 3, 2, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state", SOLVED, 3, 3, 1, (0, 1)),
-    ("enable_chain.sas", "sp", "state-level", SOLVED, 3, 3, 1, (0, 1)),
-    ("support_chain.sas", "none", "state", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "ec", "state", SOLVED, 4, 3, 2, (1, 0)),
-    ("support_chain.sas", "sac", "state", SOLVED, 3, 2, 1, (1, 0)),
-    ("support_chain.sas", "sp", "state", SOLVED, 4, 4, 3, (1, 0)),
-    ("support_chain.sas", "sp", "state-level", SOLVED, 4, 4, 3, (1, 0)),
-    ("two_switches.sas", "none", "state", SOLVED, 4, 4, 2, (0, 1)),
-    ("two_switches.sas", "ec", "state", SOLVED, 3, 2, 1, (0, 1)),
-    ("two_switches.sas", "sac", "state", SOLVED, 3, 2, 1, (0, 1)),
-    ("two_switches.sas", "sp", "state", SOLVED, 4, 3, 2, (1, 0)),
-    ("two_switches.sas", "sp", "state-level", SOLVED, 4, 3, 2, (1, 0)),
+    ("enable_chain.sas", "none", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "ec", SOLVED, 3, 3, 1, (0, 1)),
+    ("enable_chain.sas", "sac", SOLVED, 3, 2, 1, (0, 1)),
+    ("enable_chain.sas", "sp", SOLVED, 3, 3, 1, (0, 1)),
+    ("support_chain.sas", "none", SOLVED, 4, 4, 3, (1, 0)),
+    ("support_chain.sas", "ec", SOLVED, 4, 3, 2, (1, 0)),
+    ("support_chain.sas", "sac", SOLVED, 3, 2, 1, (1, 0)),
+    ("support_chain.sas", "sp", SOLVED, 4, 4, 3, (1, 0)),
+    ("two_switches.sas", "none", SOLVED, 4, 4, 2, (0, 1)),
+    ("two_switches.sas", "ec", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sac", SOLVED, 3, 2, 1, (0, 1)),
+    ("two_switches.sas", "sp", SOLVED, 4, 3, 2, (1, 0)),
 ]
 
 
 def test_bfs_pinned_counts():
-    for name, kind, mode, outcome, expanded, generated, peak, steps in BFS_PINNED:
+    for name, kind, outcome, expanded, generated, peak, steps in BFS_PINNED:
         task = parse_sas((FIXTURES / name).read_text())
-        result = bfs(task, make_strategy(task, kind, StrategyConfig(sp_closed=mode)))
+        result = bfs(task, make_strategy(task, kind))
         row = (result.outcome, result.expanded, result.generated, result.peak_open_size)
-        assert row == (outcome, expanded, generated, peak), (name, kind, mode)
-        assert result.plan.steps == steps, (name, kind, mode)
+        assert row == (outcome, expanded, generated, peak), (name, kind)
+        assert result.plan.steps == steps, (name, kind)
 
 
 def test_counters_and_plan_validity():
@@ -350,36 +343,28 @@ def test_reduction_linear_on_independent_switches(build):
 
 
 def test_sp_closed_list_modes(two_switches):
-    for mode in ("state", "state-level"):
-        strategy = make_strategy(two_switches, "sp", StrategyConfig(sp_closed=mode))
-        result = bfs(two_switches, strategy)
-        assert result.outcome == SOLVED and result.plan.cost == 2
-        assert result.expanded == 4
+    # SP's one closed list, keyed by the fact set
+    result = bfs(two_switches, make_strategy(two_switches, "sp"))
+    assert result.outcome == SOLVED and result.plan.cost == 2
+    assert result.expanded == 4
 
 
 def test_sp_modes_agree_on_solvability():
     for task, _ in tasks_with_graphs(25):
         optimum = brute_force_optimal_cost(task)
         heuristic = make_heuristic(task, "hmax")
-        for mode in ("state", "state-level"):
-            strategy = make_strategy(task, "sp", StrategyConfig(sp_closed=mode))
-            result = astar(task, heuristic, strategy)
-            assert result.solved == (optimum is not None), mode
-            if result.solved:
-                validate_plan(task, result.plan.steps)
+        result = astar(task, heuristic, make_strategy(task, "sp"))
+        assert result.solved == (optimum is not None)
+        if result.solved:
+            validate_plan(task, result.plan.steps)
 
 
 def test_sp_state_level_counts_at_benchmark_size():
-    # the first seed-1 logistics benchmark instance under A*+hmax: the
-    # level-folding key keeps (state, level) pairs apart, so it expands
-    # more nodes than the plain state key at the same cost
+    # the first seed-1 logistics benchmark instance under A*+hmax, with
+    # SP's closed list keyed by the fact set
     text = perfbench_corpus().instances("logistics-astar-hmax", 1)[0].text
     task = parse_sas(text)
-    heuristic = make_heuristic(task, "hmax")
-    expected = {"state": (509, 2_198, 629, 19), "state-level": (1_042, 4_860, 1_103, 19)}
-    for mode, row in expected.items():
-        strategy = make_strategy(task, "sp", StrategyConfig(sp_closed=mode))
-        result = astar(task, heuristic, strategy)
-        assert result.solved, mode
-        assert (result.expanded, result.generated, result.peak_open_size,
-                result.plan.cost) == row, mode
+    result = astar(task, make_heuristic(task, "hmax"), make_strategy(task, "sp"))
+    assert result.solved
+    assert (result.expanded, result.generated, result.peak_open_size,
+            result.plan.cost) == (509, 2_198, 629, 19)

@@ -43,7 +43,6 @@ from porplan.strategies import (
     FullStrategy,
     InvalidPath,
     NoUnachievedGoal,
-    StrategyConfig,
     sac_fixpoint,
 )
 
@@ -469,8 +468,6 @@ def test_strategy_kind_validation(two_switches):
         assert make_strategy(two_switches, kind).task is two_switches
     with pytest.raises(ValueError):
         make_strategy(two_switches, "bogus")
-    with pytest.raises(ValueError):
-        StrategyConfig(sp_closed="nope")
 
 
 def _has_default_key(strategy):
@@ -479,23 +476,14 @@ def _has_default_key(strategy):
 
 def test_sp_node_key_modes(two_switches):
     # the engine skips the node_key call exactly when the key is the
-    # protocol default: every kind, SP included, in "state" mode, and
-    # AdaptiveStrategy copies whatever its bare strategy has
+    # protocol default: every kind, SP included, keys a node by its fact
+    # set, and AdaptiveStrategy copies its bare strategy's node_key
     for kind in KINDS:
         assert _has_default_key(make_bare_strategy(two_switches, kind)), kind
         assert _has_default_key(make_strategy(two_switches, kind)), kind
     facts = two_switches.index.fact_set(two_switches.initial)
-    state_only = make_strategy(two_switches, "sp")
-    assert state_only.node_key(facts, 0) == facts == 0b0101
-    config = StrategyConfig(sp_closed="state-level")
-    leveled = make_bare_strategy(two_switches, "sp", config)
-    assert not _has_default_key(leveled)
-    key = leveled.node_key(facts, 0)
-    assert key == (facts, leveled.stratification.action_level[0])
-    assert leveled.node_key(facts, None) == (facts, 0)
-    adaptive = make_strategy(two_switches, "sp", config)
-    assert not _has_default_key(adaptive)
-    assert adaptive.node_key(facts, 0) == key
+    sp = make_strategy(two_switches, "sp")
+    assert sp.node_key(facts, 0) == sp.node_key(facts, None) == facts == 0b0101
 
 
 def test_make_strategy_wraps_every_reducing_kind(two_switches):
