@@ -237,12 +237,10 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    tasks = oracle.default_task_stream(
-        args.seeds, start=args.seed_start, max_states=args.max_states
-    )
     factory = oracle.drop_one_sac if args.inject_fault == "sac-drop" else make_bare_strategy
     chosen = set(args.suites or ["all"])
     try:
+        tasks = oracle.default_task_stream(args.seeds, start=args.seed_start)
         reports = [
             run(tasks, args, factory)
             for name, run in _SUITES.items()
@@ -349,7 +347,6 @@ def _at_least(convert, low):
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--search", choices=SEARCHES, default="astar")
     parser.add_argument("--heuristic", choices=HEURISTICS, default="hmax")
-    parser.add_argument("--por", choices=KINDS, default="none")
     parser.add_argument("--max-time", type=_at_least(float, 0), default=None, help="seconds")
     parser.add_argument(
         "--max-nodes", type=_at_least(int, 0), default=None, help="expansion limit"
@@ -367,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve one .sas file")
     p.add_argument("file")
     _add_search_options(p)
+    p.add_argument("--por", choices=KINDS, default="none")
     p.add_argument("--plan-out", default="sas_plan")
     p.add_argument("--stats-json", default=None)
     p.set_defaults(func=cmd_plan)
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_at_least(int, 0), default=200)
     p.add_argument("--seed-start", type=int, default=0)
     p.add_argument("--horizon", type=_at_least(int, 1), default=6)
-    p.add_argument("--max-states", type=_at_least(int, 1), default=oracle.DEFAULT_MAX_STATES)
     p.add_argument(
         "--suites",
         nargs="*",

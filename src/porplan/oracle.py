@@ -13,6 +13,8 @@ successor step `_successors` (over `_applicable`), the state-space BFS
 `_explore` under a given move rule, the path DFS `_paths`, the (end, multiset)
 enumeration `_multisets`, the reordering search `_reordering` under a given
 move rule, SP's step rule `_sp_rule` and the Dijkstra `_optimal_cost`.
+There is one state cap, DEFAULT_MAX_STATES, which every state enumeration
+reads when it is called and which raises TooLarge when passed.
 
 Applicability and application are re-implemented here on raw value
 tuples, deliberately on a separate code path from the model module, so a
@@ -202,11 +204,10 @@ def _explore(
     start: tuple[int, ...],
     rows: Sequence[Row],
     moves: Callable[[tuple[int, ...]], Iterable[int] | None],
-    max_states: int,
 ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], list[list[tuple[int, int]]]]:
     """Breadth-first (states, index, successors) from start; `moves(state)`
     names the actions to try there (None: all), and is called once per
-    state in BFS order. Raises TooLarge past max_states states."""
+    state in BFS order. Raises TooLarge past DEFAULT_MAX_STATES states."""
     states = [start]
     index = {start: 0}
     successors: list[list[tuple[int, int]]] = []
@@ -215,8 +216,8 @@ def _explore(
         for a, succ in _successors(values, rows, moves(values)):
             ti = index.get(succ)
             if ti is None:
-                if len(states) >= max_states:
-                    raise TooLarge(f"more than {max_states} reachable states")
+                if len(states) >= DEFAULT_MAX_STATES:
+                    raise TooLarge(f"more than {DEFAULT_MAX_STATES} reachable states")
                 ti = index[succ] = len(states)
                 states.append(succ)
             out.append((a, ti))
@@ -250,23 +251,16 @@ class StateSpaceGraph:
         return frozenset(reached)
 
 
-def enumerate_state_space(
-    task: Task,
-    max_states: int = DEFAULT_MAX_STATES,
-    root: tuple[int, ...] | None = None,
-) -> StateSpaceGraph:
-    """BFS over all applicable actions from the root (default: initial)."""
-    start = task.initial if root is None else tuple(root)
-    states, index, successors = _explore(start, _rows(task), lambda values: None, max_states)
+def enumerate_state_space(task: Task) -> StateSpaceGraph:
+    """BFS over all applicable actions from the initial state."""
+    states, index, successors = _explore(task.initial, _rows(task), lambda values: None)
     goal = frozenset(i for i, values in enumerate(states) if _applies(values, task.goal.entries))
     return StateSpaceGraph(states, index, successors, goal)
 
 
-def brute_force_optimal_cost(
-    task: Task, max_states: int = DEFAULT_MAX_STATES
-) -> int | None:
+def brute_force_optimal_cost(task: Task) -> int | None:
     """Dijkstra over the full reachable graph; None when unsolvable."""
-    return _optimal_cost(enumerate_state_space(task, max_states), _rows(task))
+    return _optimal_cost(enumerate_state_space(task), _rows(task))
 
 
 def _optimal_cost(graph: StateSpaceGraph, rows: Sequence[Row]) -> int | None:
@@ -304,7 +298,6 @@ class Report:
     name: str
     checked: int = 0
     violations: list[Violation] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -332,7 +325,6 @@ class Report:
             "ok": self.ok,
             "checked": self.checked,
             "violations": [v.to_json() for v in self.violations],
-            "notes": self.notes,
         }
 
 
@@ -341,24 +333,21 @@ def check_stubborn_conditions(
     state: Sequence[int],
     expansion: Iterable[int],
     horizon: int,
-    graph: StateSpaceGraph | None = None,
-    goal_reachable: set[tuple[int, ...]] | None = None,
+    goal_reachable: Collection[tuple[int, ...]],
 ) -> Report:
     """Check A1 and A2 for one expansion set at one state.
 
     A2: no goal-reaching action sequence of length <= horizon avoids the
     set. A1: for every sequence of outside actions followed by a member b
-    that extends to a goal (extendability judged exactly on the
-    enumerated graph), fronting b is valid and lands in the same state.
+    that extends to a goal, fronting b is valid and lands in the same
+    state. Extendability is judged exactly by `goal_reachable`: the states
+    that can reach a goal, among all those reachable from the state (as
+    in `suite_stubborn`, the states of the task's enumerated graph).
     """
     values = tuple(state)
     rows = _rows(task)
     members = sorted(set(expansion))
     outside = [a for a in range(len(rows)) if a not in members]
-    if goal_reachable is None:
-        if graph is None:
-            graph = enumerate_state_space(task, root=values)
-        goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
 
     report = Report("stubborn_conditions")
     for current, path in _paths(values, rows, horizon, outside):
@@ -398,8 +387,8 @@ def check_action_preserving(
     goal-reaching suffix); by default such a truncated witness, a reduced
     solution over a sub-multiset, is accepted. strict=True demands the
     exact multiset and final state. A reordering passes only reduced states,
-    so its moves come from `reduced_reachable_values`, which raises
-    TooLarge past DEFAULT_MAX_STATES reduced states.
+    so its moves come from `reduced_reachable_values`, which, like every
+    state enumeration here, raises TooLarge past DEFAULT_MAX_STATES states.
     """
     rows = _rows(task)
     initial = task.initial
@@ -546,19 +535,18 @@ def check_action_core_lemma(task: Task, horizon: int) -> Report:
 
 
 def default_task_stream(
-    count: int,
-    start: int = 0,
-    cost_mode: str = "unit",
-    max_states: int = DEFAULT_MAX_STATES,
+    count: int, start: int = 0, cost_mode: str = "unit"
 ) -> list[tuple[int, Task, StateSpaceGraph]]:
-    """First `count` seeds from `start` whose task fits the state cap.
+    """(seed, task, state space) for the `count` seeds from `start`.
 
     Sizes vary deterministically with the seed within the generator
-    bounds. Random-walk goals make every returned task solvable.
+    bounds, so no task has more than 6 variables of 3 values (729 states)
+    and none passes DEFAULT_MAX_STATES unless a caller lowers it, when
+    the enumeration raises TooLarge. Random-walk goals make every task
+    solvable.
     """
     out: list[tuple[int, Task, StateSpaceGraph]] = []
-    seed = start
-    while len(out) < count:
+    for seed in range(start, start + count):
         spec = RandomTaskSpec(
             seed=seed,
             num_variables=3 + seed % 4,
@@ -567,13 +555,8 @@ def default_task_stream(
             goal_size=1 + seed % 2,
             cost_mode=cost_mode,
         )
-        seed += 1
         task = generate_random_task(spec)
-        try:
-            graph = enumerate_state_space(task, max_states)
-        except TooLarge:
-            continue
-        out.append((spec.seed, task, graph))
+        out.append((seed, task, enumerate_state_space(task)))
     return out
 
 
@@ -591,7 +574,7 @@ def reduced_reachable_values(
             expansions[values] = strategy.expansion(ctx)
         return expansions.setdefault(values, ())
 
-    _explore(task.initial, _rows(task), moves, DEFAULT_MAX_STATES)
+    _explore(task.initial, _rows(task), moves)
     return expansions
 
 

@@ -197,10 +197,11 @@ def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
         ["bench", "D", "--max-nodes", "-3"],
         ["verify", "--horizon", "-3"],
         ["verify", "--horizon", "0"],
-        ["verify", "--max-states", "0"],
         ["verify", "--seeds", "-1"],
+        ["bench", "D", "--por", "sp"],  # bench takes --strategies only
         ["verify", "--samples", "5"],  # the option is gone
-        ["plan", "F", "--sp-closed", "state"],  # the option is gone
+        ["verify", "--max-states", "0"],
+        ["plan", "F", "--sp-closed", "state"],
         ["bench", "D", "--sp-closed", "state"],
     ],
 )
@@ -273,6 +274,22 @@ def test_verify_enumeration_budget_is_a_resource_limit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_verify_state_cap_is_a_resource_limit(monkeypatch, capsys):
+    # the stream's own enumeration passes a lowered cap
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_STATES", 3)
+    assert main(["verify", "--seeds", "3", "--suites", "comm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than 3 reachable states\n"
+
+
+def test_verify_seed_start(capsys):
+    assert main(["verify", "--seed-start", "30", "--seeds", "5", "--suites", "comm"]) == 0
+    [report] = json.loads(capsys.readouterr().out)["reports"]
+    expected = oracle.suite_commutativity(oracle.default_task_stream(5, start=30))
+    assert report["checked"] == expected.checked > 0
 
 
 def test_verify_zero_seeds(capsys):

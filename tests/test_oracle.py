@@ -43,6 +43,11 @@ from porplan.strategies import KINDS, AdaptiveStrategy
 STREAM_30 = default_task_stream(30)
 
 
+def goal_reachable(graph):
+    """The states of an enumerated graph from which a goal is reachable."""
+    return {graph.states[i] for i in graph.can_reach_goal()}
+
+
 def test_enumerate_two_switches(two_switches):
     graph = enumerate_state_space(two_switches)
     assert len(graph.states) == 4
@@ -63,9 +68,10 @@ def test_enumerate_enable_chain(enable_chain):
     assert set(graph.states) == {(0, 0, 2), (0, 1, 2), (0, 1, 3)}
 
 
-def test_enumerate_too_large(two_switches):
-    with pytest.raises(TooLarge):
-        enumerate_state_space(two_switches, max_states=2)
+def test_enumerate_too_large(two_switches, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_STATES", 2)
+    with pytest.raises(TooLarge, match="more than 2 reachable states"):
+        enumerate_state_space(two_switches)
 
 
 def test_brute_force_optimal(two_switches, build):
@@ -91,19 +97,21 @@ def test_brute_force_zero_cost(build):
 
 def test_stubborn_conditions_two_switches(two_switches):
     init = two_switches.initial
+    alive = goal_reachable(enumerate_state_space(two_switches))
     ok = check_stubborn_conditions(
         two_switches,
         init,
         make_bare_strategy(two_switches, "sac").expansion(
             ExpansionContext(two_switches.index.fact_set(init))
         ),
-        horizon=4,
+        4,
+        alive,
     )
     assert ok.ok
-    empty = check_stubborn_conditions(two_switches, init, [], horizon=4)
+    empty = check_stubborn_conditions(two_switches, init, [], 4, alive)
     assert {v.kind for v in empty.violations} == {"A2"}
     # at (1,0) the set {a} misses every solution, which all use b
-    wrong = check_stubborn_conditions(two_switches, State((1, 0)), [0], horizon=4)
+    wrong = check_stubborn_conditions(two_switches, State((1, 0)), [0], 4, alive)
     assert {v.kind for v in wrong.violations} == {"A2"}
 
 
@@ -112,7 +120,7 @@ def test_witnesses_capped_per_checker():
     # seed 2, thousands of them; the checker records the first five only
     [(seed, task, graph)] = default_task_stream(1, start=2)
     assert seed == 2
-    report = check_stubborn_conditions(task, task.initial, [], horizon=6, graph=graph)
+    report = check_stubborn_conditions(task, task.initial, [], 6, goal_reachable(graph))
     assert len(report.violations) == 5 and not report.ok
 
 
@@ -124,7 +132,8 @@ def test_stubborn_a1_violation(build):
         initial=[0, 0],
         goal=[(0, 1)],
     )
-    report = check_stubborn_conditions(task, task.initial, [0, 2], horizon=4)
+    alive = goal_reachable(enumerate_state_space(task))
+    report = check_stubborn_conditions(task, task.initial, [0, 2], 4, alive)
     assert any(v.kind == "A1" for v in report.violations)
 
 
@@ -189,7 +198,7 @@ def test_sp_reachable_values_honours_the_state_cap(build, monkeypatch):
     with pytest.raises(TooLarge, match="more than 3 reachable states"):
         sp_reachable_values(chain)
     with pytest.raises(TooLarge, match="more than 3 reachable states"):
-        enumerate_state_space(chain, max_states=3)
+        enumerate_state_space(chain)
 
 
 def test_path_enumeration_budget(two_switches, monkeypatch):
@@ -203,15 +212,12 @@ def test_path_enumeration_budget(two_switches, monkeypatch):
         list(oracle._paths(two_switches.initial, rows, 2))
 
 
-def test_task_stream_skips_seeds_past_the_state_cap():
-    capped = default_task_stream(3, max_states=3)
-    last = capped[-1][0]
-    # at the default cap every seed up to the last kept one fits
-    uncapped = default_task_stream(last + 1)
-    assert [seed for seed, _, _ in uncapped] == list(range(last + 1))
-    small = [(seed, task) for seed, task, graph in uncapped if len(graph.states) <= 3]
-    assert [(seed, task) for seed, task, _ in capped] == small
-    assert len(small) < len(uncapped)
+def test_task_stream_window_is_a_suffix():
+    # the stream keeps every seed, so a window starting at seed 30 is the
+    # tail of the stream from seed 0
+    window = default_task_stream(5, start=30)
+    assert [seed for seed, _, _ in window] == list(range(30, 35))
+    assert window == default_task_stream(35)[-5:]
 
 
 def test_commutativity_equivalence(two_switches):
@@ -259,7 +265,7 @@ def test_generator_deterministic():
 def test_generator_walk_goals_solvable():
     for seed in range(30):
         task = generate_random_task(RandomTaskSpec(seed=seed))
-        assert brute_force_optimal_cost(task, max_states=5000) is not None
+        assert brute_force_optimal_cost(task) is not None
 
 
 def test_generator_minimal_spec():

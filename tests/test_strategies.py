@@ -141,9 +141,8 @@ def test_landmark_set_is_a_landmark():
         if task.goal.holds_in(initial):
             continue
         landmarks = ids(landmark_action_set(task, task.index.fact_set(initial)))
-        report = check_stubborn_conditions(
-            task, initial, landmarks, horizon=6, graph=graph
-        )
+        alive = {graph.states[i] for i in graph.can_reach_goal()}
+        report = check_stubborn_conditions(task, initial, landmarks, 6, alive)
         assert not [v for v in report.violations if v.kind == "A2"]
 
 
