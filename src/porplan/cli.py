@@ -2,8 +2,8 @@
 
 Subcommands: plan (solve one file, write plan and stats), inspect (emit
 the derived graphs and per-state expansion sets), verify (seeded
-verification suites with a JSON report), bench (run a directory of
-instances under several strategies, CSV and JSON output).
+verification suites at fixed depths, JSON report), bench (run a
+directory of instances under several strategies, CSV and JSON output).
 
 Exit codes: 0 solved or clean, 1 proven unsolvable, 2 resource limit,
 3 input error (a bad or unreadable file, state, inspect target or
@@ -217,22 +217,15 @@ def cmd_inspect(args) -> int:
     return EXIT_SOLVED
 
 
-# verify's suites in report order; each runner takes (tasks, args, strategy factory)
+# verify's suites in report order; each runner takes (tasks, strategy factory)
+# and checks to the depth its oracle suite fixes
 _SUITES = {
-    "comm": lambda tasks, args, factory: oracle.suite_commutativity(tasks),
-    "stubborn": lambda tasks, args, factory: oracle.suite_stubborn(
-        tasks, horizon=args.horizon, strategy_factory=factory
-    ),
-    "optimality": lambda tasks, args, factory: oracle.suite_optimality(
-        tasks, strategy_factory=factory
-    ),
-    "sp": lambda tasks, args, factory: oracle.suite_sp(tasks, horizon=min(args.horizon, 5)),
-    "lemma": lambda tasks, args, factory: oracle.suite_lemma(
-        tasks, horizon=min(args.horizon, 5)
-    ),
-    "ap": lambda tasks, args, factory: oracle.suite_action_preserving(
-        tasks, horizon=4, strategy_factory=factory
-    ),
+    "comm": lambda tasks, factory: oracle.suite_commutativity(tasks),
+    "stubborn": oracle.suite_stubborn,
+    "optimality": oracle.suite_optimality,
+    "sp": lambda tasks, factory: oracle.suite_sp(tasks),
+    "lemma": lambda tasks, factory: oracle.suite_lemma(tasks),
+    "ap": oracle.suite_action_preserving,
 }
 
 
@@ -242,7 +235,7 @@ def cmd_verify(args) -> int:
     try:
         tasks = oracle.default_task_stream(args.seeds, start=args.seed_start)
         reports = [
-            run(tasks, args, factory)
+            run(tasks, factory)
             for name, run in _SUITES.items()
             if "all" in chosen or name in chosen
         ]
@@ -384,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded verification suites")
     p.add_argument("--seeds", type=_at_least(int, 0), default=200)
     p.add_argument("--seed-start", type=int, default=0)
-    p.add_argument("--horizon", type=_at_least(int, 1), default=6)
     p.add_argument(
         "--suites",
         nargs="*",

@@ -275,29 +275,33 @@ def closure_prefix_order(
 # DOT emission
 
 
+def _quoted(text: str) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot(name: str, nodes: list[str], edges: list[str]) -> str:
     body = "\n".join("  " + line for line in nodes + edges)
     return f"digraph {name} {{\n{body}\n}}\n"
 
 
 def dtg_to_dot(task: Task, dtg: DTG) -> str:
-    var = task.variables[dtg.variable]
-    nodes = ['"v0" [shape=diamond];']
-    nodes += [f'"{var.value_names[v]}";' for v in range(dtg.domain_size)]
+    names = [_quoted(n) for n in task.variables[dtg.variable].value_names]
+    nodes = ['"v0" [shape=diamond];'] + [f"{n};" for n in names]
     edges = []
     for e in dtg.edges:
-        src = "v0" if e.source == V0 else var.value_names[e.source]
-        dst = var.value_names[e.target]
-        label = ",".join(task.actions[a].name for a in sorted(e.actions))
-        edges.append(f'"{src}" -> "{dst}" [label="{label}"];')
+        src = '"v0"' if e.source == V0 else names[e.source]
+        label = _quoted(",".join(task.actions[a].name for a in sorted(e.actions)))
+        edges.append(f"{src} -> {names[e.target]} [label={label}];")
     return _dot(f"dtg_{dtg.variable}", nodes, edges)
 
 
 def graph_to_dot(name: str, nodes: Sequence[str], edges: Iterable[tuple[int, int]]) -> str:
     """A plain digraph: node labels by index, edges as index pairs drawn
     in sorted order."""
+    quoted = [_quoted(n) for n in nodes]
     return _dot(
         name,
-        [f'"{n}";' for n in nodes],
-        [f'"{nodes[u]}" -> "{nodes[w]}";' for u, w in sorted(edges)],
+        [f"{n};" for n in quoted],
+        [f"{quoted[u]} -> {quoted[w]};" for u, w in sorted(edges)],
     )

@@ -14,7 +14,10 @@ successor step `_successors` (over `_applicable`), the state-space BFS
 enumeration `_multisets`, the reordering search `_reordering` under a given
 move rule, SP's step rule `_sp_rule` and the Dijkstra `_optimal_cost`.
 There is one state cap, DEFAULT_MAX_STATES, which every state enumeration
-reads when it is called and which raises TooLarge when passed.
+reads when it is called and which raises TooLarge when passed. The check_*
+functions take a path depth; each suite fixes its own (stubborn 6, SP and
+the action-core lemma 5, action preservation 4), so a suite run costs a
+fixed amount per seed.
 
 Applicability and application are re-implemented here on raw value
 tuples, deliberately on a separate code path from the model module, so a
@@ -600,11 +603,10 @@ def drop_one_sac(task: Task, kind: str) -> ExpansionStrategy:
 
 def suite_stubborn(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    horizon: int = 6,
     strategy_factory=make_bare_strategy,
 ) -> Report:
-    """A1/A2 at every state an exhaustive reduced BFS expands, under sac
-    and ec."""
+    """A1/A2 to depth 6 at every state an exhaustive reduced BFS expands,
+    under sac and ec."""
     report = Report("stubborn_suite")
     for seed, task, graph in tasks:
         goal_reachable = {graph.states[i] for i in graph.can_reach_goal()}
@@ -614,7 +616,7 @@ def suite_stubborn(
                 if _applies(values, task.goal.entries):
                     continue
                 sub = check_stubborn_conditions(
-                    task, values, expansion, horizon, goal_reachable=goal_reachable
+                    task, values, expansion, 6, goal_reachable=goal_reachable
                 )
                 report.absorb(sub, seed=seed, strategy=kind)
                 report.checked += 1
@@ -657,13 +659,11 @@ def suite_optimality(
     return report
 
 
-def suite_sp(
-    tasks: Sequence[tuple[int, Task, StateSpaceGraph]], horizon: int = 5
-) -> Report:
-    """Permutation property plus reachable-set equality for SP."""
+def suite_sp(tasks: Sequence[tuple[int, Task, StateSpaceGraph]]) -> Report:
+    """Permutation property to depth 5 plus reachable-set equality for SP."""
     report = Report("sp_suite")
     for seed, task, graph in tasks:
-        report.absorb(check_sp_permutation(task, horizon), seed=seed)
+        report.absorb(check_sp_permutation(task, 5), seed=seed)
         reachable = sp_reachable_values(task)
         full = frozenset(graph.states)
         report.checked += 1
@@ -678,12 +678,11 @@ def suite_sp(
     return report
 
 
-def suite_lemma(
-    tasks: Sequence[tuple[int, Task, StateSpaceGraph]], horizon: int = 5
-) -> Report:
+def suite_lemma(tasks: Sequence[tuple[int, Task, StateSpaceGraph]]) -> Report:
+    """The action-core lemma on every path of depth <= 5."""
     report = Report("action_core_lemma_suite")
     for seed, task, _ in tasks:
-        report.absorb(check_action_core_lemma(task, horizon), seed=seed)
+        report.absorb(check_action_core_lemma(task, 5), seed=seed)
     return report
 
 
@@ -696,14 +695,13 @@ def suite_commutativity(tasks: Sequence[tuple[int, Task, StateSpaceGraph]]) -> R
 
 def suite_action_preserving(
     tasks: Sequence[tuple[int, Task, StateSpaceGraph]],
-    horizon: int = 4,
     strategy_factory=make_bare_strategy,
 ) -> Report:
-    """Action preservation under sac and ec."""
+    """Action preservation to depth 4 under sac and ec."""
     report = Report("action_preserving_suite")
     for seed, task, _ in tasks:
         for kind in ("sac", "ec"):
-            sub = check_action_preserving(task, strategy_factory(task, kind), horizon)
+            sub = check_action_preserving(task, strategy_factory(task, kind), 4)
             report.absorb(sub, seed=seed, strategy=kind)
     return report
 

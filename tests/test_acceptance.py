@@ -117,7 +117,7 @@ def test_criterion_04_optimality_preservation():
 
 def test_criterion_05_stubborn_conditions():
     start = time.perf_counter()
-    report = suite_stubborn(ALL_TASKS, horizon=6)
+    report = suite_stubborn(ALL_TASKS)
     elapsed = time.perf_counter() - start
     assert report.ok, report.violations[:3]
     assert elapsed < 120, elapsed
@@ -127,7 +127,7 @@ def test_criterion_05_stubborn_conditions():
 
 def test_criterion_06_sp_theorems():
     start = time.perf_counter()
-    report = suite_sp(ALL_TASKS, horizon=5)
+    report = suite_sp(ALL_TASKS)
     elapsed = time.perf_counter() - start
     assert report.ok, report.violations[:3]
     assert elapsed < 60, elapsed
@@ -137,7 +137,7 @@ def test_criterion_06_sp_theorems():
 
 def test_criterion_07_action_core_lemma():
     start = time.perf_counter()
-    report = suite_lemma(UNIT_TASKS, horizon=5)
+    report = suite_lemma(UNIT_TASKS)
     elapsed = time.perf_counter() - start
     assert report.ok, report.violations[:3]
     assert elapsed < 30, elapsed

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from porplan import cli, emit_sas, oracle, parse_sas
+from porplan import Variable, cli, emit_sas, oracle, parse_sas
 from porplan.cli import main
 
 from conftest import FIXTURES, build_task
@@ -203,6 +204,7 @@ def test_unwritable_output_path(tmp_path, capsys, argv, prints_first):
         ["verify", "--max-states", "0"],
         ["plan", "F", "--sp-closed", "state"],
         ["bench", "D", "--sp-closed", "state"],
+        ["verify", "--horizon", "6"],  # each suite fixes its own depth
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -492,8 +494,44 @@ def test_inspect_dtg_json_output_is_pinned(capsys):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
-# argv fuzz for plan, inspect and bench (verify has no run-wide time
-# bound, and bench's --workers is left out because it starts processes).
+_DOT_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_inspect_dot_escapes_names(tmp_path, capsys):
+    # quotes and backslashes in variable, value and action names, which
+    # emit_sas accepts, must stay inside DOT's quoted strings
+    task = build_task(
+        domains=[2, 2],
+        actions=[("a\\", [(0, 0)], [(0, 1)]), ('b"', [(0, 1)], [(1, 1)])],
+        initial=[0, 0],
+        goal=[(1, 1)],
+        names=['x"1', "x2"],
+    )
+    x1 = Variable(0, 'x"1', 2, ('x1="zero"', "x1=1"))
+    task = dataclasses.replace(task, variables=(x1, task.variables[1]))
+    f = tmp_path / "quoted.sas"
+    f.write_text(emit_sas(task))
+    expected = {
+        "cg": {'x"1', "x2"},
+        "dtg:0": {"v0", 'x1="zero"', "x1=1", "a\\"},
+        "asg@initial": {"a\\", 'b"'},
+        "pdg@initial": {'x"1', "x2"},
+    }
+    for target, names in expected.items():
+        assert main(["inspect", str(f), target]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:-2]  # inside digraph {...}
+        assert all('"' not in _DOT_QUOTED.sub("", line) for line in lines), lines
+        tokens = {
+            re.sub(r"\\(.)", r"\1", token[1:-1])
+            for line in lines
+            for token in _DOT_QUOTED.findall(line)
+        }
+        assert tokens == names, target
+
+
+# argv fuzz for every subcommand (bench's --workers is left out because it
+# starts processes). verify's suites check to fixed depths, so a run costs
+# a fixed amount per seed, and every fuzzed verify passes --seeds.
 # Every file name is relative to the test's working directory, so no
 # output, the default sas_plan included, can land outside it.
 _FUZZ_FILES = ["two_switches.sas", "enable_chain.sas", "support_chain.sas", "mutated.sas",
@@ -524,6 +562,13 @@ _FUZZ_OPTIONS = {
         "--csv-out": _FUZZ_OUTPUTS,
         "--json-out": _FUZZ_OUTPUTS,
     },
+    "verify": {
+        "--seeds": ["0", "1", "3"],
+        "--seed-start": ["0", "200", "-5"],
+        "--suites": ["all", *cli._SUITES],
+        "--inject-fault": ["none", "sac-drop"],
+        "--json-out": _FUZZ_OUTPUTS,
+    },
 }
 _FUZZ_BAD = ["-1", "-0.5", "nan", "x", "", "--json", "--bogus", "-h"]
 _FUZZ_STDERR = re.compile(r"(usage: |\s|error: |porplan( \w+)?: error: )")
@@ -532,12 +577,17 @@ _FUZZ_STDERR = re.compile(r"(usage: |\s|error: |porplan( \w+)?: error: )")
 @st.composite
 def _fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
-    files = _FUZZ_DIRS if command == "bench" else _FUZZ_FILES
-    argv = [command, draw(st.sampled_from(files))]
+    argv = [command]
+    if command != "verify":  # verify takes no positional argument
+        files = _FUZZ_DIRS if command == "bench" else _FUZZ_FILES
+        argv.append(draw(st.sampled_from(files)))
     if command == "inspect":
         argv += draw(st.lists(st.sampled_from(_FUZZ_TARGETS), max_size=3))
     options = _FUZZ_OPTIONS[command]
-    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    if command == "verify" and "--seeds" not in chosen:
+        chosen.insert(0, "--seeds")  # not the default 200 seeds, which take seconds
+    for option in chosen:
         value = draw(st.sampled_from(options[option]) | st.sampled_from(_FUZZ_BAD))
         argv += [option, value]
     return argv + draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=1))

@@ -155,7 +155,7 @@ def test_action_preserving(two_switches):
 
 def test_action_preserving_random_seeds():
     tasks = default_task_stream(25)
-    assert suite_action_preserving(tasks, horizon=4).ok
+    assert suite_action_preserving(tasks).ok
 
 
 def test_suites_check_bare_strategies(two_switches):
@@ -339,14 +339,14 @@ def test_validate_plan_matches_independent_stepper():
 
 
 def verify_suites(tasks, factory):
-    """(checked, violations) per suite, with `porplan verify`'s default parameters."""
+    """(checked, violations) per suite, as `porplan verify` runs them."""
     reports = [
         suite_commutativity(tasks),
-        suite_stubborn(tasks, horizon=6, strategy_factory=factory),
+        suite_stubborn(tasks, strategy_factory=factory),
         suite_optimality(tasks, strategy_factory=factory),
-        suite_sp(tasks, horizon=5),
-        suite_lemma(tasks, horizon=5),
-        suite_action_preserving(tasks, horizon=4, strategy_factory=factory),
+        suite_sp(tasks),
+        suite_lemma(tasks),
+        suite_action_preserving(tasks, strategy_factory=factory),
     ]
     return [(r.checked, len(r.violations)) for r in reports]
 
@@ -372,7 +372,7 @@ def test_sp_suite_reports_mirrored_levels(monkeypatch):
         )
 
     monkeypatch.setattr(oracle, "stratify", mirrored)
-    report = suite_sp(STREAM_30, horizon=5)
+    report = suite_sp(STREAM_30)
     assert not report.ok
     assert {v.kind for v in report.violations} <= {"sp_permutation", "sp_reachability"}
 
@@ -386,7 +386,7 @@ def test_commutativity_suite_reports_a_constant_criterion(monkeypatch):
 
 def test_lemma_suite_reports_seed_only_cores(monkeypatch):
     monkeypatch.setattr(oracle, "brute_force_core", lambda task, values, seed: frozenset(seed))
-    report = suite_lemma(STREAM_30, horizon=5)
+    report = suite_lemma(STREAM_30)
     assert not report.ok
     assert {v.kind for v in report.violations} == {"action_core_lemma"}
 
@@ -447,12 +447,12 @@ def test_each_reduced_expansion_set_is_computed_once():
             expected[seed, kind] = sum(not is_goal(task, values) for values in reduced)
     assert sum(expected.values()) == 845
 
-    for suite, horizon in ((suite_stubborn, 6), (suite_action_preserving, 4)):
+    for suite in (suite_stubborn, suite_action_preserving):
         made = {}
 
         def factory(task, kind):
             made[seed_of[id(task)], kind] = CountingStrategy(make_bare_strategy(task, kind))
             return made[seed_of[id(task)], kind]
 
-        assert suite(tasks, horizon=horizon, strategy_factory=factory).ok
+        assert suite(tasks, strategy_factory=factory).ok
         assert {key: s.calls for key, s in made.items()} == expected, suite.__name__
