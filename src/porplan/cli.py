@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import oracle
 from .graphs import (
+    V0,
     build_asg,
     build_causal_graph,
     build_dtg,
@@ -153,15 +154,15 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         dtg = build_dtg(task, var)
         if as_json:
             names = task.variables[var].value_names
-            label = lambda v: "v0" if v < 0 else names[v]
             return json.dumps(
                 {
                     "variable": var,
-                    "nodes": ["v0", *names],
+                    "nodes": list(names),
                     "edges": [
                         {
-                            "from": label(e.source),
-                            "to": label(e.target),
+                            # null is the V0 source, which no value name can equal
+                            "from": None if e.source == V0 else names[e.source],
+                            "to": names[e.target],
                             "actions": [task.actions[a].name for a in sorted(e.actions)],
                         }
                         for e in dtg.edges

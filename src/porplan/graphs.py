@@ -286,13 +286,15 @@ def _dot(name: str, nodes: list[str], edges: list[str]) -> str:
 
 
 def dtg_to_dot(task: Task, dtg: DTG) -> str:
-    names = [_quoted(n) for n in task.variables[dtg.variable].value_names]
-    nodes = ['"v0" [shape=diamond];'] + [f"{n};" for n in names]
+    """Value nodes by their index, labelled with the value name, so no
+    name can clash with the V0 source node "v0" or with another value."""
+    names = task.variables[dtg.variable].value_names
+    nodes = ['"v0" [shape=diamond];'] + [f"{v} [label={_quoted(n)}];" for v, n in enumerate(names)]
     edges = []
     for e in dtg.edges:
-        src = '"v0"' if e.source == V0 else names[e.source]
+        src = '"v0"' if e.source == V0 else e.source
         label = _quoted(",".join(task.actions[a].name for a in sorted(e.actions)))
-        edges.append(f"{src} -> {names[e.target]} [label={label}];")
+        edges.append(f"{src} -> {e.target} [label={label}];")
     return _dot(f"dtg_{dtg.variable}", nodes, edges)
 
 

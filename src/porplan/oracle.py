@@ -587,7 +587,6 @@ class _DropLast:
     def __init__(self, inner: ExpansionStrategy) -> None:
         self.inner = inner
         self.task = inner.task
-        self.node_key = inner.node_key
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]:
         return self.inner.expansion(ctx)[:-1]

@@ -14,14 +14,13 @@ the successor under action a is F & keep[a] | adds[a], read from a row
 (pre_bits[a], keep[a], adds[a], cost) built once per search; an id
 outside the task's actions, or an action with F & pre_bits[a] !=
 pre_bits[a], raises NotApplicable; and the goal test is F & goal_bits ==
-goal_bits. The strategy's node_key of F is the duplicate-detection key;
-every strategy of the library keeps the protocol's default, so F is the
-key and node_key is never called; one that overrides it is called once
-per node. A stored node is only rewritten when a strictly smaller g
-arrives, in which case it is reopened. Under BFS's unit costs nodes pop
-in g order, so nothing is ever reopened and the first record of every
-key wins. F is the only state form the engine holds: the heuristic and
-the strategy (ExpansionContext.state) receive it too.
+goal_bits. F is also the duplicate-detection key: a record is (g,
+parent F, generating action), keyed by F. A stored node is only
+rewritten when a strictly smaller g arrives, in which case it is
+reopened. Under BFS's unit costs nodes pop in g order, so nothing is
+ever reopened and the first record of every state wins. F is the only
+state form the engine holds: the heuristic and the strategy
+(ExpansionContext.state) receive it too.
 
 A single search run is single-threaded; concurrent runs may share a task.
 """
@@ -32,18 +31,18 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Callable
 
 from .heuristics import INFINITY, Zero, make_heuristic
 from .model import NotApplicable, Plan, Task, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, make_strategy
 
-# heap entry per search, from a node's (g, h, insertion counter, key):
-# the search's ordering prefix, then (counter, key, g)
-_PRIORITY: dict[str, Callable[[float, float, int, Hashable], tuple]] = {
-    "astar": lambda g, h, n, key: (g + h, -g, n, key, g),
-    "gbfs": lambda g, h, n, key: (h, n, key, g),
-    "bfs": lambda g, h, n, key: (n, key, g),
+# heap entry per search, from a node's (g, h, insertion counter, F):
+# the search's ordering prefix, then (counter, F, g)
+_PRIORITY: dict[str, Callable[[float, float, int, int], tuple]] = {
+    "astar": lambda g, h, n, facts: (g + h, -g, n, facts, g),
+    "gbfs": lambda g, h, n, facts: (h, n, facts, g),
+    "bfs": lambda g, h, n, facts: (n, facts, g),
 }
 SEARCHES = tuple(_PRIORITY)
 SOLVED = "solved"
@@ -73,14 +72,14 @@ class SearchResult:
         return self.outcome == SOLVED
 
 
-def _extract_plan(task: Task, records: dict, key) -> Plan:
+def _extract_plan(task: Task, records: dict, facts: int) -> Plan:
     steps: list[int] = []
     while True:
-        _, parent_key, gen_action, _ = records[key]
+        _, parent, gen_action = records[facts]
         if gen_action is None:
             break
         steps.append(gen_action)
-        key = parent_key
+        facts = parent
     steps.reverse()
     return Plan(tuple(steps), plan_cost(task, steps))
 
@@ -88,14 +87,14 @@ def _extract_plan(task: Task, records: dict, key) -> Plan:
 def _best_first(
     task: Task,
     strategy: ExpansionStrategy,
-    entry: Callable[[float, float, int, Hashable], tuple],
+    entry: Callable[[float, float, int, int], tuple],
     heuristic: Callable[[int], float],
     limits: Limits | None,
 ) -> SearchResult:
     """The engine behind astar, gbfs and bfs.
 
-    entry(g, h, n, key) builds a node's whole heap entry, its priority
-    prefix followed by (n, key, g); the running counter n breaks remaining
+    entry(g, h, n, F) builds a node's whole heap entry, its priority
+    prefix followed by (n, F, g); the running counter n breaks remaining
     ties FIFO. Limits are checked before every pop: nodes, then time,
     then memory. The action rows are keyed by id, so a miss is an id
     outside the task.
@@ -106,19 +105,16 @@ def _best_first(
     goal_bits = index.goal_bits
     rows = dict(enumerate(zip(index.pre_bits, index.keep, index.adds,
                               [action.cost for action in task.actions])))
-    node_key = strategy.node_key
-    default_key = getattr(node_key, "__func__", None) is ExpansionStrategy.node_key
     heappush, heappop = heapq.heappush, heapq.heappop
     expanded = generated = 0
     counter = itertools.count()
     root = index.fact_set(task.initial)
-    root_key = root if default_key else node_key(root, None)
-    # key -> (g, parent_key, generating_action, fact set)
-    records: dict = {root_key: (0, None, None, root)}
+    # F -> (g, parent F, generating_action)
+    records: dict = {root: (0, None, None)}
     h0 = heuristic(root)
     open_heap: list = []
     if h0 != INFINITY:
-        open_heap = [entry(0, h0, next(counter), root_key)]
+        open_heap = [entry(0, h0, next(counter), root)]
     peak_open = 0
 
     def result(outcome: str, plan: Plan | None = None, limit_kind: str | None = None):
@@ -143,13 +139,13 @@ def _best_first(
         if limits.max_open is not None and len(open_heap) > limits.max_open:
             return result(RESOURCE_LIMIT, limit_kind="memory")
         popped = heappop(open_heap)
-        key = popped[-2]
-        g, _, gen_action, facts = records[key]
+        facts = popped[-2]
+        g, _, gen_action = records[facts]
         if popped[-1] > g:
-            continue  # stale: the key was pushed again with a smaller g
+            continue  # stale: the state was pushed again with a smaller g
         expanded += 1
         if facts & goal_bits == goal_bits:
-            return result(SOLVED, _extract_plan(task, records, key))
+            return result(SOLVED, _extract_plan(task, records, facts))
         chosen = strategy.expansion(ExpansionContext(facts, gen_action))
         generated += len(chosen)
         for action_id in chosen:
@@ -161,15 +157,14 @@ def _best_first(
                 raise NotApplicable(f"action {task.actions[action_id].name!r} is not applicable")
             succ_facts = facts & keep | adds
             g2 = g + cost
-            succ_key = succ_facts if default_key else node_key(succ_facts, action_id)
-            known = records.get(succ_key)
+            known = records.get(succ_facts)
             if known is not None and g2 >= known[0]:
                 continue  # first-in wins unless strictly cheaper
             h = heuristic(succ_facts)
-            records[succ_key] = (g2, key, action_id, succ_facts)
+            records[succ_facts] = (g2, facts, action_id)
             if h == INFINITY:
                 continue  # dead in the relaxation; keep g for reopen checks
-            heappush(open_heap, entry(g2, h, next(counter), succ_key))
+            heappush(open_heap, entry(g2, h, next(counter), succ_facts))
     return result(UNSOLVABLE)
 
 

@@ -17,15 +17,14 @@ out of the result once, with ids(). is_left_commutative, the syntactic
 left-commutativity criterion, reads the same index conflict tables as
 SAC's closure.
 
-Every kind is built as cls(task) and keys nodes by the protocol's
-default node_key, the fact set. The none and SAC objects hold only
+Every kind is built as cls(task). The none and SAC objects hold only
 their task, EC also its PDG table and SP its stratification and keep
 table; none of them changes after construction, so concurrent searches
-can share one. make_strategy wraps every kind but none in an
-AdaptiveStrategy, which falls back to full expansion for the rest of a
-search when the bare strategy pruned too little in the first few
-expansions after the root. It holds per-search counters, so each
-concurrent search needs its own wrapper.
+can share one. make_strategy wraps ec and sac in an AdaptiveStrategy,
+which falls back to full expansion for the rest of a search when the
+bare strategy pruned too little in the first few expansions after the
+root. It holds per-search counters, so each concurrent search needs its
+own wrapper.
 """
 
 from __future__ import annotations
@@ -138,20 +137,16 @@ class ExpansionStrategy(Protocol):
 
     expansion(ctx) returns the action ids to apply at the node, ascending;
     it is not defined on goal states, which the search tests before
-    expanding. node_key(facts, generating_action) is the duplicate-
-    detection key of a node whose state holds the fact set facts (an int,
-    see ActionIndex), by default facts itself. The search consults
-    node_key only when it is overridden; with this default method it keys
-    each node by facts without a call. A wrapper should copy
-    inner.node_key, which keeps that shortcut; a node_key method of its
-    own is called for every node. The classes below all inherit the
-    default; any object with these members can stand in for them.
+    expanding. The search keys every node by its fact set, so task and
+    expansion are the whole protocol: any object with these two members
+    can stand in for the classes below.
     """
 
     task: Task
 
     def expansion(self, ctx: ExpansionContext) -> tuple[int, ...]: ...
 
+    # read by nothing in src/; perfbench's TracedStrategy copies it (ROADMAP item 13)
     def node_key(self, facts: int, generating_action: int | None) -> Hashable:
         return facts
 
@@ -208,9 +203,9 @@ class SpStrategy(ExpansionStrategy):
     task: at_or_above[level(a)] and the consumers of a's effect facts. A b
     sharing an effect entry with a writes one of a's effect variables, so
     it has a's level (see stratify) and needs no term of its own. At the
-    root every applicable action is kept. Nodes are keyed by their fact
-    set alone (the protocol default), so each state is one node, expanded
-    after the generating action its search record holds.
+    root every applicable action is kept. The search keys nodes by their
+    fact set alone, so each state is one node, expanded after the
+    generating action its search record holds.
     """
 
     def __init__(self, task: Task) -> None:
@@ -256,19 +251,20 @@ class AdaptiveStrategy:
     too little.
 
     For ADAPTIVE_WINDOW expansions after each search's root (the node
-    whose generating action is None; SP keeps every action there, so the
-    root is not measured) it answers with the bare strategy and sums the
-    chosen and applicable counts. If under MIN_PRUNING of the applicable
-    actions were pruned, it answers with full_expansion for the rest of
-    the search, else with the bare strategy. Every expansion set contains
-    the bare one, so A* with ec or sac stays optimal. The counters are per
-    search: one wrapper serves several searches in sequence with the same
-    results, but never two at once.
+    whose generating action is None, which is not measured) it answers
+    with the bare strategy and sums the chosen and applicable counts. If
+    under MIN_PRUNING of the applicable actions were pruned, it answers
+    with full_expansion for the rest of the search, else with the bare
+    strategy. Every expansion set contains the bare one, so A* with ec or
+    sac stays optimal. The counters are per search: one wrapper serves
+    several searches in sequence with the same results, but never two at
+    once.
     """
 
     def __init__(self, inner: ExpansionStrategy) -> None:
         self.inner = inner
         self.task = inner.task
+        # read by nothing in src/; perfbench's TracedStrategy copies it (ROADMAP item 13)
         self.node_key = inner.node_key
         self.full = FullStrategy(inner.task)
         # the decided expansion, None inside the window; never a method of
@@ -307,8 +303,9 @@ def make_bare_strategy(task: Task, kind: str) -> ExpansionStrategy:
 
 
 def make_strategy(task: Task, kind: str) -> ExpansionStrategy:
-    """make_bare_strategy's object, wrapped in an AdaptiveStrategy unless
-    kind is none. The wrapper holds per-search counters: build one per
-    concurrent search."""
+    """make_bare_strategy's object, wrapped in an AdaptiveStrategy if kind
+    is ec or sac. SP's expansion set costs one AND more than none's, so
+    the switch-off has nothing to save there. The wrapper holds per-search
+    counters: build one per concurrent search."""
     strategy = make_bare_strategy(task, kind)
-    return strategy if kind == "none" else AdaptiveStrategy(strategy)
+    return AdaptiveStrategy(strategy) if kind in ("ec", "sac") else strategy

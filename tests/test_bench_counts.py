@@ -90,8 +90,8 @@ def test_counts_match_newest_bench_file():
 
 def test_adaptive_switch_off_keeps_counters_counts():
     # ec and sac prune about two thirds of the applicable actions on
-    # counters and sp about three quarters, so the switch-off must leave
-    # every count as the bare strategies have it
+    # counters, so the switch-off must leave every count as the bare
+    # strategies have it
     corpus = perfbench_corpus()
     adaptive = _corpus_counts(corpus, "counters-bfs")
     assert adaptive == _corpus_counts(corpus, "counters-bfs", make_bare_strategy)

@@ -113,7 +113,35 @@ def test_inspect_causal_graph(two_switches_file, capsys):
 def test_inspect_dtg(two_switches_file, capsys):
     assert main(["inspect", str(two_switches_file), "dtg:0"]) == 0
     out = capsys.readouterr().out
-    assert '"v0"' in out and '"x1=0" -> "x1=1" [label="a"]' in out
+    assert '"v0" [shape=diamond]' in out and '0 [label="x1=0"]' in out
+    assert '0 -> 1 [label="a"]' in out
+
+
+def test_inspect_dtg_keeps_v0_apart_from_a_value_named_v0(tmp_path, capsys):
+    # a value named v0 beside the V0 source of a precondition-free action:
+    # DOT names value nodes by index and JSON names the V0 source null
+    task = build_task(
+        domains=[2],
+        actions=[("free", [], [(0, 1)]), ("step", [(0, 0)], [(0, 1)])],
+        initial=[0],
+        goal=[(0, 1)],
+    )
+    x = dataclasses.replace(task.variables[0], value_names=("v0", "v1"))
+    f = tmp_path / "v0_value.sas"
+    f.write_text(emit_sas(dataclasses.replace(task, variables=(x,))))
+    assert main(["inspect", str(f), "dtg:0"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:-2]  # inside digraph {...}
+    assert lines == [
+        '  "v0" [shape=diamond];',
+        '  0 [label="v0"];',
+        '  1 [label="v1"];',
+        '  "v0" -> 1 [label="free"];',
+        '  0 -> 1 [label="step"];',
+    ]
+    assert main(["inspect", str(f), "dtg:0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nodes"] == ["v0", "v1"]
+    assert [(e["from"], e["to"]) for e in payload["edges"]] == [(None, "v1"), ("v0", "v1")]
 
 
 def test_inspect_expansions(two_switches_file, capsys):
@@ -480,17 +508,17 @@ def test_inspect_dtg_output_is_pinned(capsys):
     assert capsys.readouterr().out == (
         "digraph dtg_0 {\n"
         '  "v0" [shape=diamond];\n'
-        '  "x1=0";\n'
-        '  "x1=1";\n'
-        '  "x1=0" -> "x1=1" [label="a"];\n'
+        '  0 [label="x1=0"];\n'
+        '  1 [label="x1=1"];\n'
+        '  0 -> 1 [label="a"];\n'
         "}\n\n"
     )
 
 
 def test_inspect_dtg_json_output_is_pinned(capsys):
     assert main(["inspect", str(FIXTURES / "enable_chain.sas"), "dtg:1", "--json"]) == 0
-    edges = [{"from": "v0", "to": "x2=1", "actions": ["a"]}]
-    payload = {"variable": 1, "nodes": ["v0", "x2=0", "x2=1"], "edges": edges}
+    edges = [{"from": None, "to": "x2=1", "actions": ["a"]}]
+    payload = {"variable": 1, "nodes": ["x2=0", "x2=1"], "edges": edges}
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 

@@ -745,7 +745,8 @@ def test_ec_prefix_tie_break_and_chain(build):
 
 def test_dot_emission(two_switches):
     dot = dtg_to_dot(two_switches, build_dtg(two_switches, 0))
-    assert "v0" in dot and '"x1=0" -> "x1=1"' in dot and 'label="a"' in dot
+    assert '"v0" [shape=diamond]' in dot and '0 [label="x1=0"]' in dot
+    assert '0 -> 1 [label="a"]' in dot
     names = [v.name for v in two_switches.variables]
     cg_dot = graph_to_dot("causal_graph", names, build_causal_graph(two_switches))
     assert '"x1"' in cg_dot and "->" not in cg_dot.split("\n", 1)[1].replace("digraph", "")

@@ -164,8 +164,8 @@ def test_task_validation():
 
 def test_states_are_value_tuples():
     # off the search path a state is its value tuple; on it, the strategy
-    # (ctx.state), node_key and the heuristic receive the int fact_set of
-    # the node's values
+    # (ctx.state) and the heuristic receive the int fact_set of the node's
+    # values
     task = parse_sas((FIXTURES / "enable_chain.sas").read_text())
     assert type(task.initial) is tuple
     action = next(a for a in task.actions if applicable(task.initial, a))
@@ -183,15 +183,11 @@ def test_states_are_value_tuples():
 
         def __init__(self, inner, heuristic):
             self.inner, self.task, self.heuristic = inner, inner.task, heuristic
-            self.seen, self.keyed, self.evaluated = [], [], []
+            self.seen, self.evaluated = [], []
 
         def expansion(self, ctx):
             self.seen.append(ctx.state)
             return self.inner.expansion(ctx)
-
-        def node_key(self, facts, generating_action):
-            self.keyed.append(facts)
-            return self.inner.node_key(facts, generating_action)
 
         def evaluate(self, state):
             self.evaluated.append(state)
@@ -201,10 +197,10 @@ def test_states_are_value_tuples():
         recording = Recording(make_strategy(task, kind), make_heuristic(task, "hmax"))
         assert astar(task, recording.evaluate, recording).solved
         assert recording.seen and recording.evaluated
-        received = recording.seen + recording.evaluated + recording.keyed
+        received = recording.seen + recording.evaluated
         assert {type(facts) for facts in received} == {int}
         assert set(received) <= fact_sets
-        assert recording.seen[0] == recording.evaluated[0] == recording.keyed[0] == initial
+        assert recording.seen[0] == recording.evaluated[0] == initial
 
     v = (Variable(0, "x", 2),)
     act = Action(0, "o", PA([(0, 0)]), PA([(0, 1)]))

@@ -405,7 +405,6 @@ class CountingStrategy:
     def __init__(self, inner):
         self.inner = inner
         self.task = inner.task
-        self.node_key = inner.node_key
         self.calls = 0
 
     def expansion(self, ctx):

@@ -136,69 +136,35 @@ def test_engine_rejects_out_of_range_action_ids(two_switches, search, action_id)
         _run(search, two_switches, _Returns(two_switches, (action_id,)))
 
 
-class _OwnKey(ExpansionStrategy):
-    """Full expansion under a node_key of its own that counts its calls."""
-
-    def __init__(self, task):
-        self.task, self.inner, self.keyed = task, make_strategy(task, "none"), []
-
-    def expansion(self, ctx):
-        return self.inner.expansion(ctx)
-
-    def node_key(self, facts, generating_action):
-        self.keyed.append((facts, generating_action))
-        return facts
-
-
-@pytest.mark.parametrize("search", ["astar", "gbfs", "bfs"])
-def test_engine_calls_an_overridden_node_key_per_node(search):
-    task = parse_sas((FIXTURES / "support_chain.sas").read_text())
-    strategy = _OwnKey(task)
-    result = _run(search, task, strategy)
-    assert result.solved
-    assert len(strategy.keyed) == 1 + result.generated
-    assert strategy.keyed[0] == (task.index.fact_set(task.initial), None)
-    assert all(gen is not None for _, gen in strategy.keyed[1:])
-
-
-class _CopiedKey:
-    """A pass-through wrapper that copies inner.node_key."""
-
-    def __init__(self, inner):
-        self.inner, self.task, self.node_key = inner, inner.task, inner.node_key
-
-    def expansion(self, ctx):
-        return self.inner.expansion(ctx)
-
-
-class _DelegatedKey(_CopiedKey):
-    """A pass-through wrapper whose own node_key delegates to inner's."""
+class _PassThrough:
+    """A wrapper with only the protocol's two members, task and expansion."""
 
     def __init__(self, inner):
         self.inner, self.task = inner, inner.task
 
-    def node_key(self, facts, generating_action):
-        return self.inner.node_key(facts, generating_action)
+    def expansion(self, ctx):
+        return self.inner.expansion(ctx)
 
 
-@pytest.mark.parametrize("workload", ["counters-bfs", "random-astar-blind"])
-def test_pass_through_wrappers_keep_the_counts(workload):
-    # the first seed-1 instance of the workload, under every kind: copying
-    # node_key keeps the default-key shortcut, a delegating node_key is
-    # called per node, and both search exactly as the unwrapped strategy does
-    task = parse_sas(perfbench_corpus().instances(workload, 1)[0].text)
-    for kind in ("none", "ec", "sp", "sac"):
-        rows = []
-        for wrap in (lambda s: s, _CopiedKey, _DelegatedKey):
-            strategy = wrap(make_strategy(task, kind))
-            if workload == "counters-bfs":
-                result = bfs(task, strategy)
-            else:
-                result = astar(task, make_heuristic(task, "blind"), strategy)
-            rows.append((result.expanded, result.generated, result.peak_open_size,
-                         result.plan))
-        assert rows[0][3] is not None, kind
-        assert rows[1] == rows[0] and rows[2] == rows[0], kind
+@pytest.mark.parametrize("instance", ["support_chain", "counters-bfs", "random-astar-blind"])
+def test_pass_through_wrappers_keep_the_counts(instance):
+    # support_chain or the first seed-1 instance of a workload, under every
+    # search and kind: the engine keys nodes by their fact set, so a
+    # wrapper with only task and expansion searches exactly as the
+    # strategy it wraps
+    if instance == "support_chain":
+        task = parse_sas((FIXTURES / "support_chain.sas").read_text())
+    else:
+        task = parse_sas(perfbench_corpus().instances(instance, 1)[0].text)
+    for search in ("astar", "gbfs", "bfs"):
+        for kind in ("none", "ec", "sp", "sac"):
+            rows = []
+            for wrap in (lambda s: s, _PassThrough):
+                result = _run(search, task, wrap(make_strategy(task, kind)))
+                rows.append((result.expanded, result.generated, result.peak_open_size,
+                             result.plan))
+            assert rows[0][3] is not None, (search, kind)
+            assert rows[1] == rows[0], (search, kind)
 
 
 def test_bfs_requires_unit_costs(build):

@@ -39,10 +39,10 @@ from porplan.strategies import (
     KINDS,
     AdaptiveStrategy,
     ExpansionContext,
-    ExpansionStrategy,
     FullStrategy,
     InvalidPath,
     NoUnachievedGoal,
+    SpStrategy,
     sac_fixpoint,
 )
 
@@ -469,25 +469,13 @@ def test_strategy_kind_validation(two_switches):
         make_strategy(two_switches, "bogus")
 
 
-def _has_default_key(strategy):
-    return getattr(strategy.node_key, "__func__", None) is ExpansionStrategy.node_key
-
-
-def test_sp_node_key_modes(two_switches):
-    # the engine skips the node_key call exactly when the key is the
-    # protocol default: every kind, SP included, keys a node by its fact
-    # set, and AdaptiveStrategy copies its bare strategy's node_key
-    for kind in KINDS:
-        assert _has_default_key(make_bare_strategy(two_switches, kind)), kind
-        assert _has_default_key(make_strategy(two_switches, kind)), kind
-    facts = two_switches.index.fact_set(two_switches.initial)
-    sp = make_strategy(two_switches, "sp")
-    assert sp.node_key(facts, 0) == sp.node_key(facts, None) == facts == 0b0101
-
-
-def test_make_strategy_wraps_every_reducing_kind(two_switches):
+def test_make_strategy_wraps_ec_and_sac_not_sp(two_switches):
+    # SP's expansion set costs one AND more than none's, so only ec and
+    # sac get the switch-off; none and sp are the bare objects the oracle
+    # checks
     assert type(make_strategy(two_switches, "none")) is FullStrategy
-    for kind in ("ec", "sp", "sac"):
+    assert type(make_strategy(two_switches, "sp")) is SpStrategy
+    for kind in ("ec", "sac"):
         strategy = make_strategy(two_switches, kind)
         assert isinstance(strategy, AdaptiveStrategy)
         assert type(strategy.inner) is type(make_bare_strategy(two_switches, kind))
@@ -503,7 +491,7 @@ class _Recording:
     """Records each expansion set the wrapped strategy returns."""
 
     def __init__(self, inner):
-        self.inner, self.task, self.node_key = inner, inner.task, inner.node_key
+        self.inner, self.task = inner, inner.task
         self.calls = []
 
     def expansion(self, ctx):
@@ -535,12 +523,12 @@ def test_adaptive_falls_back_to_full_expansion_after_the_window():
 
 
 def test_adaptive_strategy_serves_consecutive_searches_alike():
-    # on both tasks the switch fires for all three kinds
+    # on both tasks the switch fires for both wrapped kinds
     corpus = perfbench_corpus()
     for workload, name in (("random-astar-blind", "blind"), ("logistics-astar-hmax", "hmax")):
         task = parse_sas(corpus.instances(workload, 1)[0].text)
         heuristic = make_heuristic(task, name)
-        for kind in ("ec", "sp", "sac"):
+        for kind in ("ec", "sac"):
             strategy = make_strategy(task, kind)
             first, second = (_counts(astar(task, heuristic, strategy)) for _ in range(2))
             fresh = _counts(astar(task, heuristic, make_strategy(task, kind)))
