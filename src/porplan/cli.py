@@ -135,9 +135,10 @@ def _parse_state(task: Task, text: str) -> State:
 
 
 def _plain_graph(name: str, nodes: list[str], edges, as_json: bool) -> str:
-    """An edge set over node indices as DOT, or as JSON naming the nodes."""
+    """An edge set over node indices as DOT, or as JSON: the node names in
+    index order and the edges as index pairs, as names may repeat."""
     if as_json:
-        pairs = [[nodes[u], nodes[w]] for u, w in sorted(edges)]
+        pairs = [[u, w] for u, w in sorted(edges)]
         return json.dumps({"nodes": nodes, "edges": pairs}, indent=2)
     return graph_to_dot(name, nodes, edges)
 
@@ -182,16 +183,13 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
         edges = pdg_edges(facts, build_pdg(facts, potential_masks(task)))
         return _plain_graph("potential_dependency_graph", var_names, edges, as_json)
     if token == "strata":
-        strat = stratify(task)
+        strat = stratify(task)  # levels in id order, as names may repeat
+        levels = {
+            "variable_level": zip(var_names, strat.variable_level),
+            "action_level": zip((a.name for a in task.actions), strat.action_level),
+        }
         return json.dumps(
-            {
-                "variable_level": {
-                    v.name: strat.variable_level[v.id] for v in task.variables
-                },
-                "action_level": {
-                    a.name: strat.action_level[a.id] for a in task.actions
-                },
-            },
+            {key: [{"name": n, "level": lv} for n, lv in pairs] for key, pairs in levels.items()},
             indent=2,
         )
     if token.startswith("expansion@"):

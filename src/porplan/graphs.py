@@ -3,10 +3,10 @@
 Domain transition graphs carry a sentinel source vertex V0 for actions
 whose effect touches the variable but whose precondition does not mention
 it; they are built for inspection and DOT output. The PDG reads a fact
-table instead (potential_masks), built once per task from the actions'
-DTG steps, where an action without a precondition on a variable leaves
-every value of it, as a V0 edge does. Paths are walks; repetition is
-allowed.
+table instead (potential_masks), built once per task from the DTG steps
+in the action index, where an action without a precondition on a
+variable leaves every value of it, as a V0 edge does. Paths are walks;
+repetition is allowed.
 
 The causal graph is one successor bit mask per variable, which stratify
 condenses and build_causal_graph reads out as variable pairs; the ASG is
@@ -107,70 +107,64 @@ def potential_masks(task: Task) -> tuple[int, ...]:
     facts f_j = (j, v), j != i, such that PDG(s) has the edge (i, j) in
     every state s holding both (see build_pdg).
 
-    It is built per variable j from reach[v], the values some walk from v
-    visits. An action writing j steps from its precondition value on j to
-    its effect value, or from every value when it has no precondition on
-    j (a V0 edge). A value is onward when some walk from it visits j's
-    goal value (every value when j has none). Per action a, relevant holds
-    the facts (j, v) where a moves j into an onward value and leaves a
-    value of reach[v]; dependent holds the facts of every variable a
-    writes, and the facts (j, v) where reach[v] holds an onward value that
-    a consumes. The table ORs relevant into the row of each precondition
-    fact of a, and dependent into the row of each fact of a written
-    variable that a is compatible with.
+    It is built from the action index and reached_from[w], for each fact
+    w of a variable j the values of j whose walks visit w. An action
+    writing j steps from its precondition value on j, the fact
+    pre_bits[a] & variable_facts[j], to its effect value, or from every
+    value when it has no precondition on j (a V0 edge). A value is onward when some walk
+    from it visits j's goal value (every value when j has none). Per action
+    a, relevant holds the facts (j, v) where a moves j into an onward value
+    and leaves a value some walk from v visits; dependent holds the facts
+    of every variable a writes, and the facts (j, v) where a walk from v
+    visits an onward value that a consumes. The table ORs relevant into the
+    row of each precondition fact of a, and dependent into the row of each
+    fact of a written variable that a is compatible with.
     """
-    off, own = task.index.offsets, task.index.variable_facts
-    n = task.num_variables
+    index = task.index
+    off, own, var_of = index.offsets, index.variable_facts, index.var_of
     everything = (1 << off[-1]) - 1
-    pres = [dict(action.precondition.entries) for action in task.actions]
-    # DTG steps as masks of values: step[f] leaves fact f, free[j] every value of j
-    step = [0] * off[-1]
-    free = [0] * n
-    for action, pre in zip(task.actions, pres):
-        for j, w in action.effect:
-            if j in pre:
-                step[off[j] + pre[j]] |= 1 << w
-            else:
-                free[j] |= 1 << w
-    reached_from = [0] * off[-1]  # fact (j, w): the facts (j, v) with w in reach[v]
-    onward = [False] * off[-1]
-    for j, goal in enumerate(map(task.goal.value_of, range(n))):
-        o, d = off[j], off[j + 1] - off[j]
-        reach = [1 << v | step[o + v] | free[j] for v in range(d)]
-        for k in range(d):  # Warshall: what reaches k reaches all k reaches
-            for v in range(d):
-                if reach[v] >> k & 1:
-                    reach[v] |= reach[k]
-        for v in range(d):
-            for w in range(d):
-                if reach[v] >> w & 1:
-                    reached_from[o + w] |= 1 << o + v
-            onward[o + v] = goal is None or bool(reach[v] >> goal & 1)
+    # fact w: w and the facts with a DTG step to w, every fact of w's variable
+    # for a V0 step; then, after Warshall, every fact whose walks visit w
+    reached_from = [1 << w for w in range(off[-1])]
+    for pre, keep, effs in zip(index.pre_bits, index.keep, index.eff_facts):
+        moved = pre & ~keep  # the precondition facts on effect variables
+        for e in effs:
+            reached_from[e] |= moved & own[var_of[e]] or own[var_of[e]]
+    for j in range(len(own)):  # Warshall: what reaches k reaches all k reaches
+        facts = range(off[j], off[j + 1])
+        for k in facts:
+            row = reached_from[k]
+            for v in facts:
+                if reached_from[v] >> k & 1:
+                    reached_from[v] |= row
+    goals = map(reached_from.__getitem__, ids(index.goal_bits))
+    onward = reduce(or_, goals, everything ^ index.goal_variable_facts)
 
     table = [0] * off[-1]
-    any_value = [0] * n  # the part of the rows shared by every fact of a variable
-    for action, pre, pre_facts in zip(task.actions, pres, task.index.pre_facts):
-        relevant = dependent = 0
+    any_value = [0] * len(own)  # the part of the rows shared by every fact of a variable
+    rows = zip(index.pre_bits, index.keep, index.pre_facts, index.eff_facts)
+    for pre, keep, pre_facts, effs in rows:
+        dependent = everything ^ keep  # the facts of a's effect variables
+        moved = pre & dependent
         for f in pre_facts:
-            if onward[f]:
+            if onward >> f & 1:
                 dependent |= reached_from[f]
-        for j, w in action.effect:
-            dependent |= own[j]
-            if onward[off[j] + w]:
-                relevant |= reached_from[off[j] + pre[j]] if j in pre else own[j]
-        for f in pre_facts:
-            table[f] |= relevant
-        for j, _ in action.effect:
-            if j in pre:
-                table[off[j] + pre[j]] |= dependent
+        relevant = 0
+        for e in effs:
+            j = var_of[e]
+            if source := moved & own[j]:
+                source = source.bit_length() - 1
+                table[source] |= dependent
+                if onward >> e & 1:
+                    relevant |= reached_from[source]
             else:
                 any_value[j] |= dependent
+                if onward >> e & 1:
+                    relevant |= own[j]
+        for f in pre_facts:
+            table[f] |= relevant
     # a row holds no fact of its own variable
-    return tuple(
-        (row | any_value[j]) & (everything ^ own[j])
-        for j in range(n)
-        for row in table[off[j] : off[j + 1]]
-    )
+    return tuple([(row | any_value[j]) & (everything ^ own[j]) for row, j in zip(table, var_of)])
 
 
 def build_pdg(facts: int, table: Sequence[int], held: bytes | None = None) -> tuple[int, ...]:
@@ -222,7 +216,7 @@ def stratify(task: Task) -> Stratification:
         for v in members:
             variable_level[v] = pos
 
-    action_level = [variable_level[action.effect.variables[0]] for action in task.actions]
+    action_level = [variable_level[task.index.var_of[e[0]]] for e in task.index.eff_facts]
     by_level = [0] * (max(action_level, default=0) + 1)
     for a, level in enumerate(action_level):
         by_level[level] |= 1 << a
@@ -299,11 +293,10 @@ def dtg_to_dot(task: Task, dtg: DTG) -> str:
 
 
 def graph_to_dot(name: str, nodes: Sequence[str], edges: Iterable[tuple[int, int]]) -> str:
-    """A plain digraph: node labels by index, edges as index pairs drawn
-    in sorted order."""
-    quoted = [_quoted(n) for n in nodes]
+    """A plain digraph: nodes by their index, labelled with their name, so
+    two nodes of one name stay apart; edges drawn in sorted order."""
     return _dot(
         name,
-        [f"{n};" for n in quoted],
-        [f"{quoted[u]} -> {quoted[w]};" for u, w in sorted(edges)],
+        [f"{i} [label={_quoted(n)}];" for i, n in enumerate(nodes)],
+        [f"{u} -> {w};" for u, w in sorted(edges)],
     )

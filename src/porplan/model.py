@@ -71,25 +71,32 @@ class Variable:
 @dataclass(frozen=True)
 class PartialAssignment:
     """A set of (variable, value) entries, at most one entry per variable,
-    sorted. Entries are walked one by one only when dict() merges some."""
+    sorted, with their variables in that order. of_map builds one from a
+    dict, whose keys are distinct already, without the duplicate check."""
 
     entries: tuple[tuple[int, int], ...]
     variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        by_var = dict(entries)
-        if len(by_var) != len(entries):  # a variable twice: raise unless equal
-            first: dict[int, int] = {}
-            for var, val in entries:
-                if first.setdefault(var, val) != val:
-                    raise InvalidTask(f"variable {var} assigned both {first[var]} and {val}")
-        object.__setattr__(self, "entries", tuple(sorted(by_var.items())))
-        object.__setattr__(self, "variables", tuple(sorted(by_var)))
+        by_var: dict[int, int] = {}
+        for var, val in self.entries:  # a variable twice: raise unless equal
+            if by_var.setdefault(var, val) != val:
+                raise InvalidTask(f"variable {var} assigned both {by_var[var]} and {val}")
+        self._store(by_var)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] = ()) -> PartialAssignment:
         return cls(tuple(pairs))
+
+    @classmethod
+    def of_map(cls, by_var: dict[int, int]) -> PartialAssignment:
+        return object.__new__(cls)._store(by_var)
+
+    def _store(self, by_var: dict[int, int]) -> PartialAssignment:
+        entries = sorted(by_var.items())
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "variables", tuple([v for v, _ in entries]))
+        return self
 
     def value_of(self, var: int) -> int | None:
         for v, val in self.entries:
@@ -124,7 +131,7 @@ class Action:
     cost: int = 1
 
     def __post_init__(self) -> None:
-        if not self.effect:
+        if not self.effect.entries:
             raise InvalidTask(f"action {self.name!r}: empty effect")
         if self.cost < 0:
             raise InvalidTask(f"action {self.name!r}: negative cost")
@@ -174,9 +181,10 @@ class ActionIndex:
     """The action tables of one task, built once with the Task.
 
     Fact (var, value) has the dense id offsets[var] + value; offsets[-1]
-    is the number of facts, and variable_facts[var] the mask of var's
-    facts. Per action a: pre_facts[a] and eff_facts[a] hold the fact ids of
-    its precondition and effect, pre_count[a] the precondition size. Per
+    is the number of facts, var_of[f] the variable of fact f, and
+    variable_facts[var] the mask of var's facts. Per action a:
+    pre_facts[a] and eff_facts[a] hold the fact ids of its precondition
+    and effect, ascending, and pre_count[a] the precondition size. Per
     fact: consumers, the ascending actions whose precondition needs it.
 
     Fact and action sets are bit masks, bit f for fact f, bit a for
@@ -197,8 +205,9 @@ class ActionIndex:
 
     def __init__(self, task: Task) -> None:
         variables, actions = task.variables, task.actions
-        off = self.offsets = tuple(accumulate((v.domain_size for v in variables), initial=0))
-        var_of = [v for v, var in enumerate(variables) for _ in range(var.domain_size)]
+        sizes = [var.domain_size for var in variables]
+        off = self.offsets = tuple(accumulate(sizes, initial=0))
+        self.var_of = var_of = tuple([v for v, size in enumerate(sizes) for _ in range(size)])
         self.variable_facts = own = tuple([(1 << b) - (1 << a) for a, b in zip(off, off[1:])])
         self.pre_facts = tuple(
             [tuple([off[v] + x for v, x in a.precondition.entries]) for a in actions]

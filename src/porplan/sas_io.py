@@ -206,8 +206,7 @@ def parse_sas(text: str) -> Task:
             raise SasSyntaxError(len(lines), what) from None
         except ValueError:
             raise SasSyntaxError(pos, what) from None
-        precondition = PartialAssignment(tuple(pre_map.items()))
-        effect = PartialAssignment(tuple(eff_map.items()))
+        precondition, effect = PartialAssignment.of_map(pre_map), PartialAssignment.of_map(eff_map)
         actions.append(Action(op_id, name, precondition, effect, cost if metric else 1))
 
     if _int(lines, pos := pos + 1, "an axiom count", 0) > 0:
@@ -220,7 +219,7 @@ def parse_sas(text: str) -> Task:
         variables=tuple(variables),
         actions=tuple(actions),
         initial=tuple(initial),
-        goal=PartialAssignment(tuple(goal.items())),
+        goal=PartialAssignment.of_map(goal),
         uses_metric=bool(metric),
     )
 

@@ -474,18 +474,11 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert strip(one.read_text()) == strip(two.read_text())
 
 
+# edges are node index pairs: x1 is node 0, a is node 0
 _ENABLE_CHAIN_GRAPHS = {
-    "cg": (
-        "causal_graph",
-        ["x1", "x2", "x3"],
-        [("x2", "x1"), ("x3", "x2")],
-    ),
-    "asg@0,0,2": ("action_support_graph", ["a", "b"], [("b", "a")]),
-    "pdg@initial": (
-        "potential_dependency_graph",
-        ["x1", "x2", "x3"],
-        [("x1", "x2"), ("x2", "x1"), ("x3", "x2")],
-    ),
+    "cg": ("causal_graph", ["x1", "x2", "x3"], [(1, 0), (2, 1)]),
+    "asg@0,0,2": ("action_support_graph", ["a", "b"], [(1, 0)]),
+    "pdg@initial": ("potential_dependency_graph", ["x1", "x2", "x3"], [(0, 1), (1, 0), (2, 1)]),
 }
 
 
@@ -494,13 +487,40 @@ def test_inspect_graph_output_is_pinned(target, capsys):
     name, nodes, edges = _ENABLE_CHAIN_GRAPHS[target]
     src = str(FIXTURES / "enable_chain.sas")
     assert main(["inspect", src, target]) == 0
-    lines = [f'  "{n}";' for n in nodes] + [f'  "{u}" -> "{w}";' for u, w in edges]
+    lines = [f'  {i} [label="{n}"];' for i, n in enumerate(nodes)]
+    lines += [f"  {u} -> {w};" for u, w in edges]
     dot = f"digraph {name} {{\n" + "\n".join(lines) + "\n}\n"
     assert capsys.readouterr().out == dot + "\n"
 
     assert main(["inspect", src, target, "--json"]) == 0
     payload = {"nodes": nodes, "edges": [list(e) for e in edges]}
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_inspect_keeps_apart_nodes_of_one_name(tmp_path, capsys):
+    # two variables named x, x's action writing both: DOT names nodes by
+    # index, and JSON lists every variable and action in id order
+    task = build_task(
+        domains=[2, 2],
+        actions=[("a", [(0, 0)], [(0, 1), (1, 1)]), ("a", [(1, 1)], [(0, 0)])],
+        initial=[0, 0],
+        goal=[(0, 1)],
+        names=["x", "x"],
+    )
+    f = tmp_path / "two_x.sas"
+    f.write_text(emit_sas(task))
+    for target, label in [("cg", "x"), ("pdg@initial", "x"), ("asg@0,1", "a")]:
+        assert main(["inspect", str(f), target]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:-2]  # inside digraph {...}
+        assert lines[:2] == [f'  0 [label="{label}"];', f'  1 [label="{label}"];'], target
+    assert main(["inspect", str(f), "cg", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"nodes": ["x", "x"], "edges": [[0, 1], [1, 0]]}
+    assert main(["inspect", str(f), "strata", "--json"]) == 0
+    strata = json.loads(capsys.readouterr().out)
+    assert strata == {
+        "variable_level": [{"name": "x", "level": 1}, {"name": "x", "level": 1}],
+        "action_level": [{"name": "a", "level": 1}, {"name": "a", "level": 1}],
+    }
 
 
 def test_inspect_dtg_output_is_pinned(capsys):

@@ -710,6 +710,79 @@ def test_pdg_and_ec_match_reference():
     assert checked > 1000
 
 
+def assignment_loop_masks(task):
+    """potential_masks as it was written before it read the action index:
+    one loop over the actions' precondition and effect assignments, with
+    forward reach sets per variable. The index version must equal it."""
+    off, own = task.index.offsets, task.index.variable_facts
+    n = task.num_variables
+    everything = (1 << off[-1]) - 1
+    pres = [dict(action.precondition.entries) for action in task.actions]
+    # DTG steps as masks of values: step[f] leaves fact f, free[j] every value of j
+    step = [0] * off[-1]
+    free = [0] * n
+    for action, pre in zip(task.actions, pres):
+        for j, w in action.effect:
+            if j in pre:
+                step[off[j] + pre[j]] |= 1 << w
+            else:
+                free[j] |= 1 << w
+    reached_from = [0] * off[-1]  # fact (j, w): the facts (j, v) with w in reach[v]
+    onward = [False] * off[-1]
+    for j, goal in enumerate(map(task.goal.value_of, range(n))):
+        o, d = off[j], off[j + 1] - off[j]
+        reach = [1 << v | step[o + v] | free[j] for v in range(d)]
+        for k in range(d):  # Warshall: what reaches k reaches all k reaches
+            for v in range(d):
+                if reach[v] >> k & 1:
+                    reach[v] |= reach[k]
+        for v in range(d):
+            for w in range(d):
+                if reach[v] >> w & 1:
+                    reached_from[o + w] |= 1 << o + v
+            onward[o + v] = goal is None or bool(reach[v] >> goal & 1)
+
+    table = [0] * off[-1]
+    any_value = [0] * n  # the part of the rows shared by every fact of a variable
+    for action, pre, pre_facts in zip(task.actions, pres, task.index.pre_facts):
+        relevant = dependent = 0
+        for f in pre_facts:
+            if onward[f]:
+                dependent |= reached_from[f]
+        for j, w in action.effect:
+            dependent |= own[j]
+            if onward[off[j] + w]:
+                relevant |= reached_from[off[j] + pre[j]] if j in pre else own[j]
+        for f in pre_facts:
+            table[f] |= relevant
+        for j, _ in action.effect:
+            if j in pre:
+                table[off[j] + pre[j]] |= dependent
+            else:
+                any_value[j] |= dependent
+    # a row holds no fact of its own variable
+    return tuple(
+        (row | any_value[j]) & (everything ^ own[j])
+        for j in range(n)
+        for row in table[off[j] : off[j + 1]]
+    )
+
+
+def test_index_tables_match_the_assignment_loops():
+    # potential_masks and stratify's action levels read the action index;
+    # on the unit and random-cost task streams, the fixtures and the seed-1
+    # benchmark corpora they equal what the actions' assignments give
+    corpus = perfbench_corpus()
+    tasks = [task for task, _ in pdg_cases()]
+    for workload in BENCH_WORKLOADS:
+        tasks += [parse_sas(i.text) for i in corpus.instances(workload, 1)]
+    for task in tasks:
+        assert potential_masks(task) == assignment_loop_masks(task)
+        strat = stratify(task)
+        first_written = [action.effect.variables[0] for action in task.actions]
+        assert strat.action_level == tuple(strat.variable_level[v] for v in first_written)
+
+
 def test_ec_prefix_tie_break_and_chain(build):
     # PDG x1 -> x3 with x2 unachieved: the prefix is [x2] alone, so EC
     # keeps b; the emission order [x3], [x1], [x2] would add u

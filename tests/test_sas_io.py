@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import random
 import re
 
@@ -337,3 +338,43 @@ def test_benchmark_corpus_round_trips(workload, seed):
         again = parse_sas(emit_sas(task))
         assert again == task
         assert vars(task.index) == vars(ActionIndex(task)) == vars(again.index)
+
+
+def _reader_tasks():
+    """Tasks the reader builds: seeds 1-3 of every benchmark corpus, the
+    fixtures and every pinned document it accepts."""
+    for workload in BENCH_WORKLOADS:
+        for seed in (1, 2, 3):
+            for instance in perfbench_corpus().instances(workload, seed):
+                yield parse_sas(instance.text)
+    for path in sorted(FIXTURES.glob("*.sas")):
+        yield parse_sas(path.read_text())
+    pinned = json.loads(OUTCOMES.read_text())
+    for (_, text), outcome in zip(_pinned_documents(), pinned):
+        if outcome[0] == "ok":
+            yield parse_sas(text)
+
+
+def _assert_same(built, public) -> None:
+    """Field by field, variables included (it is compare=False, so == does
+    not see it), in hash and after a pickle round trip."""
+    for obj in (built, pickle.loads(pickle.dumps(built))):
+        assert type(obj) is type(public)
+        assert vars(obj) == vars(public)
+        assert hash(obj) == hash(public)
+        if isinstance(obj, Action):
+            _assert_same(obj.precondition, public.precondition)
+            _assert_same(obj.effect, public.effect)
+
+
+def test_reader_builds_what_the_public_constructors_build():
+    def public(assignment):  # reversed, so the constructor must sort
+        return PartialAssignment(tuple(reversed(assignment.entries)))
+
+    count = 0
+    for task in _reader_tasks():
+        _assert_same(task.goal, public(task.goal))
+        for a in task.actions:
+            _assert_same(a, Action(a.id, a.name, public(a.precondition), public(a.effect), a.cost))
+        count += 1
+    assert count > 100
