@@ -84,6 +84,7 @@ def _result_fields(result: SearchResult) -> dict:
 def _stats_json(args, result: SearchResult) -> dict:
     return {
         **_result_fields(result),
+        "limit_kind": result.limit_kind,
         "peak_open": result.peak_open_size,
         "plan_length": len(result.plan.steps) if result.plan else None,
         "search": args.search,

@@ -1,21 +1,21 @@
 """State-space search: one best-first engine, three open-list orders.
 
-A*, greedy best-first and breadth-first search share one loop and
-differ only in the priority prefix of their heap entries (_PRIORITY): A*
-orders by (f, -g), greedy by h, and BFS by nothing, so the insertion
-counter that follows the prefix alone orders it (FIFO) and BFS runs
-with the zero heuristic. One call per pushed node builds its whole
-entry, prefix then (counter, key, g). The engine tests the goal when a
-node is popped, never at generation, and counts one expansion per pop
-(the final goal pop included) and one generation per action in each
-expansion set, duplicates included. A node's identity is its fact set
-F, an int with bit f for each fact f (see ActionIndex) its state holds:
-the successor under action a is F & keep[a] | adds[a], read from a row
-(pre_bits[a], keep[a], adds[a], cost) built once per search; an id
-outside the task's actions, or an action with F & pre_bits[a] !=
+A*, greedy best-first and breadth-first search share one loop and differ
+only in their open list (_PRIORITY). A* and greedy pop a heap whose
+entries, one call per pushed node, are a priority prefix, (f, -g) for A*
+and h for greedy, then (insertion counter, F, g), the counter breaking
+ties FIFO. BFS runs with the zero heuristic and pops a FIFO deque of
+(F, g), which under unit costs pops nodes in g order. The engine tests
+the goal when a node is popped, never at generation, and counts one
+expansion per pop (the final goal pop included) and one generation per
+action in each expansion set, duplicates included. A node's identity is
+its fact set F, an int with bit f for each fact f (see ActionIndex) its
+state holds: the successor under action a is F & keep[a] | adds[a], read
+from a row (pre_bits[a], keep[a], adds[a], cost) built once per search;
+an id outside the task's actions, or an action with F & pre_bits[a] !=
 pre_bits[a], raises NotApplicable; and the goal test is F & goal_bits ==
-goal_bits. F is also the duplicate-detection key: a record is (g,
-parent F, generating action), keyed by F. A stored node is only
+goal_bits. F is also the duplicate-detection key: a record is
+(g, parent F, generating action), keyed by F. A stored node is only
 rewritten when a strictly smaller g arrives, in which case it is
 reopened. Under BFS's unit costs nodes pop in g order, so nothing is
 ever reopened and the first record of every state wins. F is the only
@@ -27,22 +27,23 @@ A single search run is single-threaded; concurrent runs may share a task.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from .heuristics import INFINITY, Zero, make_heuristic
 from .model import NotApplicable, Plan, Task, plan_cost
 from .strategies import ExpansionContext, ExpansionStrategy, make_strategy
 
-# heap entry per search, from a node's (g, h, insertion counter, F):
-# the search's ordering prefix, then (counter, F, g)
-_PRIORITY: dict[str, Callable[[float, float, int, int], tuple]] = {
-    "astar": lambda g, h, n, facts: (g + h, -g, n, facts, g),
-    "gbfs": lambda g, h, n, facts: (h, n, facts, g),
-    "bfs": lambda g, h, n, facts: (n, facts, g),
+# open list per search: (container, push, pop, entry), push and pop taking
+# the container first; entry builds a node's entry from (g, h, counter, F)
+_PRIORITY: dict[str, tuple] = {
+    "astar": (list, heappush, heappop, lambda g, h, n, facts: (g + h, -g, n, facts, g)),
+    "gbfs": (list, heappush, heappop, lambda g, h, n, facts: (h, n, facts, g)),
+    "bfs": (deque, deque.append, deque.popleft, lambda g, h, n, facts: (facts, g)),
 }
 SEARCHES = tuple(_PRIORITY)
 SOLVED = "solved"
@@ -87,17 +88,17 @@ def _extract_plan(task: Task, records: dict, facts: int) -> Plan:
 def _best_first(
     task: Task,
     strategy: ExpansionStrategy,
-    entry: Callable[[float, float, int, int], tuple],
+    order: tuple,
     heuristic: Callable[[int], float],
     limits: Limits | None,
 ) -> SearchResult:
     """The engine behind astar, gbfs and bfs.
 
-    entry(g, h, n, F) builds a node's whole heap entry, its priority
-    prefix followed by (n, F, g); the running counter n breaks remaining
-    ties FIFO. Limits are checked before every pop: nodes, then time,
-    then memory. The action rows are keyed by id, so a miss is an id
-    outside the task.
+    order is the search's _PRIORITY row: entry(g, h, n, F) builds a
+    node's whole entry, a heap's priority prefix then (n, F, g), the
+    running counter n breaking remaining ties FIFO, or (F, g) for BFS's
+    deque. Limits are checked before every pop: nodes, then time, then
+    memory. A miss in the id-keyed action rows is an id outside the task.
     """
     limits = limits or Limits()
     start = time.perf_counter()
@@ -105,16 +106,16 @@ def _best_first(
     goal_bits = index.goal_bits
     rows = dict(enumerate(zip(index.pre_bits, index.keep, index.adds,
                               [action.cost for action in task.actions])))
-    heappush, heappop = heapq.heappush, heapq.heappop
+    container, push, pop, entry = order
     expanded = generated = 0
     counter = itertools.count()
     root = index.fact_set(task.initial)
     # F -> (g, parent F, generating_action)
     records: dict = {root: (0, None, None)}
     h0 = heuristic(root)
-    open_heap: list = []
+    open_list = container()
     if h0 != INFINITY:
-        open_heap = [entry(0, h0, next(counter), root)]
+        push(open_list, entry(0, h0, next(counter), root))
     peak_open = 0
 
     def result(outcome: str, plan: Plan | None = None, limit_kind: str | None = None):
@@ -128,17 +129,17 @@ def _best_first(
             limit_kind=limit_kind,
         )
 
-    while open_heap:
-        # the heap only grows between pops, so its peak is seen here
-        if len(open_heap) > peak_open:
-            peak_open = len(open_heap)
+    while open_list:
+        # the open list only grows between pops, so its peak is seen here
+        if len(open_list) > peak_open:
+            peak_open = len(open_list)
         if limits.max_expanded is not None and expanded >= limits.max_expanded:
             return result(RESOURCE_LIMIT, limit_kind="nodes")
         if limits.max_time is not None and time.perf_counter() - start > limits.max_time:
             return result(RESOURCE_LIMIT, limit_kind="time")
-        if limits.max_open is not None and len(open_heap) > limits.max_open:
+        if limits.max_open is not None and len(open_list) > limits.max_open:
             return result(RESOURCE_LIMIT, limit_kind="memory")
-        popped = heappop(open_heap)
+        popped = pop(open_list)
         facts = popped[-2]
         g, _, gen_action = records[facts]
         if popped[-1] > g:
@@ -164,7 +165,7 @@ def _best_first(
             records[succ_facts] = (g2, facts, action_id)
             if h == INFINITY:
                 continue  # dead in the relaxation; keep g for reopen checks
-            heappush(open_heap, entry(g2, h, next(counter), succ_facts))
+            push(open_list, entry(g2, h, next(counter), succ_facts))
     return result(UNSOLVABLE)
 
 

@@ -54,6 +54,7 @@ def test_plan_solved(tmp_path, two_switches_file):
     for key in ("expanded", "generated", "time_ms", "cost", "outcome"):
         assert key in payload
     assert payload["outcome"] == "solved" and payload["cost"] == 2
+    assert payload["limit_kind"] is None
     assert payload["expanded"] <= payload["generated"] + 1
 
     code2, _, stats2 = run_plan(tmp_path, two_switches_file, "--por", "none")
@@ -72,13 +73,15 @@ def test_plan_malformed(tmp_path, capsys):
 def test_plan_node_limit(tmp_path, two_switches_file):
     code, _, stats = run_plan(tmp_path, two_switches_file, "--max-nodes", "1")
     assert code == 2
-    assert json.loads(stats.read_text())["outcome"] == "resource_limit"
+    stats = json.loads(stats.read_text())
+    assert (stats["outcome"], stats["limit_kind"]) == ("resource_limit", "nodes")
 
 
 def test_plan_open_limit(tmp_path, two_switches_file):
     code, _, stats = run_plan(tmp_path, two_switches_file, "--max-open", "0")
     assert code == 2
-    assert json.loads(stats.read_text())["outcome"] == "resource_limit"
+    stats = json.loads(stats.read_text())
+    assert (stats["outcome"], stats["limit_kind"]) == ("resource_limit", "memory")
 
 
 def test_plan_unsolvable(tmp_path):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from porplan import (
+    ExpansionContext,
     Limits,
     NotApplicable,
+    apply_action,
     astar,
     bfs,
     gbfs,
+    is_goal,
     make_heuristic,
     make_strategy,
     parse_sas,
@@ -221,6 +226,72 @@ def test_bfs_pinned_counts():
         row = (result.outcome, result.expanded, result.generated, result.peak_open_size)
         assert row == (outcome, expanded, generated, peak), (name, kind)
         assert result.plan.steps == steps, (name, kind)
+
+
+def reference_bfs(task, strategy):
+    """Textbook breadth-first search on value tuples: a FIFO queue, a
+    first-in-wins parent map keyed by the fact set, and the goal test at
+    pop. Returns (expanded, generated, peak open, plan steps or None),
+    peak open being the longest queue before a pop."""
+    fact_set = task.index.fact_set
+    parents = {fact_set(task.initial): None}
+    queue = deque([(task.initial, None)])
+    expanded = generated = peak = 0
+    while queue:
+        peak = max(peak, len(queue))
+        values, gen_action = queue.popleft()
+        expanded += 1
+        facts = fact_set(values)
+        if is_goal(task, values):
+            steps = []
+            while parents[facts] is not None:
+                facts, action_id = parents[facts]
+                steps.append(action_id)
+            return expanded, generated, peak, tuple(reversed(steps))
+        chosen = strategy.expansion(ExpansionContext(facts, gen_action))
+        generated += len(chosen)
+        for action_id in chosen:
+            succ = apply_action(values, task.actions[action_id])
+            if (succ_facts := fact_set(succ)) not in parents:
+                parents[succ_facts] = (facts, action_id)
+                queue.append((succ, action_id))
+    return expanded, generated, peak, None
+
+
+def test_bfs_is_textbook_fifo():
+    # the engine's BFS expands, generates, queues and plans exactly as a
+    # plain FIFO breadth-first search under every kind
+    for seed, task, _ in default_task_stream(200):
+        for kind in ("none", "ec", "sp", "sac"):
+            result = bfs(task, make_strategy(task, kind))
+            steps = result.plan.steps if result.plan else None
+            row = (result.expanded, result.generated, result.peak_open_size, steps)
+            assert row == reference_bfs(task, make_strategy(task, kind)), (seed, kind)
+
+
+def test_open_limit_boundary():
+    # under every search and kind, an open-list limit equal to the
+    # unlimited run's peak changes nothing; one less stops on memory
+    def fields(result):
+        return (result.outcome, result.limit_kind, result.expanded, result.generated,
+                result.peak_open_size, result.plan)
+
+    for seed, task, _ in default_task_stream(200):
+        heuristic = make_heuristic(task, "hmax")
+        engines = {
+            "astar": lambda strategy, limits: astar(task, heuristic, strategy, limits),
+            "gbfs": lambda strategy, limits: gbfs(task, heuristic, strategy, limits),
+            "bfs": lambda strategy, limits: bfs(task, strategy, limits),
+        }
+        for name, engine in engines.items():
+            for kind in ("none", "ec", "sp", "sac"):
+                unlimited = engine(make_strategy(task, kind), None)
+                peak = unlimited.peak_open_size
+                at_peak = engine(make_strategy(task, kind), Limits(max_open=peak))
+                assert fields(at_peak) == fields(unlimited), (seed, name, kind)
+                cut = engine(make_strategy(task, kind), Limits(max_open=peak - 1))
+                assert (cut.outcome, cut.limit_kind) == (RESOURCE_LIMIT, "memory"), (
+                    seed, name, kind)
 
 
 def test_counters_and_plan_validity():
