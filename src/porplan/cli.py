@@ -120,11 +120,18 @@ def cmd_plan(args) -> int:
     return EXIT_LIMIT
 
 
+def _int(text: str) -> int:
+    """int(text) for ASCII digits; int() alone also reads "0_1" and non-ASCII digits."""
+    if text.isascii() and text.strip().lstrip("+-").isdigit():
+        return int(text)
+    raise ValueError(text)
+
+
 def _parse_state(task: Task, text: str) -> State:
     if text == "initial":
         return task.initial
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(_int(v) for v in text.split(","))
     except ValueError:
         raise _InputError(f"bad state {text!r}; use 'initial' or comma-separated values")
     if len(values) != task.num_variables:
@@ -148,7 +155,7 @@ def _inspect_one(task: Task, token: str, as_json: bool) -> str:
     var_names = [v.name for v in task.variables]
     if token.startswith("dtg:"):
         try:
-            var = int(token.split(":", 1)[1])
+            var = _int(token.split(":", 1)[1])
         except ValueError:
             raise _InputError(f"bad variable index in {token!r}") from None
         if not 0 <= var < task.num_variables:

@@ -14,7 +14,7 @@ a frozenset of action-id pairs. The PDG is one successor bit mask per
 variable over the held facts, one n-AND lookup in the table per state;
 pdg_edges reads it out as variable pairs. DTGs, the table and the
 stratification are immutable and built once per task. EC and SP share
-one condensation, the lazy `closure_prefix_order` over successor masks.
+one lazy condensation, `closure_prefix_order`, walking node bits lowest first.
 """
 
 from __future__ import annotations
@@ -234,23 +234,28 @@ def closure_prefix_order(
     The nodes are the set bits of nodes, and successors[v] is the mask of
     v's successors. Deterministic: among ready components (those whose
     edges all end in emitted components or in themselves) the one holding
-    the smallest node is emitted first. That is the smallest remaining
-    node v whose component, the nodes of v's remaining reach that reach v
-    back, is all of that reach. The emitted nodes reach no remaining one,
-    so each node's full reach is computed once.
+    the smallest node is emitted first: the first remaining node v, lowest
+    bit first, whose component (v's remaining reach that reaches v back) is
+    all of that reach. Emitted nodes reach no remaining one, so each reach
+    is computed once, from successors[v]; only nodes it holds are read.
     """
     reach: dict[int, int] = {}
     remaining = nodes
     while remaining:
-        for v in ids(remaining):
+        pending = remaining
+        while pending:  # the candidates, lowest bit first
+            low = pending & -pending
+            pending ^= low
+            v = low.bit_length() - 1
             if v not in reach:
-                r = new = 1 << v
+                new = successors[v] & ~low
+                r = low | new
                 while new:
                     new = reduce(or_, map(successors.__getitem__, ids(new))) & ~r
                     r |= new
                 reach[v] = r
-            component = 1 << v
-            rest = reach[v] & remaining & ~component
+            component = low
+            rest = reach[v] & remaining & ~low
             grown = True
             while rest and grown:
                 grown = False

@@ -154,6 +154,9 @@ def test_inspect_expansions(two_switches_file, capsys):
     assert sets["sp"] == ["a", "b"]
     assert len(sets["ec"]) == 1
     assert sets["sac"] == ["a"]
+    # spaces around each value are allowed: the initial state again
+    assert main(["inspect", str(two_switches_file), "expansion@ 0 , 0 ", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == sets
 
 
 def test_inspect_state_graphs(tmp_path, capsys):
@@ -168,7 +171,10 @@ def test_inspect_bad_target(two_switches_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "target", ["dtg:abc", "expansion@1,1", "expansion@0,1,2", "pdg@9,9", "asg@9,9", "asg@-1,0"]
+    "target",
+    ["dtg:abc", "expansion@1,1", "expansion@0,1,2", "pdg@9,9", "asg@9,9", "asg@-1,0",
+     # int() alone reads these as 1 and (1, 0): "_" separators, non-ASCII digits
+     "dtg:0_1", "expansion@0_1,0", "expansion@\u0661,0"],
 )
 def test_inspect_rejects_bad_index_state_or_goal(two_switches_file, capsys, target):
     assert main(["inspect", str(two_switches_file), target]) == 3

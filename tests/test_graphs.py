@@ -3,7 +3,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import defaultdict, deque
+from collections.abc import Mapping
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import add, or_
 
 from porplan import (
@@ -192,9 +194,8 @@ def test_scc_order():
     assert order_of(6, frozenset((v, v + 1) for v in range(5))) == [[5], [4], [3], [2], [1], [0]]
 
 
-def _condensation_by_definition(num_nodes, edges):
-    """Components, sinks-first emission and canonical levels computed from
-    their definitions, sharing no code with porplan.graphs."""
+def _reach_by_bfs(num_nodes, edges):
+    """For each node v, the set of nodes reachable from v, v included."""
     succ = {v: {w for u, w in edges if u == v} for v in range(num_nodes)}
     reach = []
     for v in range(num_nodes):  # plain BFS
@@ -205,6 +206,14 @@ def _condensation_by_definition(num_nodes, edges):
                     seen.add(w)
                     queue.append(w)
         reach.append(seen)
+    return reach
+
+
+def _condensation_by_definition(num_nodes, edges):
+    """Components, sinks-first emission and canonical levels computed from
+    their definitions, sharing no code with porplan.graphs."""
+    succ = {v: {w for u, w in edges if u == v} for v in range(num_nodes)}
+    reach = _reach_by_bfs(num_nodes, edges)
     comp_of = {v: frozenset(w for w in reach[v] if v in reach[w]) for v in range(num_nodes)}
     components = set(comp_of.values())
 
@@ -264,6 +273,76 @@ def test_condensation_matches_definition(build):
         ranked = sorted(components, key=lambda c: (levels[min(c)], -min(c)))
         distinct = {v: pos for pos, c in enumerate(ranked, start=1) for v in c}
         assert stratify(task).variable_level == tuple(distinct[v] for v in range(n))
+
+
+def _as_fact_graph(n, edges, rng):
+    """EC's calling convention for a digraph over 0..n-1: node v is the
+    bit of one held fact inside variable v's range of a wider fact range,
+    successors a dict keyed by those bits. Returns the node mask, the
+    successors and each node's bit, ascending in v."""
+    bit, offset = [], 0
+    for _ in range(n):
+        size = rng.randint(1, 4)
+        bit.append(offset + rng.randrange(size))
+        offset += size
+    successors = {bit[v]: 0 for v in range(n)}
+    for u, w in edges:
+        successors[bit[u]] |= 1 << bit[w]
+    return sum(1 << b for b in bit), successors, bit
+
+
+class _RecordingSuccessors(Mapping):
+    """A successor mapping that records which keys are read."""
+
+    def __init__(self, successors):
+        self.successors, self.read = successors, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.successors[key]
+
+    def __iter__(self):
+        return iter(self.successors)
+
+    def __len__(self):
+        return len(self.successors)
+
+
+def test_condensation_over_sparse_fact_bits():
+    """closure_prefix_order on EC's input, one held fact per variable inside
+    a wider fact range and successors keyed by fact: after relabelling each
+    fact to its variable, the components and their order are the
+    definitional ones."""
+    rng = random.Random(11)
+    for n, edges in _random_digraphs(300):
+        nodes, successors, bit = _as_fact_graph(n, edges, rng)
+        variable_of = {b: v for v, b in enumerate(bit)}
+        order = [[variable_of[b] for b in ids(c)] for c in closure_prefix_order(successors, nodes)]
+        assert order == _condensation_by_definition(n, edges)[1]
+
+
+def test_condensation_is_lazy():
+    """A consumer that takes the first k components reads the successors of
+    nodes in the reach of the candidates tried only: at each step, the
+    remaining nodes up to the smallest node of the component emitted."""
+    rng = random.Random(13)
+    partial = 0  # cases where the allowed reads miss some node
+    for n, edges in _random_digraphs(300):
+        nodes, successors, bit = _as_fact_graph(n, edges, rng)
+        order = _condensation_by_definition(n, edges)[1]
+        reach = _reach_by_bfs(n, edges)
+        allowed, remaining = set(), set(range(n))
+        for k, component in enumerate(order, start=1):
+            for u in remaining:
+                if u <= component[0]:
+                    allowed |= reach[u]
+            remaining -= set(component)
+            recording = _RecordingSuccessors(successors)
+            first = islice(closure_prefix_order(recording, nodes), k)
+            assert len(list(first)) == k
+            assert recording.read <= {bit[v] for v in allowed}
+            partial += len(allowed) < n
+    assert partial > 0
 
 
 def test_closure_prefix_order_is_closed():
