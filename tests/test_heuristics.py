@@ -4,8 +4,9 @@ import heapq
 import random
 import sys
 import threading
-from functools import cache
-from operator import add
+from functools import cache, reduce
+from itertools import product
+from operator import add, or_
 
 from porplan import State, astar, is_goal, make_heuristic, make_strategy, parse_sas
 from porplan.heuristics import INFINITY, DeleteRelaxationHeuristic
@@ -441,29 +442,115 @@ def stream_walks():
     return tuple(walks)
 
 
-def test_pass_tables_cut_to_their_mask():
-    # every mask the walks build keeps exactly the consumers whose
-    # preconditions lie inside it, and the seeds on its facts
+def reference_fact_costs(task, state, combine):
+    """Every fact's relaxed cost, by fact id, iterated to a fixpoint."""
+    index = task.index
+    dist = [INFINITY] * index.offsets[-1]
+    for f in map(add, index.offsets, state):
+        dist[f] = 0
+    changed = True
+    while changed:
+        changed = False
+        for a, action in enumerate(task.actions):
+            pre = [dist[f] for f in index.pre_facts[a]]
+            value = action.cost + (sum(pre) if combine == "add" else max(pre, default=0))
+            for f in index.eff_facts[a]:
+                if value < dist[f]:
+                    dist[f], changed = value, True
+    return dist
+
+
+def component_variables(task, component):
+    """The variables of a component, read off its own fact mask."""
+    own = component[3]
+    return [v for v, mask in enumerate(task.index.variable_facts) if mask & own]
+
+
+def assert_component_tables(task, evaluator):
+    """The built components split the goal variables' ancestors (all
+    variables without a memo) into the strongly connected sets of the
+    ancestor relation, parents first. Each holds exactly the actions
+    writing it, their effects cut to its own facts and their other
+    preconditions read from the parents its inputs name; only parents have
+    a memo. Returns the number of effects and of preconditions cut."""
+    index = task.index
+    components, goal_at = evaluator.components
+    owner = {v: c for c, comp in enumerate(components) for v in component_variables(task, comp)}
+    if evaluator.entries is None:
+        assert len(components) == 1 and set(owner) == set(range(task.num_variables))
+    else:
+        # the own fact masks are disjoint and cover the goal entries' masks
+        assert sum(comp[3] for comp in components) == reduce(or_, [m for _, m in evaluator.entries])
+    assert goal_at == [owner[v] for v, _ in task.goal]
+    parents = {p for comp in components for p, _ in comp[5]}
+    cut_effects = cut_pres = 0
+    for c, (memo, key, start, own, variables, inputs, rows, consumers, count) in enumerate(
+        components
+    ):
+        members = component_variables(task, components[c])
+        assert variables == [index.variable_facts[v] for v in members] and own == sum(variables)
+        assert (memo is not None) == (c in parents) and isinstance(start, dict)
+        if evaluator.entries is not None:
+            ancestors = reference_ancestors(task, members[0])
+            assert all(set(members) <= reference_ancestors(task, v) for v in members)
+            assert all(owner[u] < c for u in ancestors - set(members))
+            assert key == sum(index.variable_facts[u] for u in ancestors)
+        writers = reduce(or_, [index.writer_masks[v] for v in members])
+        actions = [a for a in range(len(task.actions)) if writers >> a & 1]
+        assert [(i, cost) for i, cost, _ in rows] == [
+            (i, task.actions[a].cost) for i, a in enumerate(actions)
+        ]
+        read = {}
+        for i, a in enumerate(actions):
+            assert rows[i][2] == [f for f in index.eff_facts[a] if own >> f & 1]
+            cut_effects += len(index.eff_facts[a]) - len(rows[i][2])
+            assert count[i] == sum(own >> f & 1 for f in index.pre_facts[a])
+            for f in index.pre_facts[a]:
+                if not own >> f & 1:
+                    read.setdefault(f, []).append(i)
+                    cut_pres += 1
+        for f, rows_of_f in enumerate(consumers):
+            needs = [i for i, a in enumerate(actions) if f in index.pre_facts[a]]
+            assert rows_of_f == (tuple(rows[i] for i in needs) if own >> f & 1 else ())
+        assert read == {g: readers for p, pairs in inputs for g, readers in pairs}
+        assert all(components[p][3] >> g & 1 for p, pairs in inputs for g, _ in pairs)
+    return cut_effects, cut_pres
+
+
+def assert_parent_memos_match_reference(task, evaluator, states, combine):
+    """Every parent memo entry a walked state's key reaches holds the
+    reference costs of the component's own facts at that state."""
+    checked = 0
+    for values in states:
+        facts = task.index.fact_set(values)
+        expected = reference_fact_costs(task, values, combine)
+        for memo, key, _, own, *_ in evaluator.components[0]:
+            if memo is not None and facts & key in memo:
+                assert [memo[facts & key][f] for f in ids(own)] == [expected[f] for f in ids(own)]
+                checked += 1
+    return checked
+
+
+def test_component_tables_stay_inside_their_component():
+    # the logistics trucks are parents of every package; the stream tasks
+    # have precondition-free actions, zero costs and actions writing two
+    # components
     walks = logistics_evaluations() + stream_walks()
     assert any(0 in task.index.pre_count for task, _ in walks)
     assert any(a.cost == 0 for task, _ in walks for a in task.actions)
-    masks = dropped = cut_seeds = 0
+    components = parents = cut_effects = cut_pres = checked = 0
     for task, states in walks:
-        index = task.index
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
             for values in states:
-                evaluator(index.fact_set(values))
-            for mask, (template, consumers, seeds) in evaluator.tables.items():
-                masks += 1
-                assert template == [INFINITY if mask >> f & 1 else 0 for f in range(len(template))]
-                for f, cut in enumerate(consumers):
-                    kept = [a for a in index.consumers[f] if index.pre_bits[a] | mask == mask]
-                    assert cut == kept
-                    dropped += len(index.consumers[f]) - len(kept)
-                assert seeds == [(cost, f) for cost, f in evaluator.seeds if mask >> f & 1]
-                cut_seeds += len(evaluator.seeds) - len(seeds)
-    assert masks > 100 and dropped and cut_seeds
+                evaluator(task.index.fact_set(values))
+            effects, pres = assert_component_tables(task, evaluator)
+            cut_effects, cut_pres = cut_effects + effects, cut_pres + pres
+            components += len(evaluator.components[0])
+            parents += sum(comp[0] is not None for comp in evaluator.components[0])
+            if task is walks[0][0] or (task, states) in stream_walks():
+                checked += assert_parent_memos_match_reference(task, evaluator, states, combine)
+    assert components > 100 and parents > 20 and cut_effects and cut_pres > 100 and checked
 
 
 def test_call_with_every_entry_memoised_never_enters_the_pass(monkeypatch):
@@ -474,7 +561,7 @@ def test_call_with_every_entry_memoised_never_enters_the_pass(monkeypatch):
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
             expected = [evaluator(task.index.fact_set(values)) for values in states]
-            monkeypatch.setattr(evaluator, "_goal_costs", no_pass)
+            monkeypatch.setattr(evaluator, "_costs", no_pass)
             assert [evaluator(task.index.fact_set(values)) for values in states] == expected
 
 
@@ -505,33 +592,42 @@ def watch_heaps(monkeypatch):
     return heaps, facts
 
 
-def test_one_entry_miss_pushes_only_that_entrys_ancestor_facts(monkeypatch):
-    # on every call that misses exactly one goal entry, every fact the pass
-    # puts on its heap lies in that entry's projection; on the random tasks,
-    # some actions that read only those facts also write other variables
+def test_one_entry_miss_pushes_only_its_components_facts(monkeypatch):
+    # on every call that misses exactly one goal entry, a pass runs for that
+    # entry's component and for each parent whose memo the call fills, and
+    # every fact on their heaps is an own fact of one of those; with every
+    # parent memoised, one pass runs on the entry's component alone
     heaps, pushed = watch_heaps(monkeypatch)
     walks = [logistics_evaluations()[0]]
     for cost_mode in ("unit", "random"):
         memoised = small_tasks(30, cost_mode, memoises)
         walks += [(task, graph.states) for task, graph in memoised]
-    one_entry_misses = pushes = 0
+    one_entry_misses = alone = pushes = 0
     for task, states in walks:
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            entries = evaluator.entries
+            entries, goal_facts = evaluator.entries, evaluator.goal_facts
             for values in states:
                 facts = task.index.fact_set(values)
                 missing = [i for i, (memo, mask) in enumerate(entries) if facts & mask not in memo]
+                memos = [comp[0] for comp in (evaluator.components or [()])[0]]
+                sizes = [len(memo or ()) for memo in memos]
                 heaps.clear()
                 pushed.clear()
                 evaluator(facts)
-                assert len(heaps) == (1 if missing else 0)
-                if len(missing) == 1:
-                    one_entry_misses += 1
+                if len(missing) != 1 or facts >> goal_facts[missing[0]] & 1 or not memos:
+                    continue
+                components, goal_at = evaluator.components
+                filled = [c for c, memo in enumerate(memos) if len(memo or ()) > sizes[c]]
+                ran = set(filled) | {goal_at[missing[0]]}
+                allowed = sum(components[c][3] for c in ran)
+                assert len(heaps) == len(ran)
+                assert not [f for f in pushed if not allowed >> f & 1]
+                one_entry_misses += 1
+                if not filled:
+                    alone += 1
                     pushes += len(pushed)
-                    projection = entries[missing[0]][1]
-                    assert not [f for f in pushed if not projection >> f & 1]
-    assert one_entry_misses > 500 and pushes > one_entry_misses
+    assert one_entry_misses > 500 and alone > 400 and pushes > alone
 
 
 def sampled_states(task, count, seed=0):
@@ -565,7 +661,8 @@ def test_memo_less_pass_matches_reference():
 def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
     # goal x1=1 is reachable; goal x2=1 needs x2=2, which nothing achieves.
     # In the first task x2's ancestors are every variable, so there is no
-    # memo; in the second x2 has no writer, so both entries are memoised
+    # memo and one pass; in the second x2 has no writer, so both entries are
+    # memoised and each variable's component runs its own pass
     unmemoised = build(
         domains=[2, 3],
         actions=[("o", [(0, 0)], [(0, 1)]), ("q", [(0, 1), (1, 2)], [(1, 1)])],
@@ -582,22 +679,16 @@ def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
             assert (evaluator.entries is not None) == has_memo
             heaps.clear()
             assert evaluator(task.index.fact_set(task.initial)) == INFINITY
-            assert len(heaps) == 1 and heaps[0] == []
+            assert len(heaps) == (2 if has_memo else 1) and heaps[-1] == []
             assert reference_goal_costs(task, task.initial, combine) == [1, INFINITY]
 
 
 def test_state_holding_every_goal_fact_costs_zero(monkeypatch):
-    # the pass stops once the goal facts, all held at cost 0, are popped, so
-    # it pops no fact at a positive cost
-    popped = []
+    # a missed goal entry whose fact the state holds costs 0 without a pass
+    def no_pass(*args):
+        raise AssertionError("a pass ran on a state holding every goal fact")
 
-    def heappop(heap):
-        item = heappop_(heap)
-        popped.append(item[0])
-        return item
-
-    heappop_ = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", heappop)
+    monkeypatch.setattr(DeleteRelaxationHeuristic, "_costs", no_pass)
     tasks = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
     tasks.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
     tasks += [task for task, _ in logistics_evaluations()]
@@ -607,6 +698,144 @@ def test_state_holding_every_goal_fact_costs_zero(monkeypatch):
             values[v] = x
         facts = task.index.fact_set(tuple(values))
         for combine in ("max", "add"):
-            popped.clear()
-            assert DeleteRelaxationHeuristic(task, combine)(facts) == 0
-            assert popped and not any(popped)
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            assert evaluator(facts) == 0
+            assert all(memo[facts & mask] == 0 for memo, mask in evaluator.entries or ())
+
+
+def component_shape_tasks(build):
+    """Hand-built tasks with the component shapes the benchmark corpus lacks.
+
+    In the first, goal variable p (x1) is a parent of goal variable g (x5)
+    and of the two-variable component {c, d} (x3, x4), which also reads q
+    (x2); some actions are free, and d has a precondition-free achiever and
+    c one whose only precondition lies in parent p. In the second, goal
+    g=1 (x2) needs p=2 (x1), which nothing achieves, while p=1 and h=1 are
+    reachable. In the third, goal variable x2 has every variable as an
+    ancestor, so there is no memo.
+    """
+    p, q, c, d, g = range(5)
+    shapes = build(
+        domains=[4, 3, 3, 2, 2],
+        actions=[
+            ("p01", [(p, 0)], [(p, 1)], 2),
+            ("p12", [(p, 1)], [(p, 2)], 0),
+            ("p23", [(p, 2)], [(p, 3)], 1),
+            ("p30", [(p, 3)], [(p, 0)], 3),
+            ("q01", [(q, 0)], [(q, 1)], 1),
+            ("q10", [(q, 1)], [(q, 0)], 0),
+            ("c01", [(c, 0), (d, 1), (p, 2)], [(c, 1)], 1),
+            ("c12", [(c, 1), (q, 1)], [(c, 2)], 0),
+            ("c-from-p", [(p, 1)], [(c, 1)], 3),
+            ("d01", [(d, 0), (c, 0)], [(d, 1)], 0),
+            ("d10", [(d, 1), (c, 1)], [(d, 0)], 2),
+            ("d-free", [], [(d, 1)], 4),
+            ("g01", [(g, 0), (p, 3)], [(g, 1)], 1),
+        ],
+        initial=[0, 0, 0, 0, 0],
+        goal=[(p, 1), (c, 2), (g, 1)],
+        uses_metric=True,
+    )
+    p, g, h = range(3)
+    unreachable = build(
+        domains=[3, 2, 2],
+        actions=[
+            ("p01", [(p, 0)], [(p, 1)]),
+            ("g01", [(g, 0), (p, 2)], [(g, 1)]),
+            ("h01", [(h, 0)], [(h, 1)], 0),
+        ],
+        initial=[0, 0, 0],
+        goal=[(p, 1), (g, 1), (h, 1)],
+        uses_metric=True,
+    )
+    memo_less = build(
+        domains=[3, 2, 2],
+        actions=[
+            ("a", [(0, 0)], [(0, 1)], 0),
+            ("b", [(0, 1)], [(0, 2)], 2),
+            ("c", [(0, 2), (2, 1)], [(1, 1)]),
+            ("free", [], [(2, 1)], 3),
+        ],
+        initial=[0, 0, 0],
+        goal=[(1, 1), (2, 1)],
+        uses_metric=True,
+    )
+    return shapes, unreachable, memo_less
+
+
+def every_state(task):
+    return list(product(*(range(var.domain_size) for var in task.variables)))
+
+
+def test_component_shapes_match_reference(build):
+    shapes, unreachable, memo_less = component_shape_tasks(build)
+    for combine in ("max", "add"):
+        evaluator = DeleteRelaxationHeuristic(shapes, combine)
+        evaluator(shapes.index.fact_set(shapes.initial))
+        components, goal_at = evaluator.components
+        # p, q, {c, d}, g; p is a goal component and a parent, and q a parent
+        assert [component_variables(shapes, comp) for comp in components] == [[0], [1], [2, 3], [4]]
+        assert goal_at == [0, 2, 3]
+        assert [comp[0] is not None for comp in components] == [True, True, False, False]
+        evaluator = DeleteRelaxationHeuristic(unreachable, combine)
+        evaluator(unreachable.index.fact_set(unreachable.initial))
+        assert evaluator.components[1] == [0, 1, 2] and evaluator.components[0][0][0] is not None
+        assert DeleteRelaxationHeuristic(memo_less, combine).entries is None
+    # every value combination, reachable or not, in order and then shuffled
+    for k, task in enumerate((shapes, unreachable, memo_less)):
+        states = every_state(task)
+        assert_memo_matches_reference(task, states, k)
+        if task is not memo_less:
+            assert_miss_writes_only_missing(task, states)
+        for combine in ("max", "add"):
+            evaluator = DeleteRelaxationHeuristic(task, combine)
+            for values in states:
+                evaluator(task.index.fact_set(values))
+            assert_component_tables(task, evaluator)
+            if task is not memo_less:
+                assert assert_parent_memos_match_reference(task, evaluator, states, combine)
+    # g=1 is unreachable through its parent alone: wherever neither it nor p=2 holds
+    for p, g, _ in every_state(unreachable):
+        cost = reference_goal_costs(unreachable, (p, g, 0), "max")[1]
+        assert (cost == INFINITY) == (p != 2 and g != 1)
+
+
+def test_threads_share_one_evaluator_on_component_shapes(build):
+    task = component_shape_tasks(build)[0]
+    states = every_state(task) * 3
+    random.Random(0).shuffle(states)
+    for combine in ("max", "add"):
+        expected = [reference_relaxed_cost(task, values, combine) for values in states]
+        facts = list(map(task.index.fact_set, states))
+        evaluator = DeleteRelaxationHeuristic(task, combine)
+        assert walk_in_threads(evaluator, facts) == [expected] * 4
+        for memo, mask in evaluator.entries:
+            assert set(memo) == {F & mask for F in facts}
+
+
+def walk_in_threads(evaluator, states):
+    """Four threads call one evaluator on every state, each starting at
+    another quarter, with frequent thread switches; each thread's values
+    in state order."""
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def walk(k):
+        start.wait(timeout=60)
+        shift = k * len(states) // 4
+        order = list(range(shift, len(states))) + list(range(shift))
+        found = {i: evaluator(states[i]) for i in order}
+        results[k] = [found[i] for i in range(len(states))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
