@@ -14,27 +14,25 @@ A fact's relaxed cost depends only on the state's values of its
 variable's causal-graph ancestors, the variables from which it can be
 reached along "an action reads u and writes w" arcs. The goal variables'
 ancestors split into components, the strongly connected sets of that
-graph. So the relaxation evaluators memoise each goal entry's cost on
-F & the facts of its variable's ancestors, and each parent component's
-fact costs on F & the facts of its ancestors, itself included. A call
-looks each goal entry up once and combines the values as it goes; one
-that finds every entry memoised never enters a pass. A missed entry costs
-0 when F holds its goal fact; the others run one pass per component
-holding their goal facts, over its own facts and the actions writing it,
-seeded with its held facts and its parents' memoised costs, and stopped
-once those goal facts are popped; a third memo keeps each component's
-actions' starting values, their costs plus the combined costs of their
-preconditions in the parents, on F & the facts of its proper ancestors.
-When some goal variable has every variable as an ancestor, nothing could
-hit and no goal entry is memoised: all variables form one component,
-whose pass runs on every call.
+graph, and each component's own facts cost what a pass over them and the
+actions writing them gives, seeded with the held facts there and its
+parents' costs. So the relaxation evaluators memoise each component's
+fact costs on F & key, key the facts of its ancestors, itself included;
+a second memo keeps each component's actions' starting values, their
+costs plus the combined costs of their preconditions in the parents, on
+F & the facts of its proper ancestors. A call walks the components
+holding goal facts: one whose goal facts F holds costs 0, the others
+read or compute their fact costs and combine their goal facts' costs,
+so a call that finds every such component memoised never enters a pass.
+A component whose key covers every fact gets no memo, as its key is the
+whole state, which a search rarely evaluates twice; its pass stops once
+the call's unheld goal facts in it are popped.
 
 Evaluators hold immutable per-task indexes. The relaxation evaluators
-also hold the memos and, from the first call that misses, the
-components' tables. Each memo entry is a pure function of its key, and
-the tables of the task; each is published by a single assignment, so a
-call's value depends only on the state, and threads can share an
-evaluator.
+also hold the memos and, from their first call, the components' tables.
+Each memo entry is a pure function of its key, and the tables of the
+task; each is published by a single assignment, so a call's value
+depends only on the state, and threads can share an evaluator.
 """
 
 from __future__ import annotations
@@ -60,62 +58,40 @@ class DeleteRelaxationHeuristic:
         self.add = combine == "add"
         self.index = task.index
         self.costs = [action.cost for action in task.actions]
-        self.goal_facts = [task.index.offsets[v] + val for v, val in task.goal]
-        # per goal entry, its memo and its ancestor fact mask; None without a memo
-        projections = _goal_projections(task)
-        self.entries = None if projections is None else [({}, mask) for mask in projections]
-        # _build_components' result, from the first call that misses
-        self.components: tuple[list[tuple], list[int]] | None = None
+        # _build_components' result, from the first call
+        self.components: tuple[list[tuple], list[tuple]] | None = None
 
     def __call__(self, facts: int) -> float:
-        entries = self.entries
-        if entries is not None:
-            # one lookup per goal entry, combined as it goes; a miss raises
-            value = 0
-            try:
-                if self.add:
-                    for memo, mask in entries:
-                        value += memo[facts & mask]
-                else:
-                    for memo, mask in entries:
-                        entry = memo[facts & mask]
-                        if entry > value:
-                            value = entry
-                return value
-            except KeyError:
-                pass
-        components, goal_at = self.components or self._build_components()
-        goal_facts = self.goal_facts
-        values = [None] * len(goal_facts)
-        if entries is not None:
-            # all set when another thread memoised them after the failed lookup
-            values = [memo.get(facts & mask) for memo, mask in entries]
-        pending: dict[int, set[int]] = {}  # per component, its unheld missing goal facts
-        for i, value in enumerate(values):
-            if value is None and not facts >> goal_facts[i] & 1:
-                pending.setdefault(goal_at[i], set()).add(goal_facts[i])
-        dist = {c: self._costs(facts, components, c, goals) for c, goals in pending.items()}
-        for i, value in enumerate(values):
-            if value is None:
-                # a held goal fact costs 0, also in a pass that ran
-                value = values[i] = dist[goal_at[i]][goal_facts[i]] if goal_at[i] in dist else 0
-                if entries is not None:
-                    memo, mask = entries[i]
-                    memo[facts & mask] = value
-        # infinity when some entry is: either combination keeps it
-        return sum(values) if self.add else max(values, default=0)
+        components, goals = self.components or self._build_components()
+        additive = self.add
+        value = 0
+        for c, memo, key, wanted, goal_facts in goals:
+            if facts & wanted == wanted:
+                continue  # held goal facts cost 0
+            dist = None if memo is None else memo.get(facts & key)
+            if dist is None:
+                dist = self._costs(facts, components, c, wanted & ~facts)
+            for f in goal_facts:
+                if additive:
+                    value += dist[f]
+                elif dist[f] > value:
+                    value = dist[f]
+        # infinity when some goal fact is: either combination keeps it
+        return value
 
-    def _costs(self, facts: int, components: list, c: int, pending: set | None = None) -> list:
-        """Fact costs from a pass over component c, final on its own facts, that
-        stops once each fact in pending is popped; a parent's pops them all
-        into its memo. Each action starts at its cost plus the combined cost
-        of its preconditions in the parents, kept in the start memo."""
+    def _costs(self, facts: int, components: list, c: int, goals: int = 0) -> list:
+        """Fact costs from a pass over component c. With a memo the pass
+        runs to exhaustion, so each own fact's cost is final, and the result
+        is memoised on F & key; without one it stops once each fact of
+        goals is popped, and runs to exhaustion when goals is 0. Each
+        action starts at its cost plus the combined cost of its
+        preconditions in the parents, kept in the start memo."""
         memo, key, start, own, variables, inputs, rows, consumers, count = components[c]
         if memo is not None:
             dist = memo.get(facts & key)
             if dist is not None:
                 return dist
-            pending = set(ids(own))
+        pending = set() if memo is not None else set(ids(goals))
         additive = self.add
         got = start.get(facts & (key ^ own))
         if got is None:
@@ -173,28 +149,28 @@ class DeleteRelaxationHeuristic:
             memo[facts & key] = dist
         return dist
 
-    def _build_components(self) -> tuple[list[tuple], list[int]]:
-        """The goal variables' ancestors as components, parents first (all
-        variables as one without a memo), and each goal entry's component.
-        A component numbers the actions writing it from 0 and holds (memo,
-        key, start, own, variables, inputs, rows, consumers, count): memo is
-        None unless it is a parent; key masks its ancestors' facts, own and
-        variables its own facts; inputs is [(parent, [(fact, readers)])];
-        rows[a] is (a, cost, own effect facts), consumers[f] the rows of
-        f's readers, and count[a] a's number of own preconditions."""
+    def _build_components(self) -> tuple[list[tuple], list[tuple]]:
+        """The goal variables' ancestors as components, parents first, and
+        the goal components. A component numbers the actions writing it
+        from 0 and holds (memo, key, start, own, variables, inputs, rows,
+        consumers, count): key masks its ancestors' facts, memo is None
+        when that is every fact, own and variables mask its own facts;
+        inputs is [(parent, [(fact, readers)])]; rows[a] is (a, cost, own
+        effect facts), consumers[f] the rows of f's readers, and count[a]
+        a's number of own preconditions. A goal component is (component,
+        memo, key, goal fact mask, goal fact ids)."""
         index = self.index
         own_facts, writers, readers = index.variable_facts, index.writer_masks, index.reader_masks
-        if self.entries is None:
-            order = [(1 << len(own_facts)) - 1]
-        else:
-            # arcs v -> u, u read by an action writing v: sinks first is parents first
-            parents = [sum(1 << u for u, r in enumerate(readers) if r & w) for w in writers]
-            ancestors = reduce(or_, [mask for _, mask in self.entries], 0)
-            nodes = sum(1 << v for v, mask in enumerate(own_facts) if mask & ancestors)
-            order = closure_prefix_order(parents, nodes)
+        # arcs v -> u, u read by an action writing v: sinks first is parents first
+        parents = [sum(1 << u for u, r in enumerate(readers) if r & w) for w in writers]
+        nodes = new = sum(1 << v for v, mask in enumerate(own_facts) if mask & index.goal_bits)
+        while new:
+            new = reduce(or_, map(parents.__getitem__, ids(new))) & ~nodes
+            nodes |= new
+        every = (1 << index.offsets[-1]) - 1
         owner: dict[int, int] = {}  # variable -> its component
-        components: list[list] = []
-        for c, members in enumerate(order):
+        components: list[tuple] = []
+        for c, members in enumerate(closure_prefix_order(parents, nodes)):
             variables = [own_facts[v] for v in ids(members)]
             own = sum(variables)
             consumers: list[tuple] = [()] * index.offsets[-1]
@@ -209,39 +185,18 @@ class DeleteRelaxationHeuristic:
                         count[i] += 1
                     else:
                         inputs.setdefault(owner[index.var_of[f]], {}).setdefault(f, []).append(i)
-            for p in inputs:
-                components[p][0] = {}
             key = reduce(or_, [components[p][1] for p in inputs], own)
+            memo = None if key == every else {}
             pairs = [(p, [*facts.items()]) for p, facts in inputs.items()]
-            components.append([None, key, {}, own, variables, pairs, rows, consumers, count])
+            components.append((memo, key, {}, own, variables, pairs, rows, consumers, count))
             owner.update(dict.fromkeys(ids(members), c))
-        goal_at = [owner[index.var_of[f]] for f in self.goal_facts]
-        built = self.components = [tuple(component) for component in components], goal_at
+        goals = []
+        for c, (memo, key, _, own, *_) in enumerate(components):
+            wanted = own & index.goal_bits
+            if wanted:
+                goals.append((c, memo, key, wanted, ids(wanted)))
+        built = self.components = components, goals
         return built
-
-
-def _goal_projections(task: Task) -> list[int] | None:
-    """Per goal entry, the mask of the facts of its variable's causal-graph
-    ancestors, the variable included; None when some goal variable has
-    every variable as an ancestor."""
-    reads, writes = task.index.reader_masks, task.index.writer_masks
-    n = len(writes)
-    projections = []
-    for v, _ in task.goal:
-        # sweep the variables until none is added: u is an ancestor when
-        # some action writing an ancestor reads it
-        members, writers, added = [v], writes[v], True
-        while added:
-            added = False
-            for u, readers in enumerate(reads):
-                if readers & writers and u not in members:
-                    members.append(u)
-                    writers |= writes[u]
-                    added = True
-        if len(members) == n:
-            return None
-        projections.append(sum(map(task.index.variable_facts.__getitem__, members)))
-    return projections
 
 
 class Blind:

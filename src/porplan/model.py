@@ -184,8 +184,7 @@ class ActionIndex:
     is the number of facts, var_of[f] the variable of fact f, and
     variable_facts[var] the mask of var's facts. Per action a:
     pre_facts[a] and eff_facts[a] hold the fact ids of its precondition
-    and effect, ascending, and pre_count[a] the precondition size. Per
-    fact: consumers, the ascending actions whose precondition needs it.
+    and effect, ascending.
 
     Fact and action sets are bit masks, bit f for fact f, bit a for
     action a; ids() reads one out. Per action a: pre_bits[a], adds[a] (its
@@ -195,7 +194,8 @@ class ActionIndex:
     goal_variable_facts every fact of a goal variable, so F &
     goal_variable_facts & ~goal_bits is the held fact of each unachieved
     goal variable. Per fact: achiever_masks (the effect sets it),
-    consumer_masks and compatible (no precondition entry contradicts it).
+    consumer_masks (the precondition needs it) and compatible (no
+    precondition entry contradicts it).
     Per variable: writer_masks and reader_masks. leaving[f], f = (v, x),
     is v's writers compatible with f: the DTG transitions leaving x, V0
     ones included. Per action a: support (the achievers of a's
@@ -213,14 +213,13 @@ class ActionIndex:
             [tuple([off[v] + x for v, x in a.precondition.entries]) for a in actions]
         )
         eff_facts = tuple([tuple([off[v] + x for v, x in a.effect.entries]) for a in actions])
-        self.eff_facts, self.pre_count = eff_facts, tuple(map(len, self.pre_facts))
+        self.eff_facts = eff_facts
         self.pre_bits, self.adds = _masks(self.pre_facts), _masks(eff_facts)
         every = (1 << off[-1]) - 1  # the mask of all facts
         self.keep = tuple([every ^ sum(map(own.__getitem__, a.effect.variables)) for a in actions])
         self.goal_bits = sum(1 << off[v] + x for v, x in task.goal.entries)
         self.goal_variable_facts = sum(own[v] for v in task.goal.variables)
-        self.consumers = _inverse(off[-1], self.pre_facts)
-        self.consumer_masks = needs = _masks(self.consumers)
+        self.consumer_masks = needs = _masks(_inverse(off[-1], self.pre_facts))
         self.achiever_masks = achievers = _masks(_inverse(off[-1], eff_facts))
         # per variable, the OR over its facts: the actions writing it, and
         # the actions reading it, as an action reads a variable at most once

@@ -49,9 +49,17 @@ def relaxed_costs_naive(task, state, combine):
     return sum(goal) if combine == "add" else max(goal)
 
 
+def built(task, combine="max"):
+    """A relaxation evaluator on task with its components built."""
+    evaluator = DeleteRelaxationHeuristic(task, combine)
+    evaluator._build_components()
+    return evaluator
+
+
 def memoises(task):
-    """Whether the relaxation evaluators memoise goal-fact costs on task."""
-    return DeleteRelaxationHeuristic(task, "max").entries is not None
+    """Whether every goal component of task has a memo, so that a call on a
+    state whose goal components are all memoised runs no pass."""
+    return all(memo is not None for _, memo, *_ in built(task).components[1])
 
 
 def small_tasks(count, cost_mode="unit", keep=lambda task: True):
@@ -203,36 +211,48 @@ def test_make_heuristic_names(two_switches):
 # one Dijkstra pass over all facts to exhaustion per call.
 
 
-def reference_goal_costs(task, state, combine):
-    """The relaxed cost of each goal fact, in goal order."""
-    index = task.index
+def reference_pass_costs(task, state, combine):
+    """Every fact's relaxed cost, by fact id, from one pass over all facts."""
+    off = task.index.offsets
     costs = [action.cost for action in task.actions]
-    dist = [INFINITY] * index.offsets[-1]
-    heap = [(0, f) for f in map(add, index.offsets, state)]
+    effects = [[off[v] + x for v, x in action.effect] for action in task.actions]
+    consumers = [[] for _ in range(off[-1])]
+    for a, action in enumerate(task.actions):
+        for v, x in action.precondition:
+            consumers[off[v] + x].append(a)
+    dist = [INFINITY] * off[-1]
+    heap = [(0, f) for f in map(add, off, state)]
     for _, f in heap:
         dist[f] = 0
     heapq.heapify(heap)
-    for a, n in enumerate(index.pre_count):
+    remaining = [len(action.precondition) for action in task.actions]
+    for a, n in enumerate(remaining):
         if n == 0:
-            for f in index.eff_facts[a]:
+            for f in effects[a]:
                 if costs[a] < dist[f]:
                     dist[f] = costs[a]
                     heapq.heappush(heap, (costs[a], f))
-    remaining, acc = list(index.pre_count), list(costs)
+    acc = list(costs)
     while heap:
         d, f = heapq.heappop(heap)
         if d > dist[f]:
             continue
-        for a in index.consumers[f]:
+        for a in consumers[f]:
             remaining[a] -= 1
             acc[a] += d
             if remaining[a] == 0:
                 value = acc[a] if combine == "add" else costs[a] + d
-                for g in index.eff_facts[a]:
+                for g in effects[a]:
                     if value < dist[g]:
                         dist[g] = value
                         heapq.heappush(heap, (value, g))
-    return [dist[index.offsets[v] + x] for v, x in task.goal]
+    return dist
+
+
+def reference_goal_costs(task, state, combine):
+    """The relaxed cost of each goal fact, in goal order."""
+    dist = reference_pass_costs(task, state, combine)
+    return [dist[task.index.offsets[v] + x] for v, x in task.goal]
 
 
 def reference_relaxed_cost(task, state, combine):
@@ -276,24 +296,44 @@ def logistics_evaluations():
     return tuple(out)
 
 
+def needed_keys(evaluator, fact_sets):
+    """Per component, the F & key of each fact set F that needs its costs:
+    F leaves one of its goal facts unheld, or F needs a component that
+    reads it."""
+    components, goals = evaluator.components
+    wanted = {c: mask for c, _, _, mask, _ in goals}
+    needs = [set() for _ in components]
+    for c in reversed(range(len(components))):  # children after parents
+        if c in wanted:
+            needs[c].update(F for F in fact_sets if F & wanted[c] != wanted[c])
+        for p, _ in components[c][5]:
+            needs[p] |= needs[c]
+    return [{F & comp[1] for F in needed} for comp, needed in zip(components, needs)]
+
+
+def assert_memos_hold_needed_keys(evaluator, fact_sets):
+    """Each memo holds exactly the projections of the fact sets that need
+    its component."""
+    for (memo, *_), keys in zip(evaluator.components[0], needed_keys(evaluator, fact_sets)):
+        if memo is not None:
+            assert set(memo) == keys
+
+
 def assert_memo_matches_reference(task, states, order_seed=0):
     """One shared evaluator per combiner, walked over the states in their
     order and then shuffled, returns the reference value at every call,
-    and each memo ends up holding its projection of every walked state
-    and no more entries than calls."""
+    and each memo ends up holding exactly the projections of the walked
+    states that need its component."""
     shuffled = list(states)
     random.Random(order_seed).shuffle(shuffled)
     fact_sets = list(map(task.index.fact_set, states))
     for combine in ("max", "add"):
         evaluator = DeleteRelaxationHeuristic(task, combine)
-        calls = 0
         for walk in (states, shuffled):
             for values in walk:
                 expected = reference_relaxed_cost(task, values, combine)
                 assert evaluator(task.index.fact_set(values)) == expected
-                calls += 1
-        for memo, mask in evaluator.entries or ():
-            assert set(memo) == {F & mask for F in fact_sets} and len(memo) <= calls
+        assert_memos_hold_needed_keys(evaluator, fact_sets)
 
 
 def test_memo_matches_reference_on_random_tasks():
@@ -305,7 +345,7 @@ def test_memo_matches_reference_on_random_tasks():
 
 def test_memo_matches_reference_on_two_switches():
     task = parse_sas((FIXTURES / "two_switches.sas").read_text())
-    assert DeleteRelaxationHeuristic(task, "add").entries is not None
+    assert memoises(task)
     assert_memo_matches_reference(task, enumerate_state_space(task).states)
 
 
@@ -318,25 +358,25 @@ def test_memo_matches_reference_on_logistics_evaluations():
 
 def test_memo_selection():
     # every seed-1 random benchmark task and enable_chain.sas have a goal
-    # variable with every variable as an ancestor: no memo could hit
-    unmemoised = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
-    unmemoised.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
-    memoised = [task for task, _ in logistics_evaluations()]
-    memoised.append(parse_sas((FIXTURES / "two_switches.sas").read_text()))
+    # variable with every variable as an ancestor: its component's key is
+    # the whole state, and it holds no memo; every other component holds
+    # one, keyed on exactly its ancestors' facts
+    whole = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
+    whole.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
+    proper = [task for task, _ in logistics_evaluations()]
+    proper.append(parse_sas((FIXTURES / "two_switches.sas").read_text()))
     for combine in ("max", "add"):
-        for task in unmemoised:
-            evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert evaluator.entries is None
-        for task in memoised:
-            evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert [memo for memo, _ in evaluator.entries] == [{}] * len(task.goal)
-            # each projection masks exactly its goal variable's ancestors' facts
-            own = task.index.variable_facts
-            for (var, _), (_, mask) in zip(task.goal, evaluator.entries):
-                read_off = {v for v in range(task.num_variables) if mask & own[v]}
-                assert mask == sum(own[v] for v in read_off)
-                assert read_off == reference_ancestors(task, var)
-                assert len(read_off) < task.num_variables
+        for task, unmemoised in [(t, 1) for t in whole] + [(t, 0) for t in proper]:
+            components, goals = built(task, combine).components
+            own, every = task.index.variable_facts, (1 << task.index.offsets[-1]) - 1
+            for memo, key, _, own_mask, *_ in components:
+                members = [v for v in range(task.num_variables) if own[v] & own_mask]
+                assert key == sum(own[v] for v in reference_ancestors(task, members[0]))
+                assert memo == (None if key == every else {})
+            assert sum(memo is None for _, memo, *_ in goals) == unmemoised
+    # enable_chain's goal component reads two memoised parents
+    components = built(whole[-1]).components[0]
+    assert [memo is None for memo, *_ in components] == [False, False, True]
 
 
 def test_threads_share_one_memoised_evaluator():
@@ -367,51 +407,58 @@ def test_threads_share_one_memoised_evaluator():
     assert not any(thread.is_alive() for thread in threads)
     for found in results:
         assert [found[i] for i in range(len(states))] == expected
-    # every call leaves all of its state's goal entries memoised
-    for memo, mask in hmax.entries:
-        assert set(memo) == {F & mask for F in states}
+    # every call leaves the components its state needs memoised
+    assert_memos_hold_needed_keys(hmax, states)
 
 
 class RecordingMemo(dict):
-    """A memo that logs every write, as (goal entry, key)."""
+    """A memo that logs every write, as (component, key)."""
 
-    def __init__(self, entry, log):
+    def __init__(self, component, log):
         super().__init__()
-        self.entry, self.log = entry, log
+        self.component, self.log = component, log
 
     def __setitem__(self, key, value):
-        self.log.append((self.entry, key))
+        self.log.append((self.component, key))
         super().__setitem__(key, value)
 
 
 def assert_miss_writes_only_missing(task, states):
-    """Walking the states, each call writes exactly its missing entries to
-    the memos, each at its reference goal-fact cost, and leaves the entries
+    """Walking the states, each call writes each memoised goal component it
+    needs and misses, writes no key a memo held, none twice, each at the
+    reference costs of the component's own facts, and leaves the entries
     it hit as they were; returns the number of calls that missed some but
-    not all entries."""
+    not all of the memoised goal components they needed."""
     partial = 0
     for combine in ("max", "add"):
-        evaluator = DeleteRelaxationHeuristic(task, combine)
+        evaluator = built(task, combine)
+        components, goals = evaluator.components
         log = []
-        # every memo read and write goes through the entries
-        evaluator.entries = [
-            (RecordingMemo(i, log), mask) for i, (_, mask) in enumerate(evaluator.entries)
+        # every memo write goes through a recording memo
+        components = [
+            (None if comp[0] is None else RecordingMemo(c, log), *comp[1:])
+            for c, comp in enumerate(components)
         ]
-        memos = [memo for memo, _ in evaluator.entries]
+        goals = [(c, components[c][0], *rest) for c, _, *rest in goals]
+        evaluator.components = components, goals
         for values in states:
             facts = task.index.fact_set(values)
-            keys = [facts & mask for _, mask in evaluator.entries]
-            before = [memo.get(key) for memo, key in zip(memos, keys)]
-            missing = [i for i, value in enumerate(before) if value is None]
-            partial += 0 < len(missing) < len(keys)
+            keys = [facts & comp[1] for comp in components]
+            before = [(comp[0] or {}).get(key) for comp, key in zip(components, keys)]
+            needed = [c for c, memo, _, wanted, _ in goals if memo is not None and facts & wanted != wanted]
+            missed = [c for c in needed if before[c] is None]
+            partial += 0 < len(missed) < len(needed)
             log.clear()
             assert evaluator(facts) == reference_relaxed_cost(task, values, combine)
-            assert log == [(i, keys[i]) for i in missing]
-            expected = reference_goal_costs(task, values, combine)
-            for i, (memo, key) in enumerate(zip(memos, keys)):
-                assert memo[key] == expected[i]
-                if i not in missing:
-                    assert memo[key] is before[i]
+            assert len(set(log)) == len(log) and set(missed) <= {c for c, _ in log}
+            expected = reference_pass_costs(task, values, combine) if log else None
+            for c, key in log:
+                assert key == keys[c] and before[c] is None
+                own = ids(components[c][3])
+                assert [components[c][0][key][f] for f in own] == [expected[f] for f in own]
+            for c, value in enumerate(before):
+                if value is not None:
+                    assert components[c][0][keys[c]] is value
     return partial
 
 
@@ -429,7 +476,7 @@ def test_partial_miss_writes_only_missing_entries_on_random_tasks():
         memoised = small_tasks(30, cost_mode, memoises)
         for task, graph in memoised:
             partial += assert_miss_writes_only_missing(task, graph.states)
-    assert partial > 100
+    assert partial > 40
 
 
 @cache
@@ -467,34 +514,38 @@ def component_variables(task, component):
 
 
 def assert_component_tables(task, evaluator):
-    """The built components split the goal variables' ancestors (all
-    variables without a memo) into the strongly connected sets of the
-    ancestor relation, parents first. Each holds exactly the actions
-    writing it, their effects cut to its own facts and their other
-    preconditions read from the parents its inputs name; only parents have
-    a memo. Returns the number of effects and of preconditions cut."""
+    """The built components split the goal variables' ancestors into the
+    strongly connected sets of the ancestor relation, parents first, and
+    the goal components are the ones holding goal facts, with their goal
+    facts. Each component holds exactly the actions writing it, their
+    effects cut to its own facts and their other preconditions read from
+    the parents its inputs name; it has a memo unless its key, the facts of
+    its ancestors, is every fact. Returns the number of effects and of
+    preconditions cut."""
     index = task.index
-    components, goal_at = evaluator.components
+    components, goals = evaluator.components
     owner = {v: c for c, comp in enumerate(components) for v in component_variables(task, comp)}
-    if evaluator.entries is None:
-        assert len(components) == 1 and set(owner) == set(range(task.num_variables))
-    else:
-        # the own fact masks are disjoint and cover the goal entries' masks
-        assert sum(comp[3] for comp in components) == reduce(or_, [m for _, m in evaluator.entries])
-    assert goal_at == [owner[v] for v, _ in task.goal]
-    parents = {p for comp in components for p, _ in comp[5]}
+    assert sum(comp[3] for comp in components) == reduce(or_, [comp[3] for comp in components])
+    assert set(owner) == set().union(*[reference_ancestors(task, v) for v, _ in task.goal])
+    wanted = {}
+    for v, x in task.goal:
+        wanted[owner[v]] = wanted.get(owner[v], 0) | 1 << index.offsets[v] + x
+    assert [(c, mask, facts) for c, _, _, mask, facts in goals] == [
+        (c, wanted[c], ids(wanted[c])) for c in sorted(wanted)
+    ]
+    assert all(memo is components[c][0] and key == components[c][1] for c, memo, key, *_ in goals)
+    every = (1 << index.offsets[-1]) - 1
     cut_effects = cut_pres = 0
     for c, (memo, key, start, own, variables, inputs, rows, consumers, count) in enumerate(
         components
     ):
         members = component_variables(task, components[c])
         assert variables == [index.variable_facts[v] for v in members] and own == sum(variables)
-        assert (memo is not None) == (c in parents) and isinstance(start, dict)
-        if evaluator.entries is not None:
-            ancestors = reference_ancestors(task, members[0])
-            assert all(set(members) <= reference_ancestors(task, v) for v in members)
-            assert all(owner[u] < c for u in ancestors - set(members))
-            assert key == sum(index.variable_facts[u] for u in ancestors)
+        assert (memo is None) == (key == every) and isinstance(start, dict)
+        ancestors = reference_ancestors(task, members[0])
+        assert all(set(members) <= reference_ancestors(task, v) for v in members)
+        assert all(owner[u] < c for u in ancestors - set(members))
+        assert key == sum(index.variable_facts[u] for u in ancestors)
         writers = reduce(or_, [index.writer_masks[v] for v in members])
         actions = [a for a in range(len(task.actions)) if writers >> a & 1]
         assert [(i, cost) for i, cost, _ in rows] == [
@@ -517,9 +568,9 @@ def assert_component_tables(task, evaluator):
     return cut_effects, cut_pres
 
 
-def assert_parent_memos_match_reference(task, evaluator, states, combine):
-    """Every parent memo entry a walked state's key reaches holds the
-    reference costs of the component's own facts at that state."""
+def assert_memos_match_reference(task, evaluator, states, combine):
+    """Every memo entry a walked state's key reaches holds the reference
+    costs of the component's own facts at that state."""
     checked = 0
     for values in states:
         facts = task.index.fact_set(values)
@@ -536,7 +587,7 @@ def test_component_tables_stay_inside_their_component():
     # have precondition-free actions, zero costs and actions writing two
     # components
     walks = logistics_evaluations() + stream_walks()
-    assert any(0 in task.index.pre_count for task, _ in walks)
+    assert any(not a.precondition for task, _ in walks for a in task.actions)
     assert any(a.cost == 0 for task, _ in walks for a in task.actions)
     components = parents = cut_effects = cut_pres = checked = 0
     for task, states in walks:
@@ -547,9 +598,9 @@ def test_component_tables_stay_inside_their_component():
             effects, pres = assert_component_tables(task, evaluator)
             cut_effects, cut_pres = cut_effects + effects, cut_pres + pres
             components += len(evaluator.components[0])
-            parents += sum(comp[0] is not None for comp in evaluator.components[0])
+            parents += len({p for comp in evaluator.components[0] for p, _ in comp[5]})
             if task is walks[0][0] or (task, states) in stream_walks():
-                checked += assert_parent_memos_match_reference(task, evaluator, states, combine)
+                checked += assert_memos_match_reference(task, evaluator, states, combine)
     assert components > 100 and parents > 20 and cut_effects and cut_pres > 100 and checked
 
 
@@ -593,10 +644,11 @@ def watch_heaps(monkeypatch):
 
 
 def test_one_entry_miss_pushes_only_its_components_facts(monkeypatch):
-    # on every call that misses exactly one goal entry, a pass runs for that
-    # entry's component and for each parent whose memo the call fills, and
-    # every fact on their heaps is an own fact of one of those; with every
-    # parent memoised, one pass runs on the entry's component alone
+    # on every call that misses exactly one of the goal components it
+    # needs, a pass runs for that component and for each parent whose memo
+    # the call fills, and every fact on their heaps is an own fact of one
+    # of those; with every parent memoised, one pass runs on the goal
+    # component alone
     heaps, pushed = watch_heaps(monkeypatch)
     walks = [logistics_evaluations()[0]]
     for cost_mode in ("unit", "random"):
@@ -605,26 +657,27 @@ def test_one_entry_miss_pushes_only_its_components_facts(monkeypatch):
     one_entry_misses = alone = pushes = 0
     for task, states in walks:
         for combine in ("max", "add"):
-            evaluator = DeleteRelaxationHeuristic(task, combine)
-            entries, goal_facts = evaluator.entries, evaluator.goal_facts
+            evaluator = built(task, combine)
+            components, goals = evaluator.components
             for values in states:
                 facts = task.index.fact_set(values)
-                missing = [i for i, (memo, mask) in enumerate(entries) if facts & mask not in memo]
-                memos = [comp[0] for comp in (evaluator.components or [()])[0]]
-                sizes = [len(memo or ()) for memo in memos]
+                missing = [
+                    c
+                    for c, memo, key, wanted, _ in goals
+                    if facts & wanted != wanted and facts & key not in memo
+                ]
+                sizes = [len(comp[0]) for comp in components]
                 heaps.clear()
                 pushed.clear()
                 evaluator(facts)
-                if len(missing) != 1 or facts >> goal_facts[missing[0]] & 1 or not memos:
+                if len(missing) != 1:
                     continue
-                components, goal_at = evaluator.components
-                filled = [c for c, memo in enumerate(memos) if len(memo or ()) > sizes[c]]
-                ran = set(filled) | {goal_at[missing[0]]}
-                allowed = sum(components[c][3] for c in ran)
-                assert len(heaps) == len(ran)
+                filled = [c for c, comp in enumerate(components) if len(comp[0]) > sizes[c]]
+                allowed = sum(components[c][3] for c in filled)
+                assert missing[0] in filled and len(heaps) == len(filled)
                 assert not [f for f in pushed if not allowed >> f & 1]
                 one_entry_misses += 1
-                if not filled:
+                if filled == missing:
                     alone += 1
                     pushes += len(pushed)
     assert one_entry_misses > 500 and alone > 400 and pushes > alone
@@ -644,25 +697,36 @@ def sampled_states(task, count, seed=0):
     return out
 
 
-def test_memo_less_pass_matches_reference():
-    # the pass without a memo computes every goal entry over all facts and
-    # stops once the last goal fact is popped
+def test_memo_less_pass_matches_reference(monkeypatch):
+    # a goal component without a memo computes its goal facts' costs on
+    # every call, in a pass that stops once its last unheld goal fact is
+    # popped; each random task is one such component of every variable,
+    # so the evaluator keeps no entry per state there
+    heaps, _ = watch_heaps(monkeypatch)
     tasks = [parse_sas(i.text) for i in perfbench_corpus().instances("random-astar-blind", 1)]
     tasks.append(parse_sas((FIXTURES / "enable_chain.sas").read_text()))
+    stopped = 0
     for k, task in enumerate(tasks):
+        assert not memoises(task)
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert evaluator.entries is None
             for values in sampled_states(task, 40, k):
+                heaps.clear()
                 expected = reference_relaxed_cost(task, values, combine)
                 assert evaluator(task.index.fact_set(values)) == expected
+                stopped += bool(heaps and heaps[-1])
+            if task is not tasks[-1]:
+                [(memo, key, start, *_)] = evaluator.components[0]
+                assert memo is None and len(start) == 1
+    assert stopped > 100
 
 
 def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
     # goal x1=1 is reachable; goal x2=1 needs x2=2, which nothing achieves.
-    # In the first task x2's ancestors are every variable, so there is no
-    # memo and one pass; in the second x2 has no writer, so both entries are
-    # memoised and each variable's component runs its own pass
+    # In the first task x2's ancestors are every variable, so its component
+    # has no memo; in the second x2 has no writer, so both components have
+    # one. Either way each variable's component runs its own pass, and x2's
+    # drains its heap
     unmemoised = build(
         domains=[2, 3],
         actions=[("o", [(0, 0)], [(0, 1)]), ("q", [(0, 1), (1, 2)], [(1, 1)])],
@@ -675,16 +739,44 @@ def test_pass_with_an_unreachable_goal_fact_drains_the_heap(build, monkeypatch):
     heaps, _ = watch_heaps(monkeypatch)
     for task, has_memo in ((unmemoised, False), (memoised, True)):
         for combine in ("max", "add"):
-            evaluator = DeleteRelaxationHeuristic(task, combine)
-            assert (evaluator.entries is not None) == has_memo
+            evaluator = built(task, combine)
+            assert [memo is not None for _, memo, *_ in evaluator.components[1]] == [True, has_memo]
             heaps.clear()
             assert evaluator(task.index.fact_set(task.initial)) == INFINITY
-            assert len(heaps) == (2 if has_memo else 1) and heaps[-1] == []
+            assert len(heaps) == 2 and heaps[-1] == []
             assert reference_goal_costs(task, task.initial, combine) == [1, INFINITY]
 
 
+def test_pass_skips_stale_heap_entries(build, monkeypatch):
+    # x=2 is pushed at 5 by the free "jump" and again at 2 by x=0 -> 1 -> 2,
+    # and pops at 2 before y=1, which costs 10 and is the other precondition
+    # of its consumer "finish". Taken as a second arrival of x=2, the stale
+    # (5, x=2) would fire "finish" before y=1 is final: x=3 at 6 (add: 8)
+    x, y = range(2)
+    task = build(
+        domains=[4, 2],
+        actions=[
+            ("jump", [], [(x, 2)], 5),
+            ("step1", [(x, 0)], [(x, 1)], 1),
+            ("step2", [(x, 1)], [(x, 2)], 1),
+            ("raise", [(y, 0), (x, 0)], [(y, 1)], 10),
+            ("finish", [(x, 2), (y, 1)], [(x, 3)], 1),
+        ],
+        initial=[0, 0],
+        goal=[(x, 3)],
+        uses_metric=True,
+    )
+    _, pushed = watch_heaps(monkeypatch)
+    for combine, expected in (("max", 11), ("add", 13)):
+        pushed.clear()
+        assert DeleteRelaxationHeuristic(task, combine)(task.index.fact_set(task.initial)) == expected
+        assert pushed.count(task.index.offsets[x] + 2) == 2
+        assert reference_goal_costs(task, task.initial, combine) == [expected]
+        assert relaxed_costs_naive(task, task.initial, combine) == expected
+
+
 def test_state_holding_every_goal_fact_costs_zero(monkeypatch):
-    # a missed goal entry whose fact the state holds costs 0 without a pass
+    # a state holding every goal fact costs 0 without a pass or a memo write
     def no_pass(*args):
         raise AssertionError("a pass ran on a state holding every goal fact")
 
@@ -700,7 +792,7 @@ def test_state_holding_every_goal_fact_costs_zero(monkeypatch):
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
             assert evaluator(facts) == 0
-            assert all(memo[facts & mask] == 0 for memo, mask in evaluator.entries or ())
+            assert not any(memo for memo, *_ in evaluator.components[0])
 
 
 def component_shape_tasks(build):
@@ -712,7 +804,7 @@ def component_shape_tasks(build):
     c one whose only precondition lies in parent p. In the second, goal
     g=1 (x2) needs p=2 (x1), which nothing achieves, while p=1 and h=1 are
     reachable. In the third, goal variable x2 has every variable as an
-    ancestor, so there is no memo.
+    ancestor, so its component has no memo, and x1 and x3 are its parents.
     """
     p, q, c, d, g = range(5)
     shapes = build(
@@ -770,30 +862,27 @@ def every_state(task):
 def test_component_shapes_match_reference(build):
     shapes, unreachable, memo_less = component_shape_tasks(build)
     for combine in ("max", "add"):
-        evaluator = DeleteRelaxationHeuristic(shapes, combine)
-        evaluator(shapes.index.fact_set(shapes.initial))
-        components, goal_at = evaluator.components
+        components, goals = built(shapes, combine).components
         # p, q, {c, d}, g; p is a goal component and a parent, and q a parent
         assert [component_variables(shapes, comp) for comp in components] == [[0], [1], [2, 3], [4]]
-        assert goal_at == [0, 2, 3]
-        assert [comp[0] is not None for comp in components] == [True, True, False, False]
-        evaluator = DeleteRelaxationHeuristic(unreachable, combine)
-        evaluator(unreachable.index.fact_set(unreachable.initial))
-        assert evaluator.components[1] == [0, 1, 2] and evaluator.components[0][0][0] is not None
-        assert DeleteRelaxationHeuristic(memo_less, combine).entries is None
+        assert [c for c, *_ in goals] == [0, 2, 3]
+        assert all(comp[0] is not None for comp in components)
+        components, goals = built(unreachable, combine).components
+        assert [c for c, *_ in goals] == [0, 1, 2] and components[0][0] is not None
+        components, goals = built(memo_less, combine).components
+        assert [component_variables(memo_less, comp) for comp in components] == [[0], [2], [1]]
+        assert [comp[0] is None for comp in components] == [False, False, True]
     # every value combination, reachable or not, in order and then shuffled
     for k, task in enumerate((shapes, unreachable, memo_less)):
         states = every_state(task)
         assert_memo_matches_reference(task, states, k)
-        if task is not memo_less:
-            assert_miss_writes_only_missing(task, states)
+        assert_miss_writes_only_missing(task, states)
         for combine in ("max", "add"):
             evaluator = DeleteRelaxationHeuristic(task, combine)
             for values in states:
                 evaluator(task.index.fact_set(values))
             assert_component_tables(task, evaluator)
-            if task is not memo_less:
-                assert assert_parent_memos_match_reference(task, evaluator, states, combine)
+            assert assert_memos_match_reference(task, evaluator, states, combine)
     # g=1 is unreachable through its parent alone: wherever neither it nor p=2 holds
     for p, g, _ in every_state(unreachable):
         cost = reference_goal_costs(unreachable, (p, g, 0), "max")[1]
@@ -809,8 +898,7 @@ def test_threads_share_one_evaluator_on_component_shapes(build):
         facts = list(map(task.index.fact_set, states))
         evaluator = DeleteRelaxationHeuristic(task, combine)
         assert walk_in_threads(evaluator, facts) == [expected] * 4
-        for memo, mask in evaluator.entries:
-            assert set(memo) == {F & mask for F in facts}
+        assert_memos_hold_needed_keys(evaluator, facts)
 
 
 def walk_in_threads(evaluator, states):
